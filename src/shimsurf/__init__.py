@@ -10,7 +10,8 @@ The layers, bottom up:
 - :mod:`shimsurf.quadfield` — real quadratic fields: splitting of primes,
   conjugation, exact generalized Bernoulli values B_2;
 - :mod:`shimsurf.quartic` — totally real quartic fields with a quadratic
-  subfield: discriminants, Dedekind splitting, zeta Euler products;
+  subfield: discriminants, splitting read off the defining polynomial
+  mod p, zeta Euler products;
 - :mod:`shimsurf.torsion` — certified torsion-freeness of congruence
   subgroups via cyclotomic splitting;
 - :mod:`shimsurf.shimura` — quaternion algebras, involutions of second
@@ -75,7 +76,6 @@ from .shimura import (
     level_invariance_ok,
     quadratic_algebra,
     quartic_algebra,
-    rational_algebra,
     subgroup_index,
 )
 from .torsion import (
@@ -136,7 +136,6 @@ __all__ = [
     "quotient_invariants",
     "quotient_invariants_from_pg",
     "quotient_table",
-    "rational_algebra",
     "recognize_rational",
     "run_pipeline",
     "shimura_curve_genus",

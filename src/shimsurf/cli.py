@@ -31,7 +31,7 @@ from .geometry import (
     quotient_table,
     shimura_curve_genus,
 )
-from .quadfield import field_from_disc, primes_above, quad_field
+from .quadfield import QuadPrime, field_from_disc, primes_above, quad_field
 from .quartic import choose_level_prime, quartic_new, zeta2_euler_product
 from .search import DEFAULT_TYPES, RowStatus, run_pipeline
 from .shimura import (
@@ -129,9 +129,8 @@ def _subgroup_line(spec: SubgroupSpec) -> str:
     if spec.kind is SubgroupKind.FULL:
         return "subgroup = full unit group"
     q = spec.level
-    splitting = getattr(q, "splitting", None)
-    if splitting is not None:
-        detail = splitting.value
+    if isinstance(q, QuadPrime):
+        detail = q.splitting.value
     else:
         detail = f"residue degree {q.residue_degree}, ramification index {q.ramification_index}"
     return f"subgroup = {spec.kind.value}, level over {q.p} (norm {q.norm}, {detail})"
@@ -334,7 +333,7 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
     report = admissibility_report(algebra, spec, zeta2=zeta2, zeta2_error=zeta2_error)
     est = report.euler_estimate
     lines = [
-        f"polynomial = {_poly_str(coeffs)}",
+        f"polynomial = {K}",
         f"polynomial discriminant = {K.disc_poly}",
         f"field discriminant = {K.disc}",
         f"subfield = Q(sqrt({K.subfield.d})), discriminant {K.subfield.disc}",
@@ -354,26 +353,6 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
     lines.extend(_report_tail_lines(report, with_quotients=False))
     print("\n".join(lines))
     return 0
-
-
-def _poly_str(coeffs: list[int]) -> str:
-    degree = len(coeffs) - 1
-    terms: list[str] = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        k = degree - i
-        magnitude = abs(c)
-        if k == 0:
-            body = str(magnitude)
-        else:
-            power = "x" if k == 1 else f"x^{k}"
-            body = power if magnitude == 1 else f"{magnitude}*{power}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(terms) if terms else "0"
 
 
 # ---------------------------------------------------------------------------

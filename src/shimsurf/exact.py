@@ -189,35 +189,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo an odd prime p, or None (Tonelli-Shanks)."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def recognize_rational(x: float, max_den: int, tol: float) -> Fraction | None:
     """Recover x as a fraction with denominator <= max_den.
 

@@ -37,21 +37,6 @@ class PolyModP:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # zero polynomial gets -1
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                x = "x" if i == 1 else f"x^{i}"
-                terms.append(x if c == 1 else f"{c}{x}")
-        return " + ".join(terms)
-
 
 def poly(p: int, coeffs: list[int] | Coeffs) -> PolyModP:
     """Build a PolyModP from ascending coefficients, reducing mod p."""
@@ -59,10 +44,6 @@ def poly(p: int, coeffs: list[int] | Coeffs) -> PolyModP:
     while c and c[-1] == 0:
         c.pop()
     return PolyModP(p, tuple(c))
-
-
-def poly_from_descending(p: int, coeffs: list[int]) -> PolyModP:
-    return poly(p, list(reversed(coeffs)))
 
 
 def _trim(c: list[int]) -> Coeffs:
@@ -216,10 +197,16 @@ def _equal_degree_split(f: PolyModP, d: int, rng: random.Random) -> list[PolyMod
             return _equal_degree_split(g, d, rng) + _equal_degree_split(pmonic(h), d, rng)
 
 
-def _distinct_degree(f: PolyModP, rng: random.Random) -> list[PolyModP]:
-    # f monic squarefree; returns its irreducible factors.
+def distinct_degree_factors(f: PolyModP) -> list[tuple[int, PolyModP]]:
+    """Distinct-degree factorization of a monic squarefree polynomial.
+
+    Returns (d, g) pairs with d increasing, where g is the product of all
+    irreducible factors of f of degree d; the degrees of the irreducible
+    factors of f are d repeated g.degree // d times (Cohen, A Course in
+    Computational Algebraic Number Theory, 3.4.3).
+    """
     p = f.p
-    out: list[PolyModP] = []
+    out: list[tuple[int, PolyModP]] = []
     x = poly(p, [0, 1])
     h = x
     d = 0
@@ -227,12 +214,12 @@ def _distinct_degree(f: PolyModP, rng: random.Random) -> list[PolyModP]:
     while rest.degree > 0:
         d += 1
         if 2 * d > rest.degree:
-            out.append(rest)
+            out.append((rest.degree, rest))
             break
         h = ppow_mod(h, p, rest)
         g = pgcd(psub(h, x), rest)
         if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, rng))
+            out.append((d, g))
             rest = pmonic(pdivmod(rest, g)[0])
             h = pmod(h, rest)
     return out
@@ -255,8 +242,8 @@ def poly_factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
     rng = random.Random(seed)
     out: list[tuple[PolyModP, int]] = []
     for g, m in _squarefree_decomposition(f):
-        for irr in _distinct_degree(g, rng):
-            out.append((irr, m))
+        for d, h in distinct_degree_factors(g):
+            out.extend((irr, m) for irr in _equal_degree_split(h, d, rng))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     assert sum(g.degree * m for g, m in out) == f.degree
     return out

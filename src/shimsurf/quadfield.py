@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import ClassVar, Iterator
 
-from .exact import is_prime, is_squarefree, kronecker, sqrt_mod, square_part
+from .exact import is_prime, is_squarefree, kronecker, square_part
 
 
 class Splitting(Enum):
@@ -31,48 +31,6 @@ class Splitting(Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-@dataclass(frozen=True)
-class RationalField:
-    """The rational numbers, as the degenerate bottom of the tower."""
-
-    degree: ClassVar[int] = 1
-    disc: ClassVar[int] = 1
-
-    def __str__(self) -> str:
-        return "Q"
-
-
-QQ = RationalField()
-
-
-@dataclass(frozen=True)
-class RationalPrime:
-    """A rational prime, wrapped to share the interface of field primes."""
-
-    p: int
-    field: ClassVar[RationalField] = QQ
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    residue_degree: ClassVar[int] = 1
-    ramification_index: ClassVar[int] = 1
-
-    @property
-    def norm(self) -> int:
-        return self.p
-
-    def conjugate(self) -> "RationalPrime":
-        return self
-
-    def is_conjugation_stable(self) -> bool:
-        return True
-
-    def __str__(self) -> str:
-        return f"prime({self.p})"
 
 
 @dataclass(frozen=True)
@@ -162,9 +120,9 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
 class QuadPrime:
     """A prime of a real quadratic field, lying over the rational prime p.
 
-    Over a split p there are two primes, distinguished by tag 0 / tag 1;
-    the tag picks the square root of d mod p generating the prime (the
-    smaller residue is tag 0).  Over an inert or ramified p the tag is 0.
+    Over a split p there are two primes, distinguished by tag 0 / tag 1
+    and exchanged by conjugation.  Over an inert or ramified p the tag
+    is 0.
     """
 
     field: QuadField
@@ -214,27 +172,6 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
     if kind is Splitting.SPLIT:
         return [QuadPrime(field, p, kind, 0), QuadPrime(field, p, kind, 1)]
     return [QuadPrime(field, p, kind, 0)]
-
-
-def residue_image_sqrt_d(prime: QuadPrime) -> int:
-    """Image of sqrt(d) in the residue field F_p of a degree-one prime.
-
-    For a split odd p the two primes above p correspond to the two square
-    roots of d mod p; tag 0 is the smaller root.  Over a split 2 the
-    residue is 1.  Inert primes have residue field F_{p^2}, so the image
-    is not a rational residue and the call is rejected.
-    """
-    d, p = prime.field.d, prime.p
-    if prime.splitting is Splitting.INERT:
-        raise ValueError("inert primes have no rational residue for sqrt(d)")
-    if prime.splitting is Splitting.RAMIFIED:
-        return 0 if d % p == 0 else 1  # the p = 2, d = 3 (mod 4) case
-    if p == 2:
-        return 1
-    root = sqrt_mod(d % p, p)
-    assert root is not None, "split prime must have d a square mod p"
-    pair = sorted((root, p - root))
-    return pair[prime.tag]
 
 
 def _bernoulli2_poly(x: Fraction) -> Fraction:

@@ -1,11 +1,12 @@
 """Totally real quartic fields through a monic defining polynomial:
 discriminant by resultant, totally-real certification by Sturm counting,
+certification of the declared quadratic subfield by the resolvent cubic,
 prime splitting by factorization of the polynomial modulo p, the
 nonsplit-over-the-subfield test for level primes, and a truncated Euler
 product for the Dedekind zeta value at 2.
 
-No general number-field arithmetic is attempted: every question is
-answered through the factorization of the defining polynomial mod p,
+No general number-field arithmetic is attempted: every splitting question
+is answered through the factorization of the defining polynomial mod p,
 valid at primes not dividing the index [O_K : Z[x]/(f)] (read off
 disc(f)/d_K; it is 1 for the fields of interest here).  The zeta product
 also accepts real quadratic fields, where splitting comes from the field
@@ -20,16 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
 
-from .exact import is_prime, primes_up_to
-from .polymod import (
-    PolyModP,
-    pdivmod,
-    pgcd,
-    poly,
-    poly_factor_mod_p,
-    ppow_mod,
-    psub,
-)
+from .exact import is_prime, primes_up_to, square_part
+from .polymod import PolyModP, distinct_degree_factors, poly, poly_factor_mod_p
 from .quadfield import QuadField, Splitting, quad_field, splitting_type
 
 __all__ = [
@@ -132,6 +125,34 @@ def _is_irreducible_quartic(coeffs: Sequence[int]) -> bool:
     return not _has_quadratic_factor(coeffs)
 
 
+def _certified_subfield_radicands(coeffs: Sequence[int]) -> set[int]:
+    """Radicands of the quadratic subfields certified by the resolvent
+    cubic y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2) of the monic
+    quartic f = x^4 + a x^3 + b x^2 + c x + d.
+
+    Its roots are r = t1 t2 + t3 t4 over the pairings of the roots t_i of
+    f.  When r is rational (hence an integer), t1 + t2 and t1 t2 are roots
+    of z^2 + a z + (b - r) and z^2 - r z + d and lie in Q(t1), so each of
+    a^2 - 4b + 4r and r^2 - 4d that is positive and not a square puts the
+    square root of its squarefree part into the field.
+    """
+    _, a, b, c, d = coeffs
+    cubic = [1, -b, a * c - 4 * d, -(a * a * d - 4 * b * d + c * c)]
+    roots = []
+    while cubic[-1] == 0:  # y divides the cubic
+        cubic.pop()
+        roots.append(0)
+    roots += [r for r in _divisors_signed(cubic[-1]) if _poly_eval(cubic, r) == 0]
+    radicands = {
+        square_part(n)[0]
+        for r in roots
+        for n in (a * a - 4 * b + 4 * r, r * r - 4 * d)
+        if n > 0
+    }
+    radicands.discard(1)
+    return radicands
+
+
 def _sturm_real_root_count(coeffs: Sequence[int]) -> int:
     """Real-root count via Sturm's theorem for a squarefree integer
     polynomial (descending coefficients): the difference of the numbers
@@ -148,7 +169,6 @@ def _sturm_real_root_count(coeffs: Sequence[int]) -> int:
                 a.pop(0)
                 continue
             factor = a[0] / b[0]
-            shift = len(a) - len(b)
             for i in range(len(b)):
                 a[i] -= factor * b[i]
             a.pop(0)
@@ -184,15 +204,23 @@ class QuarticField:
         """The index [O_K : Z[x]/(f)], from disc(f) = index^2 * d_K."""
         return math.isqrt(self.disc_poly // self.disc)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        terms = []
-        for power, c in zip(range(4, -1, -1), self.coeffs):
+    def __str__(self) -> str:
+        """The defining polynomial, e.g. ``x^4 - x^3 - 3*x^2 + x + 1``."""
+        terms: list[str] = []
+        for k, c in zip(range(4, -1, -1), self.coeffs):
             if c == 0:
                 continue
-            mono = "" if power == 0 else "x" if power == 1 else f"x^{power}"
-            lead = str(c) if power == 0 or abs(c) != 1 else ("-" if c < 0 else "")
-            terms.append(f"{lead}{mono}")
-        return " + ".join(terms).replace("+ -", "- ")
+            magnitude = abs(c)
+            if k == 0:
+                body = str(magnitude)
+            else:
+                power = "x" if k == 1 else f"x^{k}"
+                body = power if magnitude == 1 else f"{magnitude}*{power}"
+            if not terms:
+                terms.append(body if c > 0 else f"-{body}")
+            else:
+                terms.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(terms)
 
 
 def quartic_new(
@@ -205,7 +233,8 @@ def quartic_new(
     discriminant is taken as the field discriminant (i.e. the equation
     order is presumed maximal); a hint is accepted when the quotient
     disc(f)/hint is the square of a positive integer.  The declared
-    quadratic subfield must satisfy d_sub^2 | d_K.
+    quadratic subfield must satisfy d_sub^2 | d_K and be certified by an
+    integer root of the resolvent cubic.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != 5 or coeffs[0] != 1:
@@ -238,6 +267,13 @@ def quartic_new(
         raise ValueError(
             f"the square of the subfield discriminant {subfield.disc} must divide "
             f"the field discriminant {field_disc}"
+        )
+    certified = _certified_subfield_radicands(coeffs)
+    if subfield.d not in certified:
+        found = ", ".join(f"Q(sqrt({r}))" for r in sorted(certified)) or "none"
+        raise ValueError(
+            f"Q(sqrt({subfield.d})) is not a subfield certified by the resolvent cubic "
+            f"(certified quadratic subfields: {found})"
         )
     return QuarticField(coeffs=coeffs, disc_poly=disc_poly, disc=field_disc, subfield=subfield)
 
@@ -310,26 +346,6 @@ def subfield_prime_nonsplit(K: QuarticField, subfield_d: int, p: int) -> bool:
     return g_upper == g_lower
 
 
-def _unramified_factor_degrees(K: QuarticField, p: int) -> list[int]:
-    """Degrees of the irreducible factors of the defining polynomial mod p
-    when it is squarefree (p not dividing disc(f)): distinct-degree
-    splitting only, no full factorization."""
-    rem = _reduced_polynomial(K, p)
-    degs: list[int] = []
-    d = 0
-    while rem.degree > 0:
-        d += 1
-        if rem.degree < 2 * d:
-            degs.append(rem.degree)
-            break
-        frobenius = ppow_mod(poly(p, [0, 1]), p**d, rem)
-        g = pgcd(psub(frobenius, poly(p, [0, 1])), rem)
-        if g.degree > 0:
-            degs.extend([d] * (g.degree // d))
-            rem = pdivmod(rem, g)[0]
-    return degs
-
-
 def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
     """Truncated Euler product for the Dedekind zeta value at 2, with an
     absolute error bound.
@@ -365,7 +381,12 @@ def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
                 relative_error = (1.0 + relative_error) / (1.0 - p**-2.0) ** 4 - 1.0
                 continue
             if field.disc_poly % p != 0:
-                fdegs = _unramified_factor_degrees(field, p)
+                # f is squarefree mod p: the distinct-degree split suffices
+                fdegs = [
+                    d
+                    for d, g in distinct_degree_factors(_reduced_polynomial(field, p))
+                    for _ in range(g.degree // d)
+                ]
             else:
                 fdegs = [f for f, _ in quartic_splitting(field, p)]
             local = 1.0

@@ -25,18 +25,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact import factorize, is_prime, recognize_rational
+from .exact import factorize, recognize_rational
 from .geometry import SurfaceInvariants, shimura_surface_invariants
-from .quadfield import (
-    QQ,
-    QuadField,
-    QuadPrime,
-    RationalField,
-    RationalPrime,
-    Splitting,
-    primes_above,
-)
+from .quadfield import QuadField, QuadPrime, Splitting, primes_above
 from .torsion import (
+    BaseField,
+    Place,
     TorsionVerdict,
     borel_torsion_verdict,
     full_torsion_verdict,
@@ -49,7 +43,6 @@ __all__ = [
     "SubgroupKind",
     "SubgroupSpec",
     "QuaternionAlgebra",
-    "rational_algebra",
     "quadratic_algebra",
     "quartic_algebra",
     "subgroup_index",
@@ -105,11 +98,10 @@ def subgroup_index(kind: SubgroupKind, s: int) -> int:
 @dataclass(frozen=True)
 class QuaternionAlgebra:
     """A quaternion algebra over a totally real field, determined by its
-    finite ramification; unramified at exactly two infinite places (all
-    infinite places, for a rational base)."""
+    finite ramification; unramified at exactly two infinite places."""
 
-    base: object
-    ram: tuple[object, ...]
+    base: BaseField
+    ram: tuple[Place, ...]
     # Only meaningful over a quartic base, where the conjugacy of the two
     # unramified infinite places under the subfield automorphism cannot be
     # checked without archimedean embeddings and is taken on assertion.
@@ -117,21 +109,12 @@ class QuaternionAlgebra:
 
     def __post_init__(self) -> None:
         degree = self.base.degree
-        seen = set()
         for r in self.ram:
             if r.field != self.base:
                 raise ValueError(f"ramified place {r} does not live over the base field")
-            key = (r.p, getattr(r, "tag", 0))
-            if key in seen:
-                raise ValueError(f"duplicate ramified place over {r.p}")
-            seen.add(key)
-        if degree == 1:
-            if len(self.ram) % 2 != 0 or len(self.ram) < 2:
-                raise ValueError(
-                    "a rational quaternion division algebra unramified at infinity "
-                    "is ramified at an even number >= 2 of finite primes"
-                )
-        elif degree == 2:
+        if len(set(self.ram)) != len(self.ram):
+            raise ValueError("duplicate ramified place")
+        if degree == 2:
             if not self.ram:
                 raise ValueError(
                     "a surface algebra over a quadratic field must ramify somewhere "
@@ -150,40 +133,23 @@ class QuaternionAlgebra:
 
     @property
     def ram_infinite_count(self) -> int:
-        return max(self.degree - 2, 0)
+        return self.degree - 2
 
     @property
     def ram_rational_primes(self) -> tuple[int, ...]:
         return tuple(sorted({r.p for r in self.ram}))
 
     @property
-    def ram_pair_representatives(self) -> tuple[object, ...]:
-        """One finite ramified place per conjugation orbit."""
-        by_p: dict[int, object] = {}
-        for r in self.ram:
-            tag = getattr(r, "tag", 0)
-            if r.p not in by_p or tag < getattr(by_p[r.p], "tag", 0):
-                by_p[r.p] = r
-        return tuple(by_p[p] for p in sorted(by_p))
-
-    @property
     def ram_norms(self) -> tuple[int, ...]:
-        """Norms of the pair representatives, one factor per orbit."""
-        return tuple(r.norm for r in self.ram_pair_representatives)
+        """Norms of the finite ramified places, one per conjugation orbit
+        (conjugate places lie over the same rational prime and share
+        their norm)."""
+        norms = {r.p: r.norm for r in self.ram}
+        return tuple(norms[p] for p in sorted(norms))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         places = ", ".join(str(r) for r in self.ram) or "no finite place"
         return f"A({self.base}; {places})"
-
-
-def rational_algebra(ram_primes: Iterable[int]) -> QuaternionAlgebra:
-    """The rational quaternion algebra ramified exactly at the given
-    (even, >= 2) set of finite primes and split at infinity."""
-    primes = sorted(set(ram_primes))
-    for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not a prime")
-    return QuaternionAlgebra(QQ, tuple(RationalPrime(p) for p in primes))
 
 
 def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> QuaternionAlgebra:
@@ -217,8 +183,6 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
     fixed field of the base: the finite ramified places must form
     conjugate pairs of distinct places, and the two unramified infinite
     places must be swapped (automatic over a quadratic base)."""
-    if A.degree == 1:
-        raise TypeError("involutions of second kind require a quadratic or quartic base field")
     if A.degree == 2:
         by_p: dict[int, list[QuadPrime]] = {}
         for r in A.ram:
@@ -294,16 +258,15 @@ def invariant_order_exists(A: QuaternionAlgebra) -> Check:
     )
 
 
-def level_invariance_ok(A: QuaternionAlgebra, q) -> Check:
+def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
     """Whether the congruence subgroups at the level prime q are preserved
     by the involution, i.e. whether conjugation maps q to itself."""
     if q.field != A.base:
         raise ValueError(f"level prime {q} does not live over the base field")
     if q.is_conjugation_stable():
-        how = getattr(q, "splitting", None)
         detail = (
-            f"the level prime is {how.value} over the fixed field"
-            if isinstance(how, Splitting)
+            f"the level prime is {q.splitting.value} over the fixed field"
+            if isinstance(q, QuadPrime)
             else "no prime of the fixed field below it splits in the base field"
         )
         return Check(True, detail + ", hence equal to its conjugate")
@@ -383,7 +346,7 @@ class SubgroupSpec:
     prime coprime to the ramification of the algebra."""
 
     kind: SubgroupKind
-    level: object | None = None
+    level: Place | None = None
 
     def __post_init__(self) -> None:
         if (self.kind is SubgroupKind.FULL) != (self.level is None):

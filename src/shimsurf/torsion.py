@@ -2,9 +2,9 @@
 
 An element of finite order m in the projectivized units forces the trace
 2 cos(pi/m) into the base field and amounts to an embedding of the CM
-field base(zeta_n), where n = m for odd m and n = 2m for even m.  Over
-the rationals only m = 2, 3 qualify; a real quadratic field adds m = 4,
-5 or 6 when its radicand is 2, 5 or 3; a quartic field adds those same
+field base(zeta_n), where n = m for odd m and n = 2m for even m.  The
+orders m = 2, 3 are candidates over every base; a real quadratic field
+adds m = 4, 5 or 6 when its radicand is 2, 5 or 3; a quartic field adds those same
 orders through its quadratic subfield, plus possibly m = 15, 8 or 10
 when its discriminant collides with a degree-four real cyclotomic field
 (those candidates are reported as undecided rather than resolved).
@@ -34,7 +34,8 @@ q split in it.  Prime-order torsion in the principal or unipotent
 subgroup must have order equal to the residue characteristic of q, which
 certifies freeness whenever that characteristic is not an available
 order; 2- and 3-torsion in the principal subgroup are certified present
-when the corresponding extension embeds and q splits in it.
+when the corresponding extension embeds and q splits in it.  The same
+criteria decide the unipotent subgroup, which contains the principal one.
 """
 
 from __future__ import annotations
@@ -44,15 +45,11 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .exact import euler_phi, factorize, kronecker, multiplicative_order
-from .quadfield import (
-    QuadField,
-    QuadPrime,
-    RationalPrime,
-    Splitting,
-    fundamental_discriminant,
-)
+from .quadfield import QuadField, QuadPrime, Splitting, fundamental_discriminant
+from .quartic import QuarticField, QuarticPrime
 
-PrimeLike = QuadPrime | RationalPrime
+BaseField = QuadField | QuarticField
+Place = QuadPrime | QuarticPrime
 
 
 class Undecidable(Exception):
@@ -91,7 +88,7 @@ _QUAD_EXTRA_ORDER = {2: (4, 8), 3: (6, 12), 5: (5, 5)}
 _REAL_CYCLOTOMIC_RADICAND = {5: 5, 8: 2, 12: 3}
 
 
-def possible_torsion_orders(field) -> tuple[TorsionOrder, ...]:
+def possible_torsion_orders(field: BaseField) -> tuple[TorsionOrder, ...]:
     """Candidate torsion orders for the given totally real base field."""
     orders = [TorsionOrder(2, 4), TorsionOrder(3, 3)]
     degree = field.degree
@@ -100,15 +97,13 @@ def possible_torsion_orders(field) -> tuple[TorsionOrder, ...]:
         if extra is not None:
             orders.append(TorsionOrder(*extra))
     elif degree == 4:
-        sub = getattr(field, "subfield", None)
-        if sub is not None:
-            extra = _QUAD_EXTRA_ORDER.get(sub.d)
-            if extra is not None:
-                orders.append(TorsionOrder(*extra))
+        extra = _QUAD_EXTRA_ORDER.get(field.subfield.d)
+        if extra is not None:
+            orders.append(TorsionOrder(*extra))
         undecided = _QUARTIC_TRACE_DISC.get(field.disc)
         if undecided is not None:
             orders.append(TorsionOrder(*undecided, decided=False))
-    elif degree != 1:
+    else:
         raise TypeError(f"unsupported base field {field!r}")
     return tuple(sorted(orders, key=lambda c: c.m))
 
@@ -167,7 +162,7 @@ def _real_cyclotomic_splitting(field: QuadField, q: QuadPrime, n: int) -> Splitt
     return Splitting.SPLIT
 
 
-def cyclotomic_splitting(q: PrimeLike, n: int) -> Splitting:
+def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     """How the prime q behaves in base(zeta_n)/base, a quadratic extension.
 
     Raises Undecidable when no implemented criterion applies (some quartic
@@ -176,11 +171,6 @@ def cyclotomic_splitting(q: PrimeLike, n: int) -> Splitting:
     """
     field = q.field
     degree = field.degree
-    if degree == 1:
-        if n not in (3, 4):
-            raise ValueError(f"adjoining zeta_{n} to Q is not a quadratic extension")
-        disc = -3 if n == 3 else -4
-        return _SYMBOL_TO_SPLITTING[kronecker(disc, q.p)]
     if degree == 2:
         if n in (3, 4):
             return _biquadratic_splitting(field, q.p, -3 if n == 3 else -1)
@@ -201,7 +191,7 @@ def cyclotomic_splitting(q: PrimeLike, n: int) -> Splitting:
     raise TypeError(f"unsupported base field {field!r}")
 
 
-def gamma1_torsion_orders(field, ram: Sequence[PrimeLike]) -> frozenset[int]:
+def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
     """Orders of torsion certified in the full projectivized unit group.
 
     A candidate order survives when its cyclotomic extension embeds in the
@@ -234,7 +224,7 @@ class TorsionVerdict:
         return self.verdict is Verdict.FREE
 
 
-def full_torsion_verdict(field, ram: Sequence[PrimeLike]) -> TorsionVerdict:
+def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdict:
     """Torsion verdict for the full projectivized unit group."""
     undecided = [c for c in possible_torsion_orders(field) if not c.decided]
     try:
@@ -255,7 +245,7 @@ def full_torsion_verdict(field, ram: Sequence[PrimeLike]) -> TorsionVerdict:
     return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
 
 
-def borel_torsion_verdict(field, ram: Sequence[PrimeLike], q: PrimeLike) -> TorsionVerdict:
+def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the upper-triangular (Borel) subgroup at level q.
 
     Torsion is present iff some candidate extension embeds in the algebra
@@ -286,7 +276,7 @@ def borel_torsion_verdict(field, ram: Sequence[PrimeLike], q: PrimeLike) -> Tors
     )
 
 
-def principal_torsion_verdict(field, ram: Sequence[PrimeLike], q: PrimeLike) -> TorsionVerdict:
+def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q."""
     p = q.p
     candidates = possible_torsion_orders(field)
@@ -329,9 +319,17 @@ def principal_torsion_verdict(field, ram: Sequence[PrimeLike], q: PrimeLike) -> 
     return TorsionVerdict(Verdict.UNKNOWN, None, "no implemented criterion settles this level")
 
 
-def unipotent_torsion_verdict(field, ram: Sequence[PrimeLike], q: PrimeLike) -> TorsionVerdict:
+def unipotent_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the unipotent-level subgroup at q (matrices
-    reducing to upper-triangular with equal diagonal entries mod q)."""
+    reducing to upper-triangular with equal diagonal entries mod q).
+
+    Torsion in the principal subgroup is torsion here.  Conversely every
+    criterion that certifies the principal subgroup free applies verbatim:
+    a torsion element here has a power of prime order, and that order
+    must be p, both inside the principal subgroup and for elements with
+    nontrivial unipotent image (whose image order is p); and this
+    subgroup lies in the upper-triangular one.
+    """
     principal = principal_torsion_verdict(field, ram, q)
     if principal.verdict is Verdict.TORSION:
         return TorsionVerdict(
@@ -339,32 +337,4 @@ def unipotent_torsion_verdict(field, ram: Sequence[PrimeLike], q: PrimeLike) -> 
             principal.order,
             "inherited from the principal congruence subgroup it contains: " + principal.reason,
         )
-    p = q.p
-    # Any torsion element here has a power of prime order; that order must
-    # be p, both for elements inside the principal subgroup and for those
-    # with nontrivial unipotent image (whose image order is p).
-    if p not in _prime_divisors(c.m for c in possible_torsion_orders(field)):
-        return TorsionVerdict(
-            Verdict.FREE,
-            None,
-            f"prime-order torsion at level q would have order {p}, "
-            "which is not available over this base field",
-        )
-    try:
-        achievable = gamma1_torsion_orders(field, ram)
-        if p not in _prime_divisors(achievable):
-            return TorsionVerdict(
-                Verdict.FREE,
-                None,
-                f"order-{p} torsion is already absent from the full unit group",
-            )
-    except Undecidable:
-        pass
-    borel = borel_torsion_verdict(field, ram, q)
-    if borel.is_free:
-        return TorsionVerdict(
-            Verdict.FREE,
-            None,
-            "contained in the torsion-free upper-triangular subgroup at the same level",
-        )
-    return TorsionVerdict(Verdict.UNKNOWN, None, "no implemented criterion settles this level")
+    return principal

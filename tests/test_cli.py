@@ -288,6 +288,18 @@ def test_quartic_rejects_reducible_poly(capsys):
     assert code == 2 and "reducible" in err
 
 
+def test_quartic_rejects_uncertified_subfield(capsys):
+    # The resolvent cubic of this polynomial has no rational root, so the
+    # field has no quadratic subfield, although 8^2 divides disc(f).
+    for subgroup in ("borel:3", "full"):
+        code, out, err = invoke(
+            capsys,
+            "quartic", "--poly", "1,-6,-6,6,-1", "--subfield", "2",
+            "--subgroup", subgroup, "--infinite-conjugate-assert", "--zeta-bound", "1000",
+        )
+        assert code == 2 and out == "" and "resolvent cubic" in err
+
+
 def test_quartic_rejects_wrong_coefficient_count(capsys):
     code, _, err = invoke(
         capsys, "quartic", "--poly", "1,2,3", "--subfield", "5", "--subgroup", "full"

@@ -17,7 +17,6 @@ from shimsurf.exact import (
     multiplicative_order,
     primes_up_to,
     recognize_rational,
-    sqrt_mod,
     square_part,
 )
 
@@ -101,17 +100,6 @@ def test_kronecker_at_two_and_negative():
 @settings(max_examples=200, deadline=None)
 def test_kronecker_multiplicative_in_top(a, b, n):
     assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-
-
-def test_sqrt_mod_exhaustive_small_primes():
-    for p in PRIMES_200[1:]:  # odd primes
-        squares = {x * x % p for x in range(p)}
-        for a in range(p):
-            root = sqrt_mod(a, p)
-            if a in squares:
-                assert root is not None and root * root % p == a
-            else:
-                assert root is None
 
 
 def test_multiplicative_order_and_phi():

@@ -19,7 +19,6 @@ from shimsurf.quadfield import (
     is_fundamental_discriminant,
     primes_above,
     quad_field,
-    residue_image_sqrt_d,
     splitting_type,
 )
 
@@ -116,17 +115,6 @@ def test_primes_above_norms_and_conjugation():
     assert r7.splitting is Splitting.INERT
     assert r7.norm == 49 and r7.residue_degree == 2
     assert r7.is_conjugation_stable()
-
-
-def test_residue_image_distinguishes_split_primes():
-    field = quad_field(33)
-    q0, q1 = primes_above(field, 17)
-    r0, r1 = residue_image_sqrt_d(q0), residue_image_sqrt_d(q1)
-    assert r0 != r1 and (r0 + r1) % 17 == 0
-    assert r0 * r0 % 17 == 33 % 17 and r1 * r1 % 17 == 33 % 17
-    with pytest.raises(ValueError):
-        (inert7,) = primes_above(field, 7)
-        residue_image_sqrt_d(inert7)
 
 
 def test_quadprime_constructor_rejects_wrong_shape():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shimsurf.exact import primes_up_to
+from shimsurf.polymod import distinct_degree_factors, poly, poly_factor_mod_p
 from shimsurf.quadfield import bernoulli2, quad_field
 from shimsurf.quartic import (
     choose_level_prime,
@@ -20,6 +22,17 @@ from shimsurf.quartic import (
 # The totally real quartic field of smallest discriminant (725 = 5^2 * 29),
 # quadratic over Q(sqrt 5).
 GOLDEN = (1, -1, -3, 1, 1)
+
+# (field discriminant, defining polynomial, subfield radicand) of the six
+# fields the quartic benchmark queries.
+BENCHMARK_FIELDS = (
+    (725, (1, -1, -3, 1, 1), 5),
+    (1125, (1, -5, 5, 5, -5), 5),
+    (2000, (1, -6, 1, 4, 1), 5),
+    (2048, (1, -4, -2, 4, -1), 2),
+    (2304, (1, -4, 2, 4, -2), 2),
+    (2525, (1, -5, 3, 5, 1), 5),
+)
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +92,15 @@ def test_constructor_validation():
         quartic_new(GOLDEN, 2)
     with pytest.raises(ValueError, match="monic quartic"):
         quartic_new((2, 0, -4, 0, 2), 2)
+    # d_sub^2 divides disc(f), but the resolvent cubic has no rational
+    # root: the field has no quadratic subfield at all.
+    with pytest.raises(ValueError, match="resolvent cubic"):
+        quartic_new((1, -6, -6, 6, -1), 2)
+    # A biquadratic field certifies each of its three quadratic subfields.
+    for d in (3, 5, 15):
+        assert quartic_new((1, 0, -16, 0, 4), d, field_disc_hint=3600).subfield.d == d
+    for d in (2, 3, 6):
+        assert quartic_new((1, -4, 2, 4, -2), d).subfield.d == d
 
 
 def test_dedekind_inapplicable_at_index_primes(K_biquadratic):
@@ -119,6 +141,20 @@ def test_zeta_error_bound_is_honest(K):
     value_100, err_100 = zeta2_euler_product(K, 100)
     value_5000, _ = zeta2_euler_product(K, 5000)
     assert abs(value_5000 - value_100) <= err_100
+
+
+def test_distinct_degree_pattern_matches_factorization():
+    # Away from disc(f) the zeta product reads the residue degrees off the
+    # distinct-degree split alone; they must be those of the factorization.
+    for disc, coeffs, sub in BENCHMARK_FIELDS:
+        K = quartic_new(coeffs, sub)
+        assert K.disc == disc
+        for p in primes_up_to(2000):
+            if K.disc_poly % p == 0:
+                continue
+            f = poly(p, list(reversed(coeffs)))
+            pattern = [d for d, g in distinct_degree_factors(f) for _ in range(g.degree // d)]
+            assert pattern == sorted(g.degree for g, _ in poly_factor_mod_p(f)), (disc, p)
 
 
 def test_golden_zeta_value(K):

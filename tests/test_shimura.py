@@ -24,7 +24,6 @@ from shimsurf.shimura import (
     level_invariance_ok,
     quadratic_algebra,
     quartic_algebra,
-    rational_algebra,
     subgroup_index,
 )
 from shimsurf.torsion import Verdict
@@ -75,8 +74,6 @@ def test_involution_exists_quadratic():
     assert not involution_exists(QuaternionAlgebra(field, (q2,))).ok
     (q7,) = primes_above(field, 7)
     assert not involution_exists(QuaternionAlgebra(field, (q7,))).ok
-    with pytest.raises(TypeError):
-        involution_exists(rational_algebra([2, 3]))
 
 
 def test_quadratic_algebra_rejects_nonsplit_primes():
@@ -172,8 +169,6 @@ def test_algebra_constructor_validation():
         QuaternionAlgebra(field, (q2, q2))  # duplicate place
     with pytest.raises(ValueError):
         QuaternionAlgebra(field, ())  # quadratic base needs ramification
-    with pytest.raises(ValueError):
-        rational_algebra([2])  # odd ramification over Q
     K = quartic_new((1, -1, -3, 1, 1), 5)
     with pytest.raises(ValueError):
         QuaternionAlgebra(K, (q2,))  # quartic base carries no finite ramification

@@ -11,7 +11,15 @@ subgroup at the prime over 2 for Q(sqrt(7)) ramified over 3).
 
 import pytest
 
-from shimsurf.quadfield import Splitting, primes_above, quad_field
+from shimsurf.exact import primes_up_to
+from shimsurf.quadfield import (
+    Splitting,
+    field_from_disc,
+    fundamental_discriminants,
+    primes_above,
+    quad_field,
+    splitting_type,
+)
 from shimsurf.torsion import (
     Verdict,
     borel_torsion_verdict,
@@ -127,6 +135,35 @@ def test_borel_kills_orders_not_dividing_index():
                 assert v.order == 3
             else:
                 assert v.verdict is Verdict.FREE
+
+
+def test_verdicts_respect_subgroup_containment():
+    # principal inside unipotent inside Borel inside full: freeness passes
+    # down the chain and torsion passes up it, on every decided verdict.
+    chains = 0
+    for D in fundamental_discriminants(5, 200):
+        field = field_from_disc(D)
+        split = [p for p in primes_up_to(29) if splitting_type(field, p) is Splitting.SPLIT]
+        for ram_p in split[:2]:
+            ram = primes_above(field, ram_p)
+            for level_p in primes_up_to(39):
+                if level_p == ram_p:
+                    continue
+                q = primes_above(field, level_p)[0]
+                chain = [
+                    full_torsion_verdict(field, ram),
+                    borel_torsion_verdict(field, ram, q),
+                    unipotent_torsion_verdict(field, ram, q),
+                    principal_torsion_verdict(field, ram, q),
+                ]
+                for i, larger in enumerate(chain):
+                    for smaller in chain[i + 1 :]:
+                        if larger.verdict is Verdict.FREE:
+                            assert smaller.verdict is Verdict.FREE, (D, ram_p, level_p)
+                        if smaller.verdict is Verdict.TORSION:
+                            assert larger.verdict is Verdict.TORSION, (D, ram_p, level_p)
+                chains += 1
+    assert chains == 1320
 
 
 def test_verdicts_expose_reasons():
