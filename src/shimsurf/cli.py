@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from enum import Enum
 from fractions import Fraction
 
 from .exact import is_prime
@@ -44,11 +43,6 @@ from .shimura import (
     quartic_algebra,
 )
 from .torsion import Verdict
-
-
-class OutputFormat(Enum):
-    TEXT = "text"
-    CSV = "csv"
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +180,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     e_values = tuple(_parse_int_list(args.e, "--e")) if args.e else DEFAULT_TYPES
     rows, report = run_pipeline(e_values)
-    if OutputFormat(args.format) is OutputFormat.CSV:
+    if args.format == "csv":
         writer = _csv_writer()
         writer.writerow(
             ["D", "d", "B2_num", "B2_den", "e", "ram_primes", "index", "status", "reason"]
@@ -234,7 +228,7 @@ def _build_quadratic_report(args: argparse.Namespace) -> tuple:
 def _cmd_surface(args: argparse.Namespace) -> int:
     field, algebra, report = _build_quadratic_report(args)
     euler_full = euler_number_quadratic(algebra, 1)
-    if OutputFormat(args.format) is OutputFormat.CSV:
+    if args.format == "csv":
         s = report.surface
         writer = _csv_writer()
         writer.writerow(
@@ -292,7 +286,7 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         table = [(args.g, quotient_invariants(args.e, args.g))]
     else:
         table = quotient_table(args.e)
-    if OutputFormat(args.format) is OutputFormat.CSV:
+    if args.format == "csv":
         writer = _csv_writer()
         writer.writerow(["e", "g", "Ksq", "c2", "pg", "q", "general_type"])
         for g, inv in table:

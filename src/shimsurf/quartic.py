@@ -1,6 +1,6 @@
 """Totally real quartic fields through a monic defining polynomial:
-discriminant by resultant, totally-real certification by Sturm counting,
-certification of the declared quadratic subfield by the resolvent cubic,
+certification from the resolvent cubic alone (irreducibility, the
+discriminant, the real-root count and the declared quadratic subfield),
 prime splitting by factorization of the polynomial modulo p, the
 nonsplit-over-the-subfield test for level primes, and a truncated Euler
 product for the Dedekind zeta value at 2.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from .exact import is_prime, primes_up_to, square_part
@@ -37,40 +36,6 @@ __all__ = [
 ]
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _quartic_discriminant(coeffs: Sequence[int]) -> int:
-    """Discriminant of a monic quartic, as the resultant of f and f'
-    (the sign (-1)^(n(n-1)/2) is +1 for n = 4)."""
-    c4, c3, c2, c1, c0 = coeffs
-    f = [c4, c3, c2, c1, c0]
-    fp = [4 * c4, 3 * c3, 2 * c2, c1]
-    sylvester = [[0] * i + f + [0] * (2 - i) for i in range(3)]
-    sylvester += [[0] * i + fp + [0] * (3 - i) for i in range(4)]
-    return _det_bareiss(sylvester)
-
-
 def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     acc = 0
     for c in coeffs:
@@ -78,113 +43,92 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _divisors_signed(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.extend((d, -d, n // d, -(n // d)))
-    return sorted(set(out))
+def _root_floors(coeffs: Sequence[int]) -> set[int]:
+    """Integers that include floor(t) for every real root t of an integer
+    polynomial with nonzero leading coefficient (descending coefficients).
+
+    Every root lies below the Cauchy bound in absolute value.  Between
+    consecutive floors of the derivative's roots the polynomial is
+    strictly monotone, so integer bisection finds the floor of the one
+    root there, if any; a multiple root is a root of the derivative.  No
+    coefficient is factored: the cost grows with their digits only."""
+    n = len(coeffs) - 1
+    if n == 0:
+        return set()
+    bound = 2 + max(abs(c) for c in coeffs[1:]) // abs(coeffs[0])
+    derivative = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    floors = {m for m in _root_floors(derivative) if -bound <= m < bound}
+    marks = [-bound - 1, *sorted(floors), bound]
+    for lo, hi in zip(marks, marks[1:]):
+        lo += 1
+        if _poly_eval(coeffs, lo) * _poly_eval(coeffs, hi) <= 0:
+            while hi - lo > 1:  # a root lies in [lo, hi]
+                mid = (lo + hi) // 2
+                if _poly_eval(coeffs, lo) * _poly_eval(coeffs, mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            floors.add(hi if _poly_eval(coeffs, hi) == 0 else lo)
+    return floors
 
 
-def _has_quadratic_factor(coeffs: Sequence[int]) -> bool:
-    """Whether a monic integer quartic with nonzero constant term splits
-    into two monic integer quadratics (x^2 + ax + b)(x^2 + cx + d); by
-    Gauss's lemma this covers all rational quadratic factors."""
-    _, c3, c2, c1, c0 = coeffs
-    assert c0 != 0
-    for b in _divisors_signed(c0):
-        d = c0 // b
-        # remaining equations: a + c = c3, b + d + a c = c2, a d + b c = c1
-        if d != b:
-            num = c1 - c3 * b
-            if num % (d - b) != 0:
-                continue
-            a = num // (d - b)
-            c = c3 - a
-            if b + d + a * c == c2:
-                return True
-        else:
-            if c1 != c3 * b:
-                continue
-            # a + c = c3 and a c = c2 - 2b: integer roots of t^2 - c3 t + (c2 - 2b)
-            delta = c3 * c3 - 4 * (c2 - 2 * b)
-            if delta >= 0:
-                r = math.isqrt(delta)
-                if r * r == delta and (c3 + r) % 2 == 0:
-                    return True
-    return False
+def _integer_roots(coeffs: Sequence[int]) -> list[int]:
+    """The integer roots of a monic integer polynomial (descending
+    coefficients), which are its rational roots."""
+    return [m for m in sorted(_root_floors(coeffs)) if _poly_eval(coeffs, m) == 0]
 
 
-def _is_irreducible_quartic(coeffs: Sequence[int]) -> bool:
-    c0 = coeffs[4]
-    if c0 == 0:
-        return False  # x divides f
-    if any(_poly_eval(coeffs, r) == 0 for r in _divisors_signed(c0)):
-        return False  # a monic integer polynomial's rational roots are integral
-    return not _has_quadratic_factor(coeffs)
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _certified_subfield_radicands(coeffs: Sequence[int]) -> set[int]:
-    """Radicands of the quadratic subfields certified by the resolvent
-    cubic y^3 - b y^2 + (ac - 4d) y - (a^2 d - 4bd + c^2) of the monic
-    quartic f = x^4 + a x^3 + b x^2 + c x + d.
-
-    Its roots are r = t1 t2 + t3 t4 over the pairings of the roots t_i of
-    f.  When r is rational (hence an integer), t1 + t2 and t1 t2 are roots
-    of z^2 + a z + (b - r) and z^2 - r z + d and lie in Q(t1), so each of
-    a^2 - 4b + 4r and r^2 - 4d that is positive and not a square puts the
-    square root of its squarefree part into the field.
-    """
+def _resolvent_cubic(coeffs: Sequence[int]) -> tuple[int, int, int, int]:
+    """The resolvent cubic y^3 + p y^2 + q y + r of the monic quartic
+    f = x^4 + a x^3 + b x^2 + c x + d: p = -b, q = ac - 4d and
+    r = -(a^2 d - 4bd + c^2).  Its roots are t1 t2 + t3 t4 over the three
+    pairings of the roots t_i of f (Kappe and Warren, "An elementary test
+    for the Galois group of a quartic polynomial", Amer. Math. Monthly 96,
+    1989)."""
     _, a, b, c, d = coeffs
-    cubic = [1, -b, a * c - 4 * d, -(a * a * d - 4 * b * d + c * c)]
-    roots = []
-    while cubic[-1] == 0:  # y divides the cubic
-        cubic.pop()
-        roots.append(0)
-    roots += [r for r in _divisors_signed(cubic[-1]) if _poly_eval(cubic, r) == 0]
-    radicands = {
-        square_part(n)[0]
-        for r in roots
-        for n in (a * a - 4 * b + 4 * r, r * r - 4 * d)
-        if n > 0
-    }
-    radicands.discard(1)
-    return radicands
+    return 1, -b, a * c - 4 * d, -(a * a * d - 4 * b * d + c * c)
 
 
-def _sturm_real_root_count(coeffs: Sequence[int]) -> int:
-    """Real-root count via Sturm's theorem for a squarefree integer
-    polynomial (descending coefficients): the difference of the numbers
-    of sign variations of the Sturm chain at -oo and at +oo."""
-    f = [Fraction(c) for c in coeffs]
-    n = len(f) - 1
-    fp = [Fraction((n - i) * f[i]) for i in range(n)]
-    chain = [f, fp]
-    while len(chain[-1]) > 1:
-        a, b = chain[-2][:], chain[-1]
-        # a mod b, negated
-        while len(a) >= len(b) and any(a):
-            if a[0] == 0:
-                a.pop(0)
-                continue
-            factor = a[0] / b[0]
-            for i in range(len(b)):
-                a[i] -= factor * b[i]
-            a.pop(0)
-        while a and a[0] == 0:
-            a.pop(0)
-        if not a:
-            break  # nontrivial gcd: input was not squarefree
-        chain.append([-c for c in a])
+def _pair_discriminants(coeffs: Sequence[int], r: int) -> tuple[int, int]:
+    """For a root r = t1 t2 + t3 t4 of the resolvent cubic, the
+    discriminants a^2 - 4b + 4r and r^2 - 4d of z^2 + a z + (b - r) and
+    z^2 - r z + d, whose roots are t1 + t2, t3 + t4 and t1 t2, t3 t4.
 
-    def variations(signs: list[int]) -> int:
-        nz = [s for s in signs if s != 0]
-        return sum(1 for x, y in zip(nz, nz[1:]) if x * y < 0)
+    When r is an integer, both quadratics have integer coefficients and
+    their roots lie in Q(t1): f has the rational factor
+    (x - t1)(x - t2) exactly when both discriminants are squares, and
+    each one that is positive and not a square puts the square root of
+    its squarefree part into the field (Kappe and Warren, 1989)."""
+    _, a, b, _, d = coeffs
+    return a * a - 4 * b + 4 * r, r * r - 4 * d
 
-    at_minus = [(1 if p[0] > 0 else -1) * (-1) ** (len(p) - 1) if p[0] != 0 else 0 for p in chain]
-    at_plus = [1 if p[0] > 0 else -1 if p[0] < 0 else 0 for p in chain]
-    return variations(at_minus) - variations(at_plus)
+
+def _cubic_discriminant(cubic: Sequence[int]) -> int:
+    """Discriminant p^2 q^2 - 4q^3 - 4p^3 r - 27r^2 + 18pqr of a monic
+    cubic y^3 + p y^2 + q y + r.  For the resolvent cubic it equals the
+    discriminant of the quartic, since the differences of its roots are
+    (t1 - t4)(t2 - t3) and its two companions."""
+    _, p, q, r = cubic
+    return p * p * q * q - 4 * q**3 - 4 * p**3 * r - 27 * r * r + 18 * p * q * r
+
+
+def _real_root_count(coeffs: Sequence[int], disc: int) -> int:
+    """Number of real roots of a monic quartic with discriminant
+    disc != 0: 2 when disc < 0; otherwise all four roots are real or none
+    is, and they are real exactly when P = 8b - 3a^2 and
+    D = 64d - 16b^2 + 16a^2 b - 16ac - 3a^4 are both negative (Rees,
+    "Graphical discussion of the roots of a quartic equation", Amer.
+    Math. Monthly 29, 1922)."""
+    _, a, b, c, d = coeffs
+    if disc < 0:
+        return 2
+    P = 8 * b - 3 * a * a
+    D = 64 * d - 16 * b * b + 16 * a * a * b - 16 * a * c - 3 * a**4
+    return 4 if P < 0 and D < 0 else 0
 
 
 @dataclass(frozen=True)
@@ -235,19 +179,24 @@ def quartic_new(
     disc(f)/hint is the square of a positive integer.  The declared
     quadratic subfield must satisfy d_sub^2 | d_K and be certified by an
     integer root of the resolvent cubic.
+
+    Irreducibility, the discriminant, the real-root count and the
+    subfields are all read off the resolvent cubic and its integer roots.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != 5 or coeffs[0] != 1:
         raise ValueError(f"need five coefficients of a monic quartic, got {coeffs}")
-    if not _is_irreducible_quartic(coeffs):
+    cubic = _resolvent_cubic(coeffs)
+    pair_discs = [_pair_discriminants(coeffs, r) for r in _integer_roots(cubic)]
+    if _integer_roots(coeffs) or any(_is_square(u) and _is_square(v) for u, v in pair_discs):
         raise ValueError(f"reducible polynomial: {list(coeffs)} factors over the rationals")
-    real_roots = _sturm_real_root_count(coeffs)
+    # f is irreducible over Q, hence separable: disc_poly != 0
+    disc_poly = _cubic_discriminant(cubic)
+    real_roots = _real_root_count(coeffs, disc_poly)
     if real_roots != 4:
         raise ValueError(
             f"not totally real: the polynomial has {real_roots} real root(s) out of 4"
         )
-    disc_poly = _quartic_discriminant(coeffs)
-    assert disc_poly > 0, "a totally real quartic has positive discriminant"
     if field_disc_hint is None:
         field_disc = disc_poly
     else:
@@ -256,8 +205,7 @@ def quartic_new(
                 f"inconsistent hint: {field_disc_hint} does not divide disc(f) = {disc_poly}"
             )
         quotient = disc_poly // field_disc_hint
-        root = math.isqrt(quotient)
-        if root * root != quotient:
+        if not _is_square(quotient):
             raise ValueError(
                 f"inconsistent hint: disc(f)/hint = {quotient} is not a perfect square"
             )
@@ -268,7 +216,7 @@ def quartic_new(
             f"the square of the subfield discriminant {subfield.disc} must divide "
             f"the field discriminant {field_disc}"
         )
-    certified = _certified_subfield_radicands(coeffs)
+    certified = {square_part(n)[0] for pair in pair_discs for n in pair if n > 0} - {1}
     if subfield.d not in certified:
         found = ", ".join(f"Q(sqrt({r}))" for r in sorted(certified)) or "none"
         raise ValueError(
@@ -295,7 +243,7 @@ class QuarticPrime:
     def is_conjugation_stable(self) -> bool:
         """Stable under the nontrivial automorphism over the declared
         quadratic subfield; decided for all primes over p at once."""
-        return subfield_prime_nonsplit(self.field, self.field.subfield.d, self.p)
+        return subfield_prime_nonsplit(self.field, self.p)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"prime over {self.p} with f={self.residue_degree}, e={self.ramification_index}"
@@ -334,12 +282,11 @@ def choose_level_prime(K: QuarticField, p: int) -> QuarticPrime:
     return min(primes_above_quartic(K, p), key=lambda q: (q.residue_degree, q.ramification_index))
 
 
-def subfield_prime_nonsplit(K: QuarticField, subfield_d: int, p: int) -> bool:
-    """True when no prime of the quadratic subfield over p splits into two
-    distinct primes of K: as K is quadratic over the subfield, that holds
-    exactly when both fields have the same number of primes over p."""
-    if subfield_d != K.subfield.d:
-        raise ValueError(f"declared subfield radicand {subfield_d} does not match the field")
+def subfield_prime_nonsplit(K: QuarticField, p: int) -> bool:
+    """True when no prime of the declared quadratic subfield over p splits
+    into two distinct primes of K: as K is quadratic over the subfield,
+    that holds exactly when both fields have the same number of primes
+    over p."""
     g_upper = len(quartic_splitting(K, p))
     g_lower = 2 if splitting_type(K.subfield, p) is Splitting.SPLIT else 1
     assert g_lower <= g_upper <= 2 * g_lower

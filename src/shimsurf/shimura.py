@@ -223,10 +223,9 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
 
 def _relative_extension_unramified(A: QuaternionAlgebra) -> bool:
     """Whether the base is unramified over the fixed field, read off the
-    conductor-discriminant relation d_base = d_fixed^2."""
-    if A.degree == 2:
-        return A.base.disc == 1  # never: real quadratic discriminants are >= 5
-    return A.base.disc == A.base.subfield.disc**2
+    conductor-discriminant relation d_base = d_fixed^2.  Only a quartic
+    base can be: a real quadratic one has d_base >= 5 over d_Q = 1."""
+    return A.degree == 4 and A.base.disc == A.base.subfield.disc**2
 
 
 def invariant_order_exists(A: QuaternionAlgebra) -> Check:

@@ -8,6 +8,7 @@ agreement of numeric facts between text and CSV modes.
 
 import csv
 import io
+import time
 
 import pytest
 
@@ -298,6 +299,26 @@ def test_quartic_rejects_uncertified_subfield(capsys):
             "--subgroup", subgroup, "--infinite-conjugate-assert", "--zeta-bound", "1000",
         )
         assert code == 2 and out == "" and "resolvent cubic" in err
+
+
+def test_quartic_rejects_large_coefficients_quickly(capsys):
+    # Integer roots of the quartic and of its resolvent cubic are found by
+    # bisection, not among the divisors of a constant term with large
+    # prime factors: 10^16 + 61, (10^17 + 3)(3*10^17 + 11) and, in the
+    # cubic, (10^17 + 3)^2.
+    c = 10**17 + 3
+    for poly, reason in (
+        ("1,0,-10,0,10000000000000061", "not totally real"),
+        (f"1,0,-10,0,{c * (3 * c + 2)}", "not totally real"),
+        (f"1,0,0,{c},1", "not totally real"),
+        (f"1,0,0,{c},0", "reducible"),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "quartic", "--poly", poly, "--subfield", "2", "--subgroup", "full"
+        )
+        assert code == 2 and out == "" and reason in err
+        assert time.perf_counter() - start < 2.0
 
 
 def test_quartic_rejects_wrong_coefficient_count(capsys):

@@ -1,16 +1,21 @@
 """Totally real quartic fields with a quadratic subfield: discriminants,
 Dedekind splitting, level primes, and the Dedekind zeta Euler product."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shimsurf.exact import primes_up_to
 from shimsurf.polymod import distinct_degree_factors, poly, poly_factor_mod_p
 from shimsurf.quadfield import bernoulli2, quad_field
 from shimsurf.quartic import (
+    _cubic_discriminant,
+    _integer_roots,
+    _real_root_count,
+    _resolvent_cubic,
     choose_level_prime,
     primes_above_quartic,
     quartic_new,
@@ -76,16 +81,28 @@ def test_primes_above_and_level_choice(K):
 
 
 def test_conjugation_stability(K):
-    assert subfield_prime_nonsplit(K, 5, 29)
-    assert subfield_prime_nonsplit(K, 5, 2)
-    assert not subfield_prime_nonsplit(K, 5, 11)
+    assert subfield_prime_nonsplit(K, 29)
+    assert subfield_prime_nonsplit(K, 2)
+    assert not subfield_prime_nonsplit(K, 11)
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="reducible"):
         quartic_new((1, 0, 0, 0, -1), 5)
+    # A linear factor times an irreducible cubic has no quadratic factor:
+    # (x - 1)(x^3 - 2) and x(x^3 - 2).
+    for coeffs in ((1, -1, 0, -2, 2), (1, 0, 0, -2, 0)):
+        with pytest.raises(ValueError, match="reducible"):
+            quartic_new(coeffs, 5)
     with pytest.raises(ValueError, match="not totally real"):
         quartic_new((1, 0, 0, 0, 1), 5)
+    with pytest.raises(ValueError, match=r"has 2 real root\(s\)"):
+        quartic_new((1, 0, 0, 0, -2), 2)
+    # Positive discriminant but no real root: one of 8b - 3a^2 and
+    # 64d - 16b^2 + 16a^2 b - 16ac - 3a^4 is negative, the other is not.
+    for coeffs in ((1, 0, -4, 0, 8), (1, -3, 5, -3, 1)):
+        with pytest.raises(ValueError, match=r"has 0 real root\(s\)"):
+            quartic_new(coeffs, 2)
     with pytest.raises(ValueError, match="inconsistent hint"):
         quartic_new(GOLDEN, 5, field_disc_hint=145)
     with pytest.raises(ValueError, match="must divide the field discriminant"):
@@ -101,6 +118,64 @@ def test_constructor_validation():
         assert quartic_new((1, 0, -16, 0, 4), d, field_disc_hint=3600).subfield.d == d
     for d in (2, 3, 6):
         assert quartic_new((1, -4, 2, 4, -2), d).subfield.d == d
+
+
+@given(
+    st.lists(st.integers(-(10**30), 10**30), min_size=1, max_size=4),
+    st.integers(-(10**30), 10**30),
+    st.integers(1, 10**30),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_roots_of_large_polynomials(roots, p, q):
+    # prod (x - r_i), times x^2 + p x + (p^2 // 4 + q) when that keeps the
+    # degree at most 4: the extra factor has no real root, so the integer
+    # roots are exactly the r_i, whatever the size of the coefficients.
+    factors = [(1, -r) for r in roots]
+    if len(roots) <= 2:
+        factors.append((1, p, p * p // 4 + q))
+    coeffs = (1,)
+    for f in factors:
+        coeffs = tuple(
+            sum(coeffs[i] * f[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(f))
+            for k in range(len(coeffs) + len(f) - 1)
+        )
+    assert _integer_roots(coeffs) == sorted(set(roots))
+
+
+def _disc_and_real_roots(coeffs):
+    disc = _cubic_discriminant(_resolvent_cubic(coeffs))
+    return disc, _real_root_count(coeffs, disc)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_resolvent_facts_for_split_quartics(roots):
+    # f = prod (x - r_i) over distinct integers: disc(f) = prod (r_i - r_j)^2.
+    coeffs = (1,)
+    for r in roots:
+        coeffs = tuple(u - r * v for u, v in zip(coeffs + (0,), (0,) + coeffs))
+    disc, real_roots = _disc_and_real_roots(coeffs)
+    assert disc == math.prod((ri - rj) ** 2 for ri, rj in itertools.combinations(roots, 2))
+    assert disc != 0 and real_roots == 4
+    with pytest.raises(ValueError, match="reducible"):
+        quartic_new(coeffs, 5)
+
+
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_resolvent_facts_for_products_of_quadratics(params):
+    # f = (x^2 + p x + q)(x^2 + s x + t): disc(f) is the product of the
+    # factors' discriminants and their squared resultant, and each factor
+    # adds two real roots when its own discriminant is positive.
+    p, q, s, t = params
+    coeffs = (1, p + s, q + t + p * s, p * t + q * s, q * t)
+    disc, real_roots = _disc_and_real_roots(coeffs)
+    resultant = (q - t) ** 2 + (p - s) * (p * t - q * s)
+    assert disc == (p * p - 4 * q) * (s * s - 4 * t) * resultant**2
+    assume(disc != 0)
+    assert real_roots == 2 * (p * p > 4 * q) + 2 * (s * s > 4 * t)
+    with pytest.raises(ValueError, match="reducible"):
+        quartic_new(coeffs, 5)
 
 
 def test_dedekind_inapplicable_at_index_primes(K_biquadratic):
