@@ -2,7 +2,7 @@
 
 Everything in this module is pure and deterministic: Kronecker symbols
 with the standard conventions at 2 and -1, integer factorization (trial
-division, deterministic Miller-Rabin, Brent's rho), square-part
+division, Miller-Rabin, Brent's rho), square-part
 decomposition, and recovery of a rational from a floating-point
 approximation by a bounded-denominator sweep.
 
@@ -17,6 +17,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Least strong pseudoprime to the bases _SMALL_PRIMES (Sorenson, Webster 2017)
+PRIME_PROOF_BOUND = 318665857834031151167461
 
 
 def kronecker(a: int, n: int) -> int:
@@ -54,7 +56,9 @@ def kronecker(a: int, n: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all 64-bit inputs."""
+    """Miller-Rabin to the prime bases 2..37: a proof of primality below
+    PRIME_PROOF_BOUND.  At or above it, a composite witness still returns
+    False, and passing every base raises ValueError."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -75,6 +79,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PRIME_PROOF_BOUND:
+        raise ValueError(f"primality of {n} is not proven: it passes Miller-Rabin to bases 2..37")
     return True
 
 

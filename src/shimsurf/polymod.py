@@ -2,10 +2,14 @@
 
 Polynomials are coefficient tuples in ascending order (coeffs[i] is the
 coefficient of x^i) with a nonzero leading coefficient; the zero
-polynomial is the empty tuple.  Factorization runs squarefree
-decomposition, then distinct-degree splitting, then Cantor-Zassenhaus
-equal-degree splitting with a seeded generator, so results are
-reproducible across runs.
+polynomial is the empty tuple.  ``poly`` is the one checked constructor:
+it rejects a non-prime modulus, then reduces and trims.  The kernels
+trust that form and keep it, building unchecked ``PolyModP`` records.
+
+Factorization runs squarefree decomposition, then distinct-degree
+splitting (these two give the degrees and multiplicities of the factors),
+then Cantor-Zassenhaus equal-degree splitting with a seeded generator, so
+results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -20,18 +24,11 @@ Coeffs = tuple[int, ...]
 
 @dataclass(frozen=True)
 class PolyModP:
-    """A polynomial over F_p; coeffs ascending, leading coefficient nonzero."""
+    """A polynomial over F_p, coeffs ascending and reduced, leading
+    coefficient nonzero; an unchecked record that the kernels produce."""
 
     p: int
     coeffs: Coeffs
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-        if any(not 0 <= c < self.p for c in self.coeffs):
-            raise ValueError("coefficients must be reduced mod p")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
 
     @property
     def degree(self) -> int:
@@ -39,11 +36,11 @@ class PolyModP:
 
 
 def poly(p: int, coeffs: list[int] | Coeffs) -> PolyModP:
-    """Build a PolyModP from ascending coefficients, reducing mod p."""
-    c = [x % p for x in coeffs]
-    while c and c[-1] == 0:
-        c.pop()
-    return PolyModP(p, tuple(c))
+    """Build a PolyModP from ascending coefficients, reducing mod p; the
+    one constructor that checks, raising ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    return PolyModP(p, _trim([x % p for x in coeffs]))
 
 
 def _trim(c: list[int]) -> Coeffs:
@@ -126,7 +123,7 @@ def pgcd(a: PolyModP, b: PolyModP) -> PolyModP:
 
 
 def ppow_mod(base: PolyModP, e: int, mod: PolyModP) -> PolyModP:
-    result = poly(base.p, [1])
+    result = PolyModP(base.p, (1,))
     base = pmod(base, mod)
     while e:
         if e & 1:
@@ -149,13 +146,18 @@ def _pth_root(a: PolyModP) -> PolyModP:
     return PolyModP(p, _trim(list(a.coeffs[::p])))
 
 
-def _squarefree_decomposition(f: PolyModP) -> list[tuple[PolyModP, int]]:
-    # Returns [(g, m)] with f = prod g^m, the g squarefree and pairwise coprime.
+def squarefree_decomposition(f: PolyModP) -> list[tuple[PolyModP, int]]:
+    """Squarefree decomposition of a monic polynomial of degree >= 1.
+
+    Returns (g, m) pairs with f = prod g^m, each g monic, squarefree and
+    of degree >= 1, and the g pairwise coprime (Cohen, A Course in
+    Computational Algebraic Number Theory, 3.4.2).
+    """
     p = f.p
     out: list[tuple[PolyModP, int]] = []
     d = pderiv(f)
     if not d.coeffs:
-        for g, m in _squarefree_decomposition(_pth_root(f)):
+        for g, m in squarefree_decomposition(_pth_root(f)):
             out.append((g, m * p))
         return out
     c = pgcd(f, d)
@@ -170,7 +172,7 @@ def _squarefree_decomposition(f: PolyModP) -> list[tuple[PolyModP, int]]:
         c = pdivmod(c, y)[0]
         i += 1
     if c.degree > 0:
-        for g, m in _squarefree_decomposition(_pth_root(c)):
+        for g, m in squarefree_decomposition(_pth_root(c)):
             out.append((g, m * p))
     return out
 
@@ -181,7 +183,7 @@ def _equal_degree_split(f: PolyModP, d: int, rng: random.Random) -> list[PolyMod
     if f.degree == d:
         return [f]
     while True:
-        u = poly(p, [rng.randrange(p) for _ in range(f.degree)] + [1])
+        u = PolyModP(p, tuple(rng.randrange(p) for _ in range(f.degree)) + (1,))
         if p == 2:
             t = u
             acc = u
@@ -191,7 +193,7 @@ def _equal_degree_split(f: PolyModP, d: int, rng: random.Random) -> list[PolyMod
             g = pgcd(acc, f)
         else:
             w = ppow_mod(u, (p**d - 1) // 2, f)
-            g = pgcd(psub(w, poly(p, [1])), f)
+            g = pgcd(psub(w, PolyModP(p, (1,))), f)
         if 0 < g.degree < f.degree:
             h = pdivmod(f, g)[0]
             return _equal_degree_split(g, d, rng) + _equal_degree_split(pmonic(h), d, rng)
@@ -207,7 +209,7 @@ def distinct_degree_factors(f: PolyModP) -> list[tuple[int, PolyModP]]:
     """
     p = f.p
     out: list[tuple[int, PolyModP]] = []
-    x = poly(p, [0, 1])
+    x = PolyModP(p, (0, 1))
     h = x
     d = 0
     rest = f
@@ -241,7 +243,7 @@ def poly_factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
         seed = (seed * 1_000_003 + c) % (1 << 61)
     rng = random.Random(seed)
     out: list[tuple[PolyModP, int]] = []
-    for g, m in _squarefree_decomposition(f):
+    for g, m in squarefree_decomposition(f):
         for d, h in distinct_degree_factors(g):
             out.extend((irr, m) for irr in _equal_degree_split(h, d, rng))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))

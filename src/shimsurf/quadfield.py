@@ -8,7 +8,7 @@ below it plus a tag selecting one of the (at most two) primes above.
 
 The module also evaluates the generalized second Bernoulli number of the
 field's quadratic character by two independent closed forms that are
-checked against each other on every call.
+checked against each other, in integers, on every evaluation.
 """
 
 from __future__ import annotations
@@ -174,24 +174,18 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
     return [QuadPrime(field, p, kind, 0)]
 
 
-def _bernoulli2_poly(x: Fraction) -> Fraction:
-    return x * x - x + Fraction(1, 6)
-
-
 @lru_cache(maxsize=None)
 def bernoulli2(disc: int) -> Fraction:
     """Generalized Bernoulli number B_2 of the quadratic character mod disc.
 
-    Evaluated by two independent closed forms, which are asserted equal:
-    disc * sum_a chi(a) B2(a/disc) and (1/disc) * sum_a chi(a) a^2.
+    Two independent closed forms, disc * sum_a chi(a) B2(a/disc) with
+    B2(x) = x^2 - x + 1/6, and (1/disc) * sum_a chi(a) a^2, are asserted
+    equal through their integer numerators over the denominator 6 * disc.
     """
     if disc <= 1 or not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a real-quadratic fundamental discriminant")
     chi = [0] + [kronecker(disc, a) for a in range(1, disc)]
-    via_poly = disc * sum(
-        (chi[a] * _bernoulli2_poly(Fraction(a, disc)) for a in range(1, disc)),
-        start=Fraction(0),
-    )
-    via_squares = Fraction(sum(chi[a] * a * a for a in range(1, disc)), disc)
-    assert via_poly == via_squares, f"Bernoulli cross-check failed at disc {disc}"
-    return via_squares
+    squares = sum(chi[a] * a * a for a in range(1, disc))
+    via_poly = sum(chi[a] * (6 * a * a - 6 * a * disc + disc * disc) for a in range(1, disc))
+    assert via_poly == 6 * squares, f"Bernoulli cross-check failed at disc {disc}"
+    return Fraction(squares, disc)

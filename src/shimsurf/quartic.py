@@ -1,17 +1,17 @@
 """Totally real quartic fields through a monic defining polynomial:
 certification from the resolvent cubic alone (irreducibility, the
 discriminant, the real-root count and the declared quadratic subfield),
-prime splitting by factorization of the polynomial modulo p, the
+prime splitting read off the defining polynomial modulo p, the
 nonsplit-over-the-subfield test for level primes, and a truncated Euler
 product for the Dedekind zeta value at 2.
 
-No general number-field arithmetic is attempted: every splitting question
-is answered through the factorization of the defining polynomial mod p,
-valid at primes not dividing the index [O_K : Z[x]/(f)] (read off
-disc(f)/d_K; it is 1 for the fields of interest here).  The zeta product
-also accepts real quadratic fields, where splitting comes from the field
-character instead; this gives an exact cross-check of the volume formula
-in degree 2.
+No general number-field arithmetic is attempted: ``quartic_splitting``
+answers every splitting question from the degrees and multiplicities of
+the irreducible factors of the defining polynomial mod p, valid at primes
+not dividing the index [O_K : Z[x]/(f)] (read off disc(f)/d_K; it is 1
+for the fields of interest here).  The zeta product also accepts real
+quadratic fields, where splitting comes from the field character
+instead; this gives an exact cross-check of the volume formula in degree 2.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .exact import is_prime, primes_up_to, square_part
-from .polymod import PolyModP, distinct_degree_factors, poly, poly_factor_mod_p
+from .exact import primes_up_to, square_part
+from .polymod import distinct_degree_factors, poly, squarefree_decomposition
 from .quadfield import QuadField, Splitting, quad_field, splitting_type
 
 __all__ = [
@@ -249,22 +249,27 @@ class QuarticPrime:
         return f"prime over {self.p} with f={self.residue_degree}, e={self.ramification_index}"
 
 
-def _reduced_polynomial(K: QuarticField, p: int) -> PolyModP:
-    return poly(p, list(reversed(K.coeffs)))
-
-
 def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
     """Shape of p in the field: a sorted list of (residue degree f_i,
-    ramification exponent e_i) with sum f_i e_i = 4, read off the
-    factorization of the defining polynomial mod p.  Requires p coprime
-    to the index of the equation order."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+    ramification exponent e_i) with sum f_i e_i = 4.  Requires p coprime
+    to the index of the equation order.
+
+    By Dedekind's theorem these are the (degree, multiplicity) pairs of
+    the irreducible factors of f mod p: the squarefree decomposition gives
+    the multiplicities, the distinct-degree split of each part the
+    degrees.  When p does not divide disc(f), f is squarefree mod p."""
+    f = poly(p, K.coeffs[::-1])  # rejects a non-prime p
     if K.index % p == 0:
         raise ValueError(
             f"Dedekind inapplicable: {p} divides the index {K.index} of the equation order"
         )
-    shapes = sorted((g.degree, mult) for g, mult in poly_factor_mod_p(_reduced_polynomial(K, p)))
+    parts = [(f, 1)] if K.disc_poly % p else squarefree_decomposition(f)
+    shapes = sorted(
+        (d, mult)
+        for g, mult in parts
+        for d, h in distinct_degree_factors(g)
+        for _ in range(h.degree // d)
+    )
     assert sum(f * e for f, e in shapes) == 4
     return shapes
 
@@ -301,8 +306,9 @@ def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
     [estimate, estimate * (1 + error_bound/estimate)]: each omitted local
     factor exceeds 1, and the tail over primes beyond the bound is
     controlled by exp(n * sum 1/(p^2 - 1)) - 1 <= expm1(n/(bound - 1)).
-    Accepts quartic fields (polynomial splitting) and real quadratic
-    fields (character splitting).  Primes dividing the index of a quartic
+    Accepts quartic fields, whose local factors come from the residue
+    degrees that ``quartic_splitting`` reads, and real quadratic fields
+    (character splitting).  Primes dividing the index of a quartic
     equation order are skipped, widening the error bound by their
     worst-case local factor.
     """
@@ -327,17 +333,8 @@ def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
                 # unknown local factor in [1, (1 - p^-2)^-4]: widen the bound
                 relative_error = (1.0 + relative_error) / (1.0 - p**-2.0) ** 4 - 1.0
                 continue
-            if field.disc_poly % p != 0:
-                # f is squarefree mod p: the distinct-degree split suffices
-                fdegs = [
-                    d
-                    for d, g in distinct_degree_factors(_reduced_polynomial(field, p))
-                    for _ in range(g.degree // d)
-                ]
-            else:
-                fdegs = [f for f, _ in quartic_splitting(field, p)]
             local = 1.0
-            for f in fdegs:
+            for f, _ in quartic_splitting(field, p):
                 local /= 1.0 - float(p) ** (-2.0 * f)
         estimate *= local
     return estimate, estimate * relative_error

@@ -94,6 +94,14 @@ def test_surface_rejects_composite_level(capsys):
     assert code == 2 and "prime" in err
 
 
+def test_surface_rejects_unproven_prime_level(capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37.
+    code, out, err = invoke(
+        capsys, "surface", "--d", "33", "--ram", "2", "--subgroup", "borel:318665857834031151167461"
+    )
+    assert code == 2 and out == "" and "not proven" in err
+
+
 def test_surface_rejects_unknown_subgroup(capsys):
     code, _, err = invoke(capsys, "surface", "--d", "33", "--ram", "2", "--subgroup", "parabolic:3")
     assert code == 2 and "unknown subgroup" in err

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shimsurf.exact import (
+    PRIME_PROOF_BOUND,
     euler_phi,
     factorize,
     is_prime,
@@ -38,6 +39,19 @@ def test_is_prime_small_and_carmichael():
         assert not is_prime(carmichael)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)  # Mersenne composite (Cole's factorization)
+
+
+def test_is_prime_refuses_unproven_pseudoprime():
+    # The least strong pseudoprime to the bases 2..37 (Sorenson and Webster,
+    # Math. Comp. 86, 2017): the bases prove nothing at or above it.
+    n = PRIME_PROOF_BOUND
+    assert n == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="not proven"):
+        is_prime(n)
+    with pytest.raises(ValueError, match="not proven"):
+        factorize(n)
+    # A witness still proves compositeness above the bound.
+    assert not is_prime(2**101 - 1)  # 7432339208719 * 341117531003194129
 
 
 @given(st.integers(min_value=2, max_value=10**6))

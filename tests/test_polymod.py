@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from shimsurf.exact import primes_up_to
 from shimsurf.polymod import (
     PolyModP,
+    distinct_degree_factors,
     padd,
+    pderiv,
     pdivmod,
     pgcd,
     pmod,
@@ -25,6 +27,7 @@ from shimsurf.polymod import (
     poly_factor_mod_p,
     ppow_mod,
     psub,
+    squarefree_decomposition,
 )
 
 PRIMES_31 = primes_up_to(31)
@@ -145,3 +148,32 @@ def test_constructor_validation():
         poly(4, [1, 1])  # modulus must be prime
     with pytest.raises(ZeroDivisionError):
         pdivmod(poly(5, [1, 1]), poly(5, []))
+
+
+def _reduced(h: PolyModP, p: int) -> bool:
+    return h.p == p and all(0 <= c < p for c in h.coeffs) and (not h.coeffs or h.coeffs[-1] != 0)
+
+
+_coeff_lists = st.lists(st.integers(-(10**6), 10**6), max_size=7)
+
+
+@given(st.sampled_from(PRIMES_31), _coeff_lists, _coeff_lists, _coeff_lists, st.integers(0, 60))
+@settings(max_examples=300, deadline=None)
+def test_kernel_outputs_stay_reduced(p, ca, cb, cu, e):
+    # PolyModP is an unchecked record, so every kernel must keep its form:
+    # coefficients in [0, p) and a nonzero leading coefficient.
+    a, b = poly(p, ca), poly(p, cb)
+    u = poly(p, cu + [1])  # monic of degree >= 0
+    outputs = [padd(a, b), psub(a, b), pmul(a, b), pmonic(a), pgcd(a, b), pderiv(a)]
+    if b.coeffs:
+        outputs += pdivmod(a, b)
+    if b.degree >= 1:
+        outputs.append(ppow_mod(a, e, b))
+    f = pmul(pmul(u, u), pmul(u, poly(p, [1, 1])))  # repeated factors, degree >= 1
+    parts = squarefree_decomposition(f)
+    assert sum(g.degree * m for g, m in parts) == f.degree
+    for g, _ in parts:
+        outputs.append(g)
+        outputs += [h for _, h in distinct_degree_factors(g)]
+    for h in outputs:
+        assert _reduced(h, p), (p, h)

@@ -219,17 +219,20 @@ def test_zeta_error_bound_is_honest(K):
 
 
 def test_distinct_degree_pattern_matches_factorization():
-    # Away from disc(f) the zeta product reads the residue degrees off the
-    # distinct-degree split alone; they must be those of the factorization.
+    # quartic_splitting reads (residue degree, multiplicity) off the
+    # squarefree and distinct-degree steps, and away from disc(f) off the
+    # distinct-degree split alone; both must agree with the factorization,
+    # at the primes dividing disc(f) too.
     for disc, coeffs, sub in BENCHMARK_FIELDS:
         K = quartic_new(coeffs, sub)
         assert K.disc == disc
         for p in primes_up_to(2000):
-            if K.disc_poly % p == 0:
-                continue
             f = poly(p, list(reversed(coeffs)))
-            pattern = [d for d, g in distinct_degree_factors(f) for _ in range(g.degree // d)]
-            assert pattern == sorted(g.degree for g, _ in poly_factor_mod_p(f)), (disc, p)
+            factors = poly_factor_mod_p(f)
+            if K.disc_poly % p:
+                pattern = [d for d, g in distinct_degree_factors(f) for _ in range(g.degree // d)]
+                assert pattern == sorted(g.degree for g, _ in factors), (disc, p)
+            assert quartic_splitting(K, p) == sorted((g.degree, m) for g, m in factors), (disc, p)
 
 
 def test_golden_zeta_value(K):
