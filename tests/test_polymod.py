@@ -9,7 +9,7 @@ irreducible precisely when they have no monic factor of degree 1 or 2).
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shimsurf.exact import primes_up_to
@@ -148,6 +148,16 @@ def test_constructor_validation():
         poly(4, [1, 1])  # modulus must be prime
     with pytest.raises(ZeroDivisionError):
         pdivmod(poly(5, [1, 1]), poly(5, []))
+    with pytest.raises(ValueError, match="exponent"):
+        ppow_mod(poly(5, [0, 1]), -1, poly(5, [1, 0, 1]))
+
+
+def test_squarefree_decomposition_rejects_constants():
+    # A constant has zero derivative; it must be refused, not sent on to
+    # its own p-th root without end.
+    for coeffs in ([1], [3], []):
+        with pytest.raises(ValueError, match="need degree >= 1"):
+            squarefree_decomposition(poly(5, coeffs))
 
 
 def _reduced(h: PolyModP, p: int) -> bool:
@@ -177,3 +187,54 @@ def test_kernel_outputs_stay_reduced(p, ca, cb, cu, e):
         outputs += [h for _, h in distinct_degree_factors(g)]
     for h in outputs:
         assert _reduced(h, p), (p, h)
+
+
+@given(st.sampled_from(PRIMES_31), st.lists(st.integers(0, 30), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_distinct_degree_matches_frobenius_definition(p, tail):
+    # Each part is gcd(x^(p^d) - x, rest) with the power taken directly,
+    # not by the composition the factorization uses.
+    f = poly(p, tail + [1])
+    assume(f.degree >= 1 and pgcd(f, pderiv(f)).degree == 0)
+    x = poly(p, [0, 1])
+    rest, product, last = f, poly(p, [1]), 0
+    for d, g in distinct_degree_factors(f):
+        assert d > last and g.degree % d == 0
+        assert g == pgcd(psub(ppow_mod(x, p**d, rest), x), rest)
+        product = pmul(product, g)
+        rest, last = pdivmod(rest, g)[0], d
+    assert product == f
+
+
+def _schoolbook_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    # a * b mod m over F_p, reducing at every step; independent of polymod.
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    dm, lead_inv = len(m) - 1, pow(m[-1], p - 2, p)
+    for i in range(len(prod) - 1, dm - 1, -1):
+        q = prod[i] * lead_inv % p
+        for j in range(dm + 1):
+            prod[i - dm + j] = (prod[i - dm + j] - q * m[j]) % p
+    rem = prod[:dm]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+@given(
+    st.sampled_from(PRIMES_31[1:]),
+    _coeff_lists,
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=7),
+    st.integers(2, 30),
+    st.integers(0, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_ppow_mod_matches_schoolbook_reference(p, ca, cm, lead, e):
+    assume(lead % p > 1)  # a non-monic modulus of degree >= 1
+    a, m = poly(p, ca), poly(p, cm + [lead])
+    expected = [1]
+    for _ in range(e):
+        expected = _schoolbook_mulmod(expected, list(a.coeffs), list(m.coeffs), p)
+    assert list(ppow_mod(a, e, m).coeffs) == expected
