@@ -328,7 +328,7 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
     est = report.euler_estimate
     lines = [
         f"polynomial = {K}",
-        f"polynomial discriminant = {K.disc_poly}",
+        f"polynomial discriminant = {K.disc}",
         f"field discriminant = {K.disc}",
         f"subfield = Q(sqrt({K.subfield.d})), discriminant {K.subfield.disc}",
         _subgroup_line(report.spec),

@@ -197,6 +197,8 @@ def squarefree_decomposition(f: PolyModP) -> list[tuple[PolyModP, int]]:
     """
     if f.degree < 1:
         raise ValueError("need degree >= 1")
+    if f.coeffs[-1] != 1:
+        raise ValueError("need a monic polynomial")
     p = f.p
     out: list[tuple[PolyModP, int]] = []
     d = pderiv(f)
@@ -219,6 +221,24 @@ def squarefree_decomposition(f: PolyModP) -> list[tuple[PolyModP, int]]:
         for g, m in squarefree_decomposition(_pth_root(c)):
             out.append((g, m * p))
     return out
+
+
+def is_p_maximal(coeffs: list[int] | Coeffs, p: int) -> bool:
+    """Dedekind's criterion: whether the order Z[x]/(f) is maximal at the
+    prime p, for a monic integer polynomial f (ascending coefficients).
+
+    With f = prod g_i^e_i mod p, g = prod g_i (the product of the parts of
+    the squarefree decomposition) and h = f/g lifted to Z, and
+    F = (g h - f)/p, the order is p-maximal exactly when gcd(F, g, h) = 1
+    over F_p (Cohen, A Course in Computational Algebraic Number Theory,
+    Thm 6.1.4)."""
+    f = poly(p, coeffs)
+    g = PolyModP(p, (1,))
+    for part, _ in squarefree_decomposition(f):
+        g = pmul(g, part)
+    h = pdivmod(f, g)[0]
+    F = poly(p, [(x - c) // p for x, c in zip(_mul(g.coeffs, h.coeffs), coeffs)])
+    return pgcd(pgcd(F, g), h).degree == 0
 
 
 def _equal_degree_split(f: PolyModP, d: int, rng: random.Random) -> list[PolyModP]:
@@ -258,6 +278,8 @@ def distinct_degree_factors(f: PolyModP) -> list[tuple[int, PolyModP]]:
     about 2 log2 p (von zur Gathen and Shoup, "Computing Frobenius maps
     and factoring polynomials", Computational Complexity 2, 1992).
     """
+    if not f.coeffs or f.coeffs[-1] != 1:
+        raise ValueError("need a monic polynomial")
     p = f.p
     out: list[tuple[int, PolyModP]] = []
     x = PolyModP(p, (0, 1))
@@ -287,10 +309,6 @@ def poly_factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
     ascending coefficient sequence; deterministic because the internal
     randomness is seeded from (p, coefficients).
     """
-    if f.degree < 1:
-        raise ValueError("need degree >= 1")
-    if f.coeffs[-1] != 1:
-        raise ValueError("need a monic polynomial")
     seed = f.p
     for c in f.coeffs:
         seed = (seed * 1_000_003 + c) % (1 << 61)

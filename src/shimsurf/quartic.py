@@ -1,15 +1,15 @@
 """Totally real quartic fields through a monic defining polynomial:
-certification from the resolvent cubic alone (irreducibility, the
-discriminant, the real-root count and the declared quadratic subfield),
+certification from the resolvent cubic (irreducibility, the
+discriminant, the real-root count and the declared quadratic subfield)
+and from Dedekind's criterion (the equation order Z[x]/(f) is maximal),
 prime splitting read off the defining polynomial modulo p, the
 nonsplit-over-the-subfield test for level primes, and a truncated Euler
 product for the Dedekind zeta value at 2.
 
 No general number-field arithmetic is attempted: ``quartic_splitting``
 answers every splitting question from the degrees and multiplicities of
-the irreducible factors of the defining polynomial mod p, valid at primes
-not dividing the index [O_K : Z[x]/(f)] (read off disc(f)/d_K; it is 1
-for the fields of interest here).  The zeta product also accepts real
+the irreducible factors of the defining polynomial mod p, at every prime
+since the equation order is maximal.  The zeta product also accepts real
 quadratic fields, where splitting comes from the field character
 instead; this gives an exact cross-check of the volume formula in degree 2.
 """
@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from .exact import primes_up_to, square_part
-from .polymod import distinct_degree_factors, poly, squarefree_decomposition
+from .exact import factorize, primes_up_to, square_part
+from .polymod import distinct_degree_factors, is_p_maximal, poly, squarefree_decomposition
 from .quadfield import QuadField, Splitting, quad_field, splitting_type
 
 __all__ = [
@@ -134,19 +134,14 @@ def _real_root_count(coeffs: Sequence[int], disc: int) -> int:
 @dataclass(frozen=True)
 class QuarticField:
     """A totally real quartic field presented by a monic defining
-    polynomial (descending coefficients), its polynomial and field
-    discriminants, and a declared real quadratic subfield."""
+    polynomial (descending coefficients) whose equation order is maximal,
+    its discriminant disc(f) = d_K, and a declared real quadratic
+    subfield."""
 
     coeffs: tuple[int, int, int, int, int]
-    disc_poly: int
     disc: int
     subfield: QuadField
     degree: ClassVar[int] = 4
-
-    @property
-    def index(self) -> int:
-        """The index [O_K : Z[x]/(f)], from disc(f) = index^2 * d_K."""
-        return math.isqrt(self.disc_poly // self.disc)
 
     def __str__(self) -> str:
         """The defining polynomial, e.g. ``x^4 - x^3 - 3*x^2 + x + 1``."""
@@ -167,18 +162,15 @@ class QuarticField:
         return " ".join(terms)
 
 
-def quartic_new(
-    coeffs: Sequence[int], subfield_d: int, field_disc_hint: int | None = None
-) -> QuarticField:
+def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
     """Build and certify a totally real quartic field.
 
     The polynomial must be a monic integer quartic, irreducible over the
-    rationals, with four real roots.  Without a hint the polynomial
-    discriminant is taken as the field discriminant (i.e. the equation
-    order is presumed maximal); a hint is accepted when the quotient
-    disc(f)/hint is the square of a positive integer.  The declared
-    quadratic subfield must satisfy d_sub^2 | d_K and be certified by an
-    integer root of the resolvent cubic.
+    rationals, with four real roots.  The declared quadratic subfield must
+    satisfy d_sub^2 | disc(f) and be certified by an integer root of the
+    resolvent cubic.  Last, Dedekind's criterion must prove the equation
+    order Z[x]/(f) maximal at every p with p^2 | disc(f), so that disc(f)
+    is the field discriminant; otherwise the polynomial is refused.
 
     Irreducibility, the discriminant, the real-root count and the
     subfields are all read off the resolvent cubic and its integer roots.
@@ -190,31 +182,18 @@ def quartic_new(
     pair_discs = [_pair_discriminants(coeffs, r) for r in _integer_roots(cubic)]
     if _integer_roots(coeffs) or any(_is_square(u) and _is_square(v) for u, v in pair_discs):
         raise ValueError(f"reducible polynomial: {list(coeffs)} factors over the rationals")
-    # f is irreducible over Q, hence separable: disc_poly != 0
-    disc_poly = _cubic_discriminant(cubic)
-    real_roots = _real_root_count(coeffs, disc_poly)
+    # f is irreducible over Q, hence separable: disc != 0 (> 0 when totally real)
+    disc = _cubic_discriminant(cubic)
+    real_roots = _real_root_count(coeffs, disc)
     if real_roots != 4:
         raise ValueError(
             f"not totally real: the polynomial has {real_roots} real root(s) out of 4"
         )
-    if field_disc_hint is None:
-        field_disc = disc_poly
-    else:
-        if field_disc_hint <= 0 or disc_poly % field_disc_hint != 0:
-            raise ValueError(
-                f"inconsistent hint: {field_disc_hint} does not divide disc(f) = {disc_poly}"
-            )
-        quotient = disc_poly // field_disc_hint
-        if not _is_square(quotient):
-            raise ValueError(
-                f"inconsistent hint: disc(f)/hint = {quotient} is not a perfect square"
-            )
-        field_disc = field_disc_hint
     subfield = quad_field(subfield_d)
-    if field_disc % subfield.disc**2 != 0:
+    if disc % subfield.disc**2 != 0:
         raise ValueError(
             f"the square of the subfield discriminant {subfield.disc} must divide "
-            f"the field discriminant {field_disc}"
+            f"the field discriminant {disc}"
         )
     certified = {square_part(n)[0] for pair in pair_discs for n in pair if n > 0} - {1}
     if subfield.d not in certified:
@@ -223,7 +202,13 @@ def quartic_new(
             f"Q(sqrt({subfield.d})) is not a subfield certified by the resolvent cubic "
             f"(certified quadratic subfields: {found})"
         )
-    return QuarticField(coeffs=coeffs, disc_poly=disc_poly, disc=field_disc, subfield=subfield)
+    for p, e in factorize(disc):
+        if e >= 2 and not is_p_maximal(coeffs[::-1], p):
+            raise ValueError(
+                f"the equation order Z[x]/(f) is not maximal at {p} (Dedekind's criterion), "
+                f"so the field discriminant is not disc(f) = {disc}"
+            )
+    return QuarticField(coeffs=coeffs, disc=disc, subfield=subfield)
 
 
 @dataclass(frozen=True)
@@ -251,19 +236,15 @@ class QuarticPrime:
 
 def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
     """Shape of p in the field: a sorted list of (residue degree f_i,
-    ramification exponent e_i) with sum f_i e_i = 4.  Requires p coprime
-    to the index of the equation order.
+    ramification exponent e_i) with sum f_i e_i = 4.
 
-    By Dedekind's theorem these are the (degree, multiplicity) pairs of
-    the irreducible factors of f mod p: the squarefree decomposition gives
+    The equation order being maximal, by Dedekind's theorem these are the
+    (degree, multiplicity) pairs of the irreducible factors of f mod p:
+    the squarefree decomposition gives
     the multiplicities, the distinct-degree split of each part the
     degrees.  When p does not divide disc(f), f is squarefree mod p."""
     f = poly(p, K.coeffs[::-1])  # rejects a non-prime p
-    if K.index % p == 0:
-        raise ValueError(
-            f"Dedekind inapplicable: {p} divides the index {K.index} of the equation order"
-        )
-    parts = [(f, 1)] if K.disc_poly % p else squarefree_decomposition(f)
+    parts = [(f, 1)] if K.disc % p else squarefree_decomposition(f)
     shapes = sorted(
         (d, mult)
         for g, mult in parts
@@ -308,9 +289,7 @@ def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
     controlled by exp(n * sum 1/(p^2 - 1)) - 1 <= expm1(n/(bound - 1)).
     Accepts quartic fields, whose local factors come from the residue
     degrees that ``quartic_splitting`` reads, and real quadratic fields
-    (character splitting).  Primes dividing the index of a quartic
-    equation order are skipped, widening the error bound by their
-    worst-case local factor.
+    (character splitting).
     """
     if prime_bound < 100:
         raise ValueError(f"prime bound must be at least 100, got {prime_bound}")
@@ -329,10 +308,6 @@ def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
             else:
                 local = 1.0 / (1.0 - p**-2.0)
         else:
-            if field.index % p == 0:
-                # unknown local factor in [1, (1 - p^-2)^-4]: widen the bound
-                relative_error = (1.0 + relative_error) / (1.0 - p**-2.0) ** 4 - 1.0
-                continue
             local = 1.0
             for f, _ in quartic_splitting(field, p):
                 local /= 1.0 - float(p) ** (-2.0 * f)

@@ -4,8 +4,8 @@ For each admissible surface type e in {12, 16, ..., 36} the exact Euler
 number identity  e = I * (B/12) * prod (p - 1)^2  (B the weight-2
 generalized Bernoulli number of the field character, one factor per
 rational prime under a conjugate pair of ramified places, I the subgroup
-index) bounds everything: B/12 <= 36 caps the field discriminant at 372,
-and (p - 1)^2 <= 12 e / B caps the usable split primes.  Enumeration
+index) bounds everything: B/12 <= 36 with 225 B^2 >= d^3 caps the field
+discriminant at 347, and (p - 1)^2 <= 12 e / B the usable split primes.  Enumeration
 emits every (discriminant, type, ramification, index) solution; pruning
 then discards rows whose index is not divisible by the order of some
 torsion element certified in the full unit group, since a torsion-free
@@ -51,9 +51,11 @@ __all__ = [
 
 DEFAULT_TYPES = (12, 16, 20, 24, 28, 32, 36)
 
-# Analytic cutoff: B >= 3 d^(3/2) / 50 forces B/12 > 36 for every
-# fundamental discriminant beyond this, so no type in range survives
-# (the largest discriminant actually attaining B/12 <= 36 is 317).
+# Enumeration ceiling.  A row of type e has B/12 <= e, and every real
+# quadratic field has 225 B^2 >= d^3: zeta_k(2) = zeta(2) L(2, chi) >=
+# zeta(4) = pi^4/90, so B = 24 zeta_k(-1) = 6 d^(3/2) zeta_k(2)/pi^4 >=
+# d^(3/2)/15.  The cutoff d^3 <= 225 (12 e)^2 this gives (347 for e = 36)
+# must lie within the ceiling; the largest d attaining B/12 <= 36 is 317.
 DISCRIMINANT_BOUND = 372
 
 
@@ -94,16 +96,20 @@ class CandidateRow:
 
 def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[CandidateRow]:
     """All exact solutions of the identity over fundamental discriminants
-    5 <= D <= 372, nonempty sets of split rational primes, and positive
-    integer indices, for the requested types; sorted by (e, D, index)."""
+    5 <= D <= the cutoff for the largest requested type (347 for 36),
+    nonempty sets of split rational primes, and positive integer indices,
+    for the requested types; sorted by (e, D, index)."""
     types = sorted(set(e_values))
     if not types or any(e % 4 != 0 or not 12 <= e <= 36 for e in types):
         raise ValueError(f"surface types must be multiples of 4 in [12, 36], got {e_values}")
     rows: list[CandidateRow] = []
     e_max = max(types)
-    for disc in fundamental_discriminants(5, DISCRIMINANT_BOUND):
+    cutoff = max(d for d in range(DISCRIMINANT_BOUND + 2) if d**3 <= 225 * (12 * e_max) ** 2)
+    if cutoff > DISCRIMINANT_BOUND:
+        raise AssertionError(f"discriminant cutoff {cutoff} exceeds {DISCRIMINANT_BOUND}")
+    for disc in fundamental_discriminants(5, cutoff):
         bern = bernoulli2(disc)
-        if bern / 12 > 36:
+        if bern / 12 > e_max:
             continue
         field = field_from_disc(disc)
         # any usable prime satisfies (p - 1)^2 <= 12 e_max / B

@@ -290,6 +290,34 @@ def test_quartic_without_assertion_fails_involution(capsys):
     assert "NOT ADMISSIBLE" in out.splitlines()[-1]
 
 
+def test_quartic_exceptional_invariant_order(capsys):
+    # disc(f) = 156^2: the field is unramified over Q(sqrt 39).
+    code, out, _ = invoke(
+        capsys,
+        "quartic", "--poly", "1,-2,-11,12,-3", "--subfield", "39",
+        "--subgroup", "full", "--zeta-bound", "1000",
+        "--infinite-conjugate-assert",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "field discriminant = 24336" in lines
+    assert "subfield = Q(sqrt(39)), discriminant 156" in lines
+    assert (
+        "invariant maximal order = no (the base field is unramified over the fixed field and "
+        "the algebra has 2 ramified places (finite plus ramified infinite ones), which is "
+        "2 mod 4: the exceptional case without an invariant maximal order)"
+    ) in lines
+
+
+def test_quartic_rejects_non_maximal_equation_order(capsys):
+    # x^4 - 16x^2 + 4 defines Q(sqrt3, sqrt5), of discriminant 3600, but
+    # disc(f) = 3686400: the equation order has index 32.
+    code, out, err = invoke(
+        capsys, "quartic", "--poly", "1,0,-16,0,4", "--subfield", "15", "--subgroup", "full"
+    )
+    assert code == 2 and out == "" and "not maximal at 2 " in err
+
+
 def test_quartic_rejects_reducible_poly(capsys):
     code, _, err = invoke(
         capsys, "quartic", "--poly", "1,0,0,0,-1", "--subfield", "5", "--subgroup", "full"

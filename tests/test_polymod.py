@@ -16,6 +16,7 @@ from shimsurf.exact import primes_up_to
 from shimsurf.polymod import (
     PolyModP,
     distinct_degree_factors,
+    is_p_maximal,
     padd,
     pderiv,
     pdivmod,
@@ -29,6 +30,7 @@ from shimsurf.polymod import (
     psub,
     squarefree_decomposition,
 )
+from shimsurf.quartic import _cubic_discriminant, _resolvent_cubic
 
 PRIMES_31 = primes_up_to(31)
 
@@ -158,6 +160,61 @@ def test_squarefree_decomposition_rejects_constants():
     for coeffs in ([1], [3], []):
         with pytest.raises(ValueError, match="need degree >= 1"):
             squarefree_decomposition(poly(5, coeffs))
+
+
+def test_factorization_steps_reject_non_monic():
+    # 2x^2 + 1 over F_5 must be refused, not decomposed as x^2 + 3.
+    f = poly(5, [1, 0, 2])
+    for step in (squarefree_decomposition, distinct_degree_factors, poly_factor_mod_p):
+        with pytest.raises(ValueError, match="monic"):
+            step(f)
+
+
+def _times_x_mod(a: list[int], f: list[int]) -> list[int]:
+    # x * a mod the monic f over Z (ascending coefficients, len(a) = deg f).
+    top, c = a[-1], [0] + a[:-1]
+    return [x - top * y for x, y in zip(c, f)]
+
+
+def _some_element_over_p_is_integral(f: list[int], p: int) -> bool:
+    # Whether A(x)/p is integral over Z for some nonzero A of degree
+    # < deg f with coefficients in [0, p): the characteristic polynomial of
+    # M/p, M the matrix of multiplication by A, has coefficients c_k(M)/p^k,
+    # with the c_k(M) from the Faddeev-LeVerrier recursion.
+    n = len(f) - 1
+    for A in itertools.product(range(p), repeat=n):
+        if not any(A):
+            continue
+        cols = [list(A)]
+        while len(cols) < n:
+            cols.append(_times_x_mod(cols[-1], f))
+        M = [[col[i] for col in cols] for i in range(n)]
+        N, integral = M, True
+        for k in range(1, n + 1):
+            c = -sum(N[i][i] for i in range(n)) // k
+            integral = integral and c % p**k == 0
+            B = [[N[i][j] + c * (i == j) for j in range(n)] for i in range(n)]
+            N = [[sum(M[i][t] * B[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        if integral:
+            return True
+    return False
+
+
+def test_dedekind_criterion_matches_integral_elements():
+    # Z[x]/(f) is p-maximal exactly when no element of (1/p) Z[x]/(f)
+    # outside it is integral; checked for every separable monic quartic in
+    # [-2, 2]^4 and each p in {2, 3} with p^2 | disc(f).
+    checked = refused = 0
+    for tail in itertools.product(range(-2, 3), repeat=4):
+        coeffs = (1, *tail)
+        disc = _cubic_discriminant(_resolvent_cubic(coeffs))
+        for p in (2, 3):
+            if disc and disc % (p * p) == 0:
+                f = list(coeffs[::-1])
+                maximal = is_p_maximal(f, p)
+                assert maximal != _some_element_over_p_is_integral(f, p), (coeffs, p)
+                checked, refused = checked + 1, refused + (not maximal)
+    assert (checked, refused) == (416, 152)
 
 
 def _reduced(h: PolyModP, p: int) -> bool:

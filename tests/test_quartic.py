@@ -1,5 +1,6 @@
 """Totally real quartic fields with a quadratic subfield: discriminants,
-Dedekind splitting, level primes, and the Dedekind zeta Euler product."""
+the maximality of the equation order, Dedekind splitting, level primes,
+and the Dedekind zeta Euler product."""
 
 import itertools
 import math
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shimsurf.exact import primes_up_to
+from shimsurf.exact import primes_up_to, square_part
 from shimsurf.polymod import distinct_degree_factors, poly, poly_factor_mod_p
 from shimsurf.quadfield import bernoulli2, quad_field
 from shimsurf.quartic import (
     _cubic_discriminant,
     _integer_roots,
+    _pair_discriminants,
     _real_root_count,
     _resolvent_cubic,
     choose_level_prime,
@@ -47,14 +49,12 @@ def K():
 
 @pytest.fixture(scope="module")
 def K_biquadratic():
-    # Q(sqrt3, sqrt5), unramified over Q(sqrt15); equation-order index 32.
-    return quartic_new((1, 0, -16, 0, 4), 15, field_disc_hint=3600)
+    # Q(sqrt2, sqrt3), discriminant 2304 = 8 * 12 * 24.
+    return quartic_new((1, -4, 2, 4, -2), 2)
 
 
 def test_golden_field_discriminants(K):
-    assert K.disc_poly == 725
     assert K.disc == 725
-    assert K.index == 1
     assert K.degree == 4
     assert K.subfield == quad_field(5)
 
@@ -103,8 +103,6 @@ def test_constructor_validation():
     for coeffs in ((1, 0, -4, 0, 8), (1, -3, 5, -3, 1)):
         with pytest.raises(ValueError, match=r"has 0 real root\(s\)"):
             quartic_new(coeffs, 2)
-    with pytest.raises(ValueError, match="inconsistent hint"):
-        quartic_new(GOLDEN, 5, field_disc_hint=145)
     with pytest.raises(ValueError, match="must divide the field discriminant"):
         quartic_new(GOLDEN, 2)
     with pytest.raises(ValueError, match="monic quartic"):
@@ -114,10 +112,52 @@ def test_constructor_validation():
     with pytest.raises(ValueError, match="resolvent cubic"):
         quartic_new((1, -6, -6, 6, -1), 2)
     # A biquadratic field certifies each of its three quadratic subfields.
-    for d in (3, 5, 15):
-        assert quartic_new((1, 0, -16, 0, 4), d, field_disc_hint=3600).subfield.d == d
     for d in (2, 3, 6):
         assert quartic_new((1, -4, 2, 4, -2), d).subfield.d == d
+    # Q(sqrt3, sqrt5) again, but Z[x]/(f) has index 32 in its maximal
+    # order: disc(f) = 3686400 = 32^2 * 3600.
+    for d in (3, 5, 15):
+        with pytest.raises(ValueError, match="not maximal at 2 "):
+            quartic_new((1, 0, -16, 0, 4), d)
+
+
+def test_maximality_matches_conductor_discriminant_formula():
+    # Every quartic in [-12, 12]^4 whose resolvent cubic has three integer
+    # roots and that is otherwise accepted defines a biquadratic field,
+    # whose discriminant is the product d1 d2 d3 of the discriminants of
+    # its three quadratic subfields.  The order Z[x]/(f) is maximal exactly
+    # when disc(f) = d1 d2 d3; quartic_new must accept exactly those.
+    seen = maximal = 0
+    for coeffs in itertools.product([1], *[range(-12, 13)] * 4):
+        disc = _cubic_discriminant(_resolvent_cubic(coeffs))
+        if disc <= 0 or math.isqrt(disc) ** 2 != disc:
+            continue  # a cubic with three integer roots has a square discriminant
+        roots = _integer_roots(_resolvent_cubic(coeffs))
+        pairs = [_pair_discriminants(coeffs, r) for r in roots]
+        radicands = {square_part(n)[0] for pair in pairs for n in pair if n > 0} - {1}
+        if len(roots) != 3 or len(radicands) != 3:
+            continue
+        try:
+            quartic_new(coeffs, min(radicands))
+            accepted = True
+        except ValueError as exc:
+            if "not maximal" not in str(exc):
+                continue
+            accepted = False
+        seen += 1
+        maximal += accepted
+        assert accepted == (disc == math.prod(quad_field(r).disc for r in radicands)), coeffs
+    assert (seen, maximal) == (125, 13)
+
+
+@pytest.mark.parametrize("disc, coeffs, sub", BENCHMARK_FIELDS)
+def test_scaled_orders_refused_at_their_prime(disc, coeffs, sub):
+    # p^4 f(x/p) defines the same field through Z[p theta], of index p^6:
+    # maximal at every prime but p.
+    for p in (2, 3, 5, 7):
+        scaled = tuple(c * p**k for k, c in enumerate(coeffs))
+        with pytest.raises(ValueError, match=f"not maximal at {p} "):
+            quartic_new(scaled, sub)
 
 
 @given(
@@ -178,12 +218,13 @@ def test_resolvent_facts_for_products_of_quadratics(params):
         quartic_new(coeffs, 5)
 
 
-def test_dedekind_inapplicable_at_index_primes(K_biquadratic):
-    assert K_biquadratic.index == 32
-    with pytest.raises(ValueError, match="Dedekind inapplicable"):
-        quartic_splitting(K_biquadratic, 2)
-    # Odd primes are fine; 7 is inert in both quadratic layers here.
-    assert quartic_splitting(K_biquadratic, 7) == [(2, 1), (2, 1)]
+def test_biquadratic_splittings(K_biquadratic):
+    # 2 ramifies in all three quadratic subfields, 3 in two of them; 5 is
+    # inert in Q(sqrt2) and Q(sqrt3) and splits in Q(sqrt6); 23 splits in all.
+    assert quartic_splitting(K_biquadratic, 2) == [(1, 4)]
+    assert quartic_splitting(K_biquadratic, 3) == [(2, 2)]
+    assert quartic_splitting(K_biquadratic, 5) == [(2, 1), (2, 1)]
+    assert quartic_splitting(K_biquadratic, 23) == [(1, 1)] * 4
 
 
 def test_zeta_bound_validation(K):
@@ -229,7 +270,7 @@ def test_distinct_degree_pattern_matches_factorization():
         for p in primes_up_to(2000):
             f = poly(p, list(reversed(coeffs)))
             factors = poly_factor_mod_p(f)
-            if K.disc_poly % p:
+            if K.disc % p:
                 pattern = [d for d, g in distinct_degree_factors(f) for _ in range(g.degree // d)]
                 assert pattern == sorted(g.degree for g, _ in factors), (disc, p)
             assert quartic_splitting(K, p) == sorted((g.degree, m) for g, m in factors), (disc, p)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shimsurf import search
 from shimsurf.quadfield import bernoulli2, fundamental_discriminants
 from shimsurf.search import (
     DEFAULT_TYPES,
@@ -135,6 +136,22 @@ def test_discriminant_bound_is_safe():
         if bernoulli2(disc) / 12 <= 36
     ]
     assert max(contributing) == 317
+
+
+def test_bernoulli_lower_bound_and_cutoff(monkeypatch):
+    # 225 B^2 >= d^3, from zeta_k(2) >= pi^4/90, is what lets the
+    # enumeration stop at the cutoff; check it exhaustively up to 2000.
+    for disc in fundamental_discriminants(5, 2000):
+        assert 225 * bernoulli2(disc) ** 2 >= disc**3, disc
+    # The cutoff is 347 for types up to 36 and 167 for type 12: a ceiling
+    # at the cutoff loses no row, and one below it raises.
+    full = enumerate_candidates()
+    for e_values, cutoff in ((DEFAULT_TYPES, 347), ((12,), 167)):
+        monkeypatch.setattr(search, "DISCRIMINANT_BOUND", cutoff)
+        assert enumerate_candidates(e_values) == [r for r in full if r.e in e_values]
+        monkeypatch.setattr(search, "DISCRIMINANT_BOUND", cutoff - 1)
+        with pytest.raises(AssertionError, match=f"cutoff {cutoff} exceeds {cutoff - 1}"):
+            enumerate_candidates(e_values)
 
 
 @given(st.sets(st.sampled_from(DEFAULT_TYPES), min_size=1))

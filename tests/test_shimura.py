@@ -90,11 +90,12 @@ def test_invariant_order_quadratic_always_exists():
 
 
 def test_invariant_order_exceptional_case_over_quartic():
-    # Q(sqrt3, sqrt5) is unramified over Q(sqrt15) (3600 = 60^2), and the
-    # algebra has exactly two ramified places (both infinite): 2 mod 4,
-    # the exceptional combination without an invariant maximal order.
-    K = quartic_new((1, 0, -16, 0, 4), 15, field_disc_hint=3600)
-    assert (K.disc, K.index) == (3600, 32)
+    # disc(f) = 24336 = 156^2 is the square of the discriminant of
+    # Q(sqrt39), so the field is unramified over it, and the algebra has
+    # exactly two ramified places (both infinite): 2 mod 4, the exceptional
+    # combination without an invariant maximal order.
+    K = quartic_new((1, -2, -11, 12, -3), 39)
+    assert K.disc == K.subfield.disc**2 == 156**2
     algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
     assert involution_exists(algebra).ok
     check = invariant_order_exists(algebra)
