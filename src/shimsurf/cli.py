@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from fractions import Fraction
+from typing import Callable
 
 from .exact import is_prime
 from .geometry import (
+    GENERAL_TYPE_MAX_E,
     QuotientInvariants,
     quotient_invariants,
     quotient_table,
@@ -42,7 +43,7 @@ from .shimura import (
     quadratic_algebra,
     quartic_algebra,
 )
-from .torsion import Verdict
+from .torsion import Place
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +65,9 @@ def _parse_primes(text: str, flag: str) -> list[int]:
     return values
 
 
-def _parse_subgroup(text: str) -> tuple[SubgroupKind, int | None]:
-    """``full`` or ``<kind>:<rational prime>`` for borel/unipotent/principal."""
+def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec:
+    """``full`` or ``<kind>:<rational prime>`` for borel/unipotent/principal;
+    ``level_of`` picks the level prime of the base over the rational one."""
     kind_name, _, level_text = text.partition(":")
     try:
         kind = SubgroupKind(kind_name)
@@ -77,13 +79,13 @@ def _parse_subgroup(text: str) -> tuple[SubgroupKind, int | None]:
     if kind is SubgroupKind.FULL:
         if level_text:
             raise ValueError("the full unit group takes no level prime")
-        return kind, None
+        return SubgroupSpec(kind, None)
     if not level_text:
         raise ValueError(f"subgroup kind {kind.value!r} needs a level prime, e.g. {kind.value}:11")
     p = int(level_text) if level_text.lstrip("-").isdigit() else None
     if p is None or not is_prime(p):
         raise ValueError(f"the level must be a rational prime, got {level_text!r}")
-    return kind, p
+    return SubgroupSpec(kind, level_of(p))
 
 
 def _csv_writer() -> csv.writer:
@@ -98,21 +100,10 @@ def _yes_no(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _general_type_text(flag: bool | None) -> str:
-    if flag is None:
-        return "undetermined by the sufficient bound"
-    return _yes_no(flag)
-
-
-def _general_type_csv(flag: bool | None) -> str:
-    return "undetermined" if flag is None else _yes_no(flag)
-
-
 def _quotient_line(inv: QuotientInvariants) -> str:
-    return (
-        f"K² = {inv.Ksq}, c₂ = {inv.c2}, p_g = {inv.pg}, q = {inv.q}, "
-        f"general type: {_general_type_text(inv.general_type)}"
-    )
+    flag = inv.general_type
+    general = "undetermined by the sufficient bound" if flag is None else _yes_no(flag)
+    return f"K² = {inv.Ksq}, c₂ = {inv.c2}, p_g = {inv.pg}, q = {inv.q}, general type: {general}"
 
 
 def _check_line(label: str, check) -> str:
@@ -130,26 +121,6 @@ def _subgroup_line(spec: SubgroupSpec) -> str:
     return f"subgroup = {spec.kind.value}, level over {q.p} (norm {q.norm}, {detail})"
 
 
-def _failure_summary(report: AdmissibilityReport) -> str:
-    parts = []
-    if not report.involution_ok:
-        parts.append("no involution of second kind")
-    if not report.invariant_order_ok:
-        parts.append("no conjugation-invariant maximal order")
-    if not report.level_invariance_ok:
-        parts.append("level not invariant under conjugation")
-    if report.torsion.verdict is Verdict.TORSION:
-        parts.append(f"torsion of order {report.torsion.order}")
-    elif report.torsion.verdict is Verdict.UNKNOWN:
-        parts.append("torsion undecided")
-    e = report.euler
-    if e is None:
-        parts.append("Euler number not recognized as a rational")
-    elif not (e.denominator == 1 and e > 0 and e % 4 == 0):
-        parts.append(f"Euler number {e} is not a positive integer divisible by 4")
-    return "; ".join(parts)
-
-
 def _report_tail_lines(report: AdmissibilityReport, with_quotients: bool) -> list[str]:
     """Torsion, surface invariants, and the final verdict line."""
     lines = [f"torsion = {report.torsion.verdict.value} ({report.torsion.reason})"]
@@ -157,13 +128,18 @@ def _report_tail_lines(report: AdmissibilityReport, with_quotients: bool) -> lis
         s = report.surface
         lines.append(f"surface: c₁² = {s.c1sq}, c₂ = {s.e}, χ = {s.chi}, p_g = {s.pg}, q = {s.q}")
         if with_quotients:
-            lines.append(f"quotient invariants for e = {s.e}:")
-            for g, inv in quotient_table(s.e):
-                lines.append(f"  g = {g}: {_quotient_line(inv)}")
+            if s.e > GENERAL_TYPE_MAX_E:
+                lines.append(
+                    f"quotient invariants for e = {s.e}: general type undetermined by the sufficient "
+                    f"bound (e > {GENERAL_TYPE_MAX_E}); per genus: shimsurf quotient --e {s.e} --g <genus>"
+                )
+            else:
+                lines.append(f"quotient invariants for e = {s.e}:")
+                lines.extend(f"  g = {g}: {_quotient_line(inv)}" for g, inv in quotient_table(s.e))
             lines.append("π₁(X/σ) finite")
         lines.append(f"ADMISSIBLE of type {report.admissible_type}; p_g(X) = {s.pg}")
     else:
-        lines.append(f"NOT ADMISSIBLE ({_failure_summary(report)})")
+        lines.append(f"NOT ADMISSIBLE ({'; '.join(report.obstructions)})")
     return lines
 
 
@@ -213,55 +189,38 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_quadratic_report(args: argparse.Namespace) -> tuple:
-    field = quad_field(args.d)
-    ram = _parse_primes(args.ram, "--ram")
-    algebra = quadratic_algebra(field, ram)
-    kind, level_p = _parse_subgroup(args.subgroup)
-    if kind is SubgroupKind.FULL:
-        spec = SubgroupSpec(kind, None)
-    else:
-        spec = SubgroupSpec(kind, primes_above(field, level_p)[0])
-    return field, algebra, admissibility_report(algebra, spec)
-
-
 def _cmd_surface(args: argparse.Namespace) -> int:
-    field, algebra, report = _build_quadratic_report(args)
+    field = quad_field(args.d)
+    algebra = quadratic_algebra(field, _parse_primes(args.ram, "--ram"))
+    spec = _parse_subgroup(args.subgroup, lambda p: primes_above(field, p)[0])
+    report = admissibility_report(algebra, spec)
     euler_full = euler_number_quadratic(algebra, 1)
     if args.format == "csv":
         s = report.surface
+        row = {
+            "d": field.d,
+            "disc": field.disc,
+            "ram_primes": ";".join(str(p) for p in algebra.ram_rational_primes),
+            "subgroup": report.spec.kind.value,
+            "level_norm": "" if report.spec.level is None else report.spec.level.norm,
+            "index": report.index,
+            "involution": _yes_no(report.involution_ok.ok),
+            "invariant_order": _yes_no(report.invariant_order_ok.ok),
+            "level_invariance": _yes_no(report.level_invariance_ok.ok),
+            "euler_num": report.euler.numerator,
+            "euler_den": report.euler.denominator,
+            "torsion": report.torsion.verdict.value,
+            "torsion_order": "" if report.torsion.order is None else report.torsion.order,
+            "admissible_type": "" if report.admissible_type is None else report.admissible_type,
+            "c1sq": "" if s is None else s.c1sq,
+            "c2": "" if s is None else s.e,
+            "chi": "" if s is None else s.chi,
+            "pg": "" if s is None else s.pg,
+            "q": "" if s is None else s.q,
+        }
         writer = _csv_writer()
-        writer.writerow(
-            [
-                "d", "disc", "ram_primes", "subgroup", "level_norm", "index",
-                "involution", "invariant_order", "level_invariance",
-                "euler_num", "euler_den", "torsion", "torsion_order",
-                "admissible_type", "c1sq", "c2", "chi", "pg", "q",
-            ]
-        )
-        writer.writerow(
-            [
-                field.d,
-                field.disc,
-                ";".join(str(p) for p in algebra.ram_rational_primes),
-                report.spec.kind.value,
-                "" if report.spec.level is None else report.spec.level.norm,
-                report.index,
-                _yes_no(report.involution_ok.ok),
-                _yes_no(report.invariant_order_ok.ok),
-                _yes_no(report.level_invariance_ok.ok),
-                report.euler.numerator,
-                report.euler.denominator,
-                report.torsion.verdict.value,
-                "" if report.torsion.order is None else report.torsion.order,
-                "" if report.admissible_type is None else report.admissible_type,
-                "" if s is None else s.c1sq,
-                "" if s is None else s.e,
-                "" if s is None else s.chi,
-                "" if s is None else s.pg,
-                "" if s is None else s.q,
-            ]
-        )
+        writer.writerow(row)
+        writer.writerow(row.values())
         return 0
     ram = ", ".join(str(p) for p in report.algebra.ram_rational_primes)
     lines = [
@@ -290,9 +249,8 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
         writer = _csv_writer()
         writer.writerow(["e", "g", "Ksq", "c2", "pg", "q", "general_type"])
         for g, inv in table:
-            writer.writerow(
-                [args.e, g, inv.Ksq, inv.c2, inv.pg, inv.q, _general_type_csv(inv.general_type)]
-            )
+            general = "undetermined" if inv.general_type is None else _yes_no(inv.general_type)
+            writer.writerow([args.e, g, inv.Ksq, inv.c2, inv.pg, inv.q, general])
         return 0
     if args.g is not None:
         print(_quotient_line(table[0][1]))
@@ -318,11 +276,7 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
         raise ValueError("--poly takes five comma-separated coefficients c4,c3,c2,c1,c0")
     K = quartic_new(tuple(coeffs), args.subfield)
     algebra = quartic_algebra(K, infinite_conjugate_asserted=args.infinite_conjugate_assert)
-    kind, level_p = _parse_subgroup(args.subgroup)
-    if kind is SubgroupKind.FULL:
-        spec = SubgroupSpec(kind, None)
-    else:
-        spec = SubgroupSpec(kind, choose_level_prime(K, level_p))
+    spec = _parse_subgroup(args.subgroup, lambda p: choose_level_prime(K, p))
     zeta2, zeta2_error = zeta2_euler_product(K, args.zeta_bound)
     report = admissibility_report(algebra, spec, zeta2=zeta2, zeta2_error=zeta2_error)
     est = report.euler_estimate

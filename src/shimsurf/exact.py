@@ -2,9 +2,9 @@
 
 Everything in this module is pure and deterministic: Kronecker symbols
 with the standard conventions at 2 and -1, integer factorization (trial
-division, Miller-Rabin, Brent's rho), square-part
-decomposition, and recovery of a rational from a floating-point
-approximation by a bounded-denominator sweep.
+division, Miller-Rabin, perfect powers by integer roots, Brent's rho),
+square-part decomposition, and recovery of a rational from a
+floating-point approximation by a bounded-denominator sweep.
 
 Rationals are `fractions.Fraction` throughout the package.  Python
 integers are unbounded, so no overflow handling is required anywhere.
@@ -85,8 +85,8 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    # Brent's cycle variant of Pollard rho; n odd composite, not a prime power
-    # of a small prime.  Deterministic scan over increment constants.
+    # Brent's cycle variant of Pollard rho; n odd composite, not a perfect
+    # power.  Deterministic scan over increment constants.
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -115,6 +115,18 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to factor {n}")
 
 
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with m = r^k and k >= 2, for m > 1, else None.  The k-th
+    root comes from Newton's method on integers, started above it."""
+    for k in range(2, m.bit_length()):
+        x = 1 << -(-m.bit_length() // k)
+        while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+            x = y
+        if x**k == m:
+            return x, k
+    return None
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, primes increasing."""
     if n < 1:
@@ -140,6 +152,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
             continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        # rho needs about sqrt(p) steps to split a power of p
+        power = _perfect_power(m)
+        if power is not None:
+            stack.extend([power[0]] * power[1])
             continue
         d = _brent_rho(m)
         stack.extend((d, m // d))

@@ -19,6 +19,7 @@ from typing import Iterable
 from .exact import is_prime
 
 __all__ = [
+    "GENERAL_TYPE_MAX_E",
     "SurfaceInvariants",
     "QuotientInvariants",
     "CurveData",
@@ -30,6 +31,9 @@ __all__ = [
     "fixed_curve_numbers",
     "shimura_curve_genus",
 ]
+
+# Largest e at which the sufficient criterion K^2 > 0 decides general type.
+GENERAL_TYPE_MAX_E = 36
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,8 @@ class SurfaceInvariants:
 class QuotientInvariants:
     """Invariants of the quotient of the surface by the involution.
 
-    ``general_type`` is True when the sufficient criterion applies (it
-    covers every e <= 36); None means the implemented bound does not
-    settle the question.
+    ``general_type`` is decided for every e <= GENERAL_TYPE_MAX_E; None
+    means the implemented bound does not settle the question.
     """
 
     Ksq: int
@@ -112,7 +115,7 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
     ksq = e + 5 * (1 - g)
     c2 = e // 2 + 1 - g
     pg = (e - 4 - 4 * g) // 8
-    general_type = (ksq > 0) if e <= 36 else None
+    general_type = (ksq > 0) if e <= GENERAL_TYPE_MAX_E else None
     return QuotientInvariants(Ksq=ksq, c2=c2, pg=pg, general_type=general_type)
 
 

@@ -45,9 +45,6 @@ class QuadField:
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
 
-    def splitting(self, p: int) -> Splitting:
-        return splitting_type(self, p)
-
     def bernoulli2(self) -> Fraction:
         return bernoulli2(self.disc)
 

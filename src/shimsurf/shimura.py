@@ -32,6 +32,7 @@ from .torsion import (
     BaseField,
     Place,
     TorsionVerdict,
+    Verdict,
     borel_torsion_verdict,
     full_torsion_verdict,
     principal_torsion_verdict,
@@ -132,10 +133,6 @@ class QuaternionAlgebra:
         return self.base.degree
 
     @property
-    def ram_infinite_count(self) -> int:
-        return self.degree - 2
-
-    @property
     def ram_rational_primes(self) -> tuple[int, ...]:
         return tuple(sorted({r.p for r in self.ram}))
 
@@ -221,39 +218,29 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
     )
 
 
-def _relative_extension_unramified(A: QuaternionAlgebra) -> bool:
-    """Whether the base is unramified over the fixed field, read off the
-    conductor-discriminant relation d_base = d_fixed^2.  Only a quartic
-    base can be: a real quadratic one has d_base >= 5 over d_Q = 1."""
-    return A.degree == 4 and A.base.disc == A.base.subfield.disc**2
-
-
 def invariant_order_exists(A: QuaternionAlgebra) -> Check:
     """Whether some maximal order is stable under the involution.  The
     only obstruction arises when the base is unramified over the fixed
     field and the number of ramified places of the algebra — finite ones
-    plus ramified infinite ones — is congruent to 2 mod 4."""
+    plus ramified infinite ones — is congruent to 2 mod 4.  Only a quartic
+    base can be unramified over its fixed field (a real quadratic one has
+    d_base >= 5 over d_Q = 1), which the conductor-discriminant relation
+    d_base = d_fixed^2 detects; a quartic algebra ramifies exactly at its
+    two excluded infinite places, so there the count is 2."""
     inv = involution_exists(A)
     if not inv:
         return Check(False, "no involution of second kind: " + inv.reason)
-    count = len(A.ram) + A.ram_infinite_count
-    if not _relative_extension_unramified(A):
+    if not (A.degree == 4 and A.base.disc == A.base.subfield.disc**2):
         return Check(
             True,
             "the base field is ramified over the fixed field of the involution, "
             "so an invariant maximal order always exists",
         )
-    if count % 4 == 2:
-        return Check(
-            False,
-            "the base field is unramified over the fixed field and the algebra "
-            f"has {count} ramified places (finite plus ramified infinite ones), "
-            "which is 2 mod 4: the exceptional case without an invariant maximal order",
-        )
     return Check(
-        True,
-        "the base field is unramified over the fixed field but the number of "
-        f"ramified places ({count}, counting ramified infinite ones) is not 2 mod 4",
+        False,
+        "the base field is unramified over the fixed field and the algebra "
+        "has 2 ramified places (finite plus ramified infinite ones), "
+        "which is 2 mod 4: the exceptional case without an invariant maximal order",
     )
 
 
@@ -361,8 +348,9 @@ class SubgroupSpec:
 class AdmissibilityReport:
     """Everything the pipeline certifies about one subgroup: the three
     involution-side checks, the index and Euler number, the torsion
-    verdict, and — when all conditions hold with an integral Euler number
-    divisible by 4 — the admissible type e and the surface invariants."""
+    verdict, the obstructions to admissibility (one short phrase per
+    failed condition, in that order), and — when there are none — the
+    admissible type e and the surface invariants."""
 
     algebra: QuaternionAlgebra
     spec: SubgroupSpec
@@ -373,6 +361,7 @@ class AdmissibilityReport:
     euler: Fraction | None
     euler_estimate: EulerEstimate | None
     torsion: TorsionVerdict
+    obstructions: tuple[str, ...]
     admissible_type: int | None
     surface: SurfaceInvariants | None
 
@@ -401,15 +390,13 @@ def admissibility_report(
         torsion = full_torsion_verdict(A.base, A.ram)
     else:
         q = spec.level
-        if q.field != A.base:
-            raise ValueError(f"level prime {q} does not live over the base field")
+        level_ok = level_invariance_ok(A, q)
         if q.p in A.ram_rational_primes:
             raise ValueError(
                 f"the level prime lies over {q.p}, which meets the ramification of "
                 "the algebra; congruence subgroups need an unramified level"
             )
         index = subgroup_index(spec.kind, q.norm)
-        level_ok = level_invariance_ok(A, q)
         torsion = _TORSION_DISPATCH[spec.kind](A.base, A.ram, q)
 
     euler: Fraction | None
@@ -425,18 +412,24 @@ def admissibility_report(
         )
         euler = estimate.recognized
 
+    obstructions = []
+    if not inv:
+        obstructions.append("no involution of second kind")
+    if not order_ok:
+        obstructions.append("no conjugation-invariant maximal order")
+    if not level_ok:
+        obstructions.append("level not invariant under conjugation")
+    if torsion.verdict is Verdict.TORSION:
+        obstructions.append(f"torsion of order {torsion.order}")
+    elif torsion.verdict is Verdict.UNKNOWN:
+        obstructions.append("torsion undecided")
+    if euler is None:
+        obstructions.append("Euler number not recognized as a rational")
+    elif not (euler.denominator == 1 and euler > 0 and euler % 4 == 0):
+        obstructions.append(f"Euler number {euler} is not a positive integer divisible by 4")
     admissible_type: int | None = None
     surface: SurfaceInvariants | None = None
-    if (
-        inv
-        and order_ok
-        and level_ok
-        and torsion.is_free
-        and euler is not None
-        and euler.denominator == 1
-        and euler > 0
-        and euler % 4 == 0
-    ):
+    if not obstructions:
         admissible_type = int(euler)
         surface = shimura_surface_invariants(admissible_type)
     return AdmissibilityReport(
@@ -449,6 +442,7 @@ def admissibility_report(
         euler=euler,
         euler_estimate=estimate,
         torsion=torsion,
+        obstructions=tuple(obstructions),
         admissible_type=admissible_type,
         surface=surface,
     )

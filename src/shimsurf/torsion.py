@@ -23,8 +23,11 @@ splitting computations in quadratic extensions:
 * n = 3, 4 over a quartic base at a prime not dividing 2m: Euler's
   criterion in the residue field.
 
-Everything else raises Undecidable, and the subgroup verdicts degrade to
-UNKNOWN instead of guessing.
+Every ramified place is decided: the quadratic criteria cover every
+candidate, and a quartic base has no finite ramification (the verdicts
+refuse one, as the algebra layer does).  Only a level prime over a
+quartic base can escape them, raising Undecidable, and the subgroup
+verdict then degrades to UNKNOWN instead of guessing.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
@@ -166,8 +169,7 @@ def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     """How the prime q behaves in base(zeta_n)/base, a quadratic extension.
 
     Raises Undecidable when no implemented criterion applies (some quartic
-    configurations); raises ValueError when base(zeta_n)/base is not
-    quadratic at all.
+    configurations).
     """
     field = q.field
     degree = field.degree
@@ -191,22 +193,25 @@ def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     raise TypeError(f"unsupported base field {field!r}")
 
 
-def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
-    """Orders of torsion certified in the full projectivized unit group.
+def _require_admitted(field: BaseField, ram: Sequence[Place]) -> None:
+    if field.degree == 4 and ram:
+        raise ValueError("quartic base algebras are supported only with empty finite ramification")
 
-    A candidate order survives when its cyclotomic extension embeds in the
-    algebra, i.e. no finite ramified prime splits in it (ramified real
-    places never split in a CM extension).  Undecided candidates are
-    omitted; may raise Undecidable if a ramified prime's behaviour is out
-    of reach (possible only over quartic bases with finite ramification).
-    """
-    certified = set()
-    for cand in possible_torsion_orders(field):
-        if not cand.decided:
-            continue
-        if all(cyclotomic_splitting(r, cand.n) is not Splitting.SPLIT for r in ram):
-            certified.add(cand.m)
-    return frozenset(certified)
+
+def _embeds(ram: Sequence[Place], n: int) -> bool:
+    """Whether base(zeta_n) embeds in the algebra: no finite ramified
+    prime splits in it (ramified real places never split in a CM
+    extension)."""
+    return all(cyclotomic_splitting(r, n) is not Splitting.SPLIT for r in ram)
+
+
+def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
+    """Orders of torsion certified in the full projectivized unit group:
+    the decided candidates whose cyclotomic extension embeds in the
+    algebra.  Undecided candidates are omitted.  Raises ValueError on a
+    quartic base with finite ramification, which no algebra admits."""
+    _require_admitted(field, ram)
+    return frozenset(c.m for c in possible_torsion_orders(field) if c.decided and _embeds(ram, c.n))
 
 
 def _prime_divisors(orders: Iterable[int]) -> set[int]:
@@ -226,21 +231,11 @@ class TorsionVerdict:
 
 def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdict:
     """Torsion verdict for the full projectivized unit group."""
-    undecided = [c for c in possible_torsion_orders(field) if not c.decided]
-    try:
-        orders = gamma1_torsion_orders(field, ram)
-    except Undecidable as exc:
-        return TorsionVerdict(Verdict.UNKNOWN, None, str(exc))
+    orders = gamma1_torsion_orders(field, ram)
     if orders:
         m = min(orders)
         return TorsionVerdict(
             Verdict.TORSION, m, f"cyclotomic extension for order {m} embeds in the algebra"
-        )
-    if undecided:
-        return TorsionVerdict(
-            Verdict.UNKNOWN,
-            None,
-            f"undecided candidate orders {[c.m for c in undecided]} for this field",
         )
     return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
 
@@ -251,22 +246,25 @@ def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> T
     Torsion is present iff some candidate extension embeds in the algebra
     and has q split in it; scanned in increasing order of m.
     """
+    _require_admitted(field, ram)
     unknown: list[str] = []
-    for cand in sorted(possible_torsion_orders(field), key=lambda c: c.m):
+    for cand in possible_torsion_orders(field):
         if not cand.decided:
             unknown.append(f"candidate order {cand.m} undecided for this field")
             continue
+        if not _embeds(ram, cand.n):
+            continue  # order m impossible everywhere
         try:
-            if any(cyclotomic_splitting(r, cand.n) is Splitting.SPLIT for r in ram):
-                continue  # extension does not embed; order m impossible everywhere
-            if cyclotomic_splitting(q, cand.n) is Splitting.SPLIT:
-                return TorsionVerdict(
-                    Verdict.TORSION,
-                    cand.m,
-                    f"order {cand.m}: its cyclotomic extension embeds and the level prime splits in it",
-                )
+            split = cyclotomic_splitting(q, cand.n) is Splitting.SPLIT
         except Undecidable as exc:
             unknown.append(str(exc))
+            continue
+        if split:
+            return TorsionVerdict(
+                Verdict.TORSION,
+                cand.m,
+                f"order {cand.m}: its cyclotomic extension embeds and the level prime splits in it",
+            )
     if unknown:
         return TorsionVerdict(Verdict.UNKNOWN, None, "; ".join(unknown))
     return TorsionVerdict(
@@ -278,29 +276,25 @@ def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> T
 
 def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q."""
+    _require_admitted(field, ram)
     p = q.p
-    candidates = possible_torsion_orders(field)
-    if p not in _prime_divisors(c.m for c in candidates):
+    if p not in _prime_divisors(c.m for c in possible_torsion_orders(field)):
         return TorsionVerdict(
             Verdict.FREE,
             None,
             f"prime-order torsion at level q would have order {p}, "
             "which is not available over this base field",
         )
-    try:
-        achievable = gamma1_torsion_orders(field, ram)
-    except Undecidable:
-        achievable = None
-    if achievable is not None and p not in _prime_divisors(achievable):
+    achievable = gamma1_torsion_orders(field, ram)
+    if p not in _prime_divisors(achievable):
         return TorsionVerdict(
             Verdict.FREE,
             None,
             f"order-{p} torsion is already absent from the full unit group",
         )
-    if achievable is not None and p in (2, 3) and p in achievable:
-        n = 4 if p == 2 else 3
+    if p in (2, 3) and p in achievable:
         try:
-            if cyclotomic_splitting(q, n) is Splitting.SPLIT:
+            if cyclotomic_splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
                 return TorsionVerdict(
                     Verdict.TORSION,
                     p,

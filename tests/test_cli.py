@@ -6,13 +6,17 @@ malformed calls, the headline report lines, CSV round-tripping, and the
 agreement of numeric facts between text and CSV modes.
 """
 
+import contextlib
 import csv
 import io
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shimsurf.cli import run
+from shimsurf.exact import primes_up_to
 
 
 def invoke(capsys, *argv):
@@ -75,7 +79,31 @@ def test_surface_full_group(capsys):
     assert code == 0
     assert "index = 1" in out
     assert "euler number = 2" in out
-    assert "NOT ADMISSIBLE" in out.splitlines()[-1]
+    assert out.splitlines()[-1] == (
+        "NOT ADMISSIBLE (torsion of order 2; Euler number 2 is not a positive integer divisible by 4)"
+    )
+
+
+def test_surface_large_type_prints_no_quotient_table(capsys):
+    # Beyond e = 36 the sufficient bound decides no genus, so the report
+    # points to the per-genus query instead of listing about e/8 rows.
+    # The last level is a prime near 10^15 whose inert norm is its square.
+    lines = {}
+    for d, ram, subgroup in (
+        ("29", "5", "principal:11"),
+        ("165", "43", "unipotent:191"),
+        ("33", "2", "borel:1000000000000037"),
+    ):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "surface", "--d", d, "--ram", ram, "--subgroup", subgroup)
+        assert code == 0 and len(out.splitlines()) <= 20
+        assert time.perf_counter() - start < 2.0
+        lines[subgroup] = out.splitlines()
+    assert (
+        "quotient invariants for e = 14171520: general type undetermined by the sufficient "
+        "bound (e > 36); per genus: shimsurf quotient --e 14171520 --g <genus>"
+    ) in lines["principal:11"]
+    assert "π₁(X/σ) finite" in lines["principal:11"]
 
 
 def test_surface_rejects_nonsplit_ram(capsys):
@@ -287,7 +315,9 @@ def test_quartic_without_assertion_fails_involution(capsys):
     )
     assert code == 0
     assert "involution of second kind = no" in out
-    assert "NOT ADMISSIBLE" in out.splitlines()[-1]
+    assert out.splitlines()[-1] == (
+        "NOT ADMISSIBLE (no involution of second kind; no conjugation-invariant maximal order)"
+    )
 
 
 def test_quartic_exceptional_invariant_order(capsys):
@@ -378,3 +408,79 @@ def test_unknown_subcommand_and_missing_args(capsys):
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "search", "--help")[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzz over every subcommand's argument grammar
+
+
+def _joined(values):
+    return ",".join(map(str, values))
+
+
+_SMALL_INT = st.integers(min_value=-10, max_value=10**4)
+_PRIME = st.sampled_from(primes_up_to(97))
+_INT_LIST = st.lists(st.one_of(_PRIME, _PRIME, _PRIME, _SMALL_INT), min_size=1, max_size=3).map(_joined)
+_SUBGROUP = st.one_of(
+    st.just("full"),
+    st.tuples(
+        st.sampled_from(["borel", "unipotent", "principal"] * 2 + ["full", "parabolic"]),
+        st.one_of(_PRIME, _PRIME, _SMALL_INT),
+    ).map(lambda t: f"{t[0]}:{t[1]}"),
+)
+_RAM = st.one_of(st.sampled_from(["2", "3", "5", "2,3", "2,5", "3,7", "2,3,5,7"]), _INT_LIST)
+_QUADRATIC_ALGEBRA = st.one_of(
+    st.sampled_from([(33, "2"), (17, "2"), (7, "3"), (29, "5"), (6, "5"), (2, "7"), (105, "2,13")]),
+    st.tuples(st.integers(min_value=-2, max_value=400), _RAM),
+)
+_TYPE = st.one_of(st.integers(min_value=1, max_value=2500).map(lambda k: 4 * k), _SMALL_INT)
+_FORMAT = st.sampled_from([[], ["--format", "csv"], ["--format", "xml"]])
+_COEFFS = st.lists(st.integers(min_value=-10, max_value=10), min_size=4, max_size=5)
+_QUARTIC_FIELD = st.one_of(
+    st.sampled_from([("1,-1,-3,1,1", 5), ("1,-5,3,5,1", 5), ("1,-4,2,4,-2", 2), ("1,-2,-11,12,-3", 39)]),
+    st.tuples(
+        st.one_of(_COEFFS.map(lambda xs: _joined([1] + xs)), _COEFFS.map(_joined)),
+        st.integers(min_value=-3, max_value=10),
+    ),
+)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_ARGV = st.one_of(
+    _SMALL_INT.map(lambda d: ["bernoulli", "--d", str(d)]),
+    st.tuples(
+        _opt("--e", st.lists(st.sampled_from([8, 12, 24, 36, 40]), min_size=1, max_size=2).map(_joined)),
+        _FORMAT,
+    ).map(lambda t: ["search", *t[0], *t[1]]),
+    st.tuples(_QUADRATIC_ALGEBRA, _SUBGROUP, _FORMAT).map(
+        lambda t: ["surface", "--d", str(t[0][0]), "--ram", t[0][1], "--subgroup", t[1], *t[2]]
+    ),
+    st.tuples(_TYPE, _opt("--g", st.integers(min_value=-2, max_value=40)), _FORMAT).map(
+        lambda t: ["quotient", "--e", str(t[0]), *t[1], *t[2]]
+    ),
+    st.tuples(_RAM, _SMALL_INT).map(lambda t: ["curve", "--ram", t[0], "--index", str(t[1])]),
+    st.tuples(
+        _QUARTIC_FIELD,
+        _SUBGROUP,
+        st.integers(min_value=-10, max_value=1000),
+        st.sampled_from([[], ["--infinite-conjugate-assert"]]),
+    ).map(
+        lambda t: [
+            "quartic", "--poly", t[0][0], "--subfield", str(t[0][1]), "--subgroup", t[1],
+            "--zeta-bound", str(t[2]), *t[3],
+        ]
+    ),
+)
+
+
+@given(_ARGV)
+@settings(max_examples=150, deadline=None)
+def test_fuzz_every_subcommand_exits_cleanly(argv):
+    # Valid and invalid arguments alike end in exit code 0 or 2, never in
+    # an uncaught exception or an internal invariant violation.
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2), argv

@@ -70,6 +70,10 @@ def test_factorize_reconstructs_and_certifies(n):
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
+    # prime powers beyond trial division, which rho would need ~sqrt(r) steps to split
+    r = 10**15 + 37
+    assert factorize(r**2) == [(r, 2)]
+    assert factorize(r**3 * 7) == [(7, 1), (r, 3)]
     assert factorize(1) == []
     with pytest.raises(ValueError):
         factorize(0)

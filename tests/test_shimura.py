@@ -184,6 +184,7 @@ def test_admissibility_golden_chain():
     assert report.euler == 24
     assert report.torsion.verdict is Verdict.FREE
     assert report.admissible_type == 24
+    assert report.obstructions == ()
     assert (report.surface.pg, report.surface.c1sq) == (5, 48)
 
 
@@ -194,6 +195,7 @@ def test_admissibility_negative_controls():
     report = admissibility_report(a17, SubgroupSpec(SubgroupKind.BOREL, q17))
     assert report.index == 18 and report.euler == 12
     assert (report.torsion.verdict, report.torsion.order) == (Verdict.TORSION, 2)
+    assert report.obstructions == ("torsion of order 2",)
     assert report.admissible_type is None and report.surface is None
 
     field7 = quad_field(7)
@@ -202,6 +204,7 @@ def test_admissibility_negative_controls():
     report = admissibility_report(a7, SubgroupSpec(SubgroupKind.PRINCIPAL, q2))
     assert report.index == 6 and report.euler == 32
     assert (report.torsion.verdict, report.torsion.order) == (Verdict.TORSION, 2)
+    assert report.obstructions == ("torsion of order 2",)
     assert report.admissible_type is None
 
 
@@ -211,6 +214,10 @@ def test_admissibility_full_group_not_integral():
     report = admissibility_report(algebra, SubgroupSpec(SubgroupKind.FULL, None))
     assert report.index == 1 and report.euler == 2
     assert report.admissible_type is None  # 2 is not divisible by 4
+    assert report.obstructions == (
+        "torsion of order 2",
+        "Euler number 2 is not a positive integer divisible by 4",
+    )
 
 
 def test_admissibility_rejects_level_meeting_ramification():

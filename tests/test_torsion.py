@@ -20,6 +20,7 @@ from shimsurf.quadfield import (
     quad_field,
     splitting_type,
 )
+from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.torsion import (
     Verdict,
     borel_torsion_verdict,
@@ -176,3 +177,22 @@ def test_verdicts_expose_reasons():
         unipotent_torsion_verdict(field, ram, q11),
     ):
         assert isinstance(verdict.reason, str) and verdict.reason
+
+
+def test_quartic_base_with_finite_ramification_is_refused():
+    # No algebra over a quartic base ramifies at a finite place, so every
+    # entry point refuses one, with the algebra layer's message.
+    K = quartic_new((1, -1, -3, 1, 1), 5)
+    ram = primes_above_quartic(K, 11)[:1]
+    q = choose_level_prime(K, 29)
+    calls = [
+        lambda: gamma1_torsion_orders(K, ram),
+        lambda: full_torsion_verdict(K, ram),
+        lambda: borel_torsion_verdict(K, ram, q),
+        lambda: unipotent_torsion_verdict(K, ram, q),
+        lambda: principal_torsion_verdict(K, ram, q),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="empty finite ramification"):
+            call()
+    assert sorted(gamma1_torsion_orders(K, ())) == [2, 3, 5]
