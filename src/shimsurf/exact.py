@@ -191,27 +191,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)*; requires gcd(a, n) = 1."""
-    a %= n
-    if n == 1:
-        return 1
-    if gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    k, x = 1, a
-    while x != 1:
-        x = x * a % n
-        k += 1
-    return k
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    for p, _ in factorize(n):
-        result = result // p * (p - 1)
-    return result
-
-
 def recognize_rational(x: float, max_den: int, tol: float) -> Fraction | None:
     """Recover x as a fraction with denominator <= max_den.
 

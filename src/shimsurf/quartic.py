@@ -1,6 +1,6 @@
 """Totally real quartic fields through a monic defining polynomial:
 certification from the resolvent cubic (irreducibility, the
-discriminant, the real-root count and the declared quadratic subfield)
+discriminant, the real-root count and the quadratic subfields)
 and from Dedekind's criterion (the equation order Z[x]/(f) is maximal),
 prime splitting read off the defining polynomial modulo p, the
 nonsplit-over-the-subfield test for level primes, and a truncated Euler
@@ -135,12 +135,14 @@ def _real_root_count(coeffs: Sequence[int], disc: int) -> int:
 class QuarticField:
     """A totally real quartic field presented by a monic defining
     polynomial (descending coefficients) whose equation order is maximal,
-    its discriminant disc(f) = d_K, and a declared real quadratic
-    subfield."""
+    its discriminant disc(f) = d_K, a declared real quadratic subfield,
+    and the radicands of all its quadratic subfields, in increasing order,
+    as certified by the resolvent cubic."""
 
     coeffs: tuple[int, int, int, int, int]
     disc: int
     subfield: QuadField
+    subfield_radicands: tuple[int, ...]
     degree: ClassVar[int] = 4
 
     def __str__(self) -> str:
@@ -174,6 +176,10 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
 
     Irreducibility, the discriminant, the real-root count and the
     subfields are all read off the resolvent cubic and its integer roots.
+    Every quadratic subfield is found: the Galois group keeps the pairing
+    of the roots into the two pairs conjugate over it, so the resolvent
+    root r of that pairing is an integer, and t1 + t2 or t1 t2 (not both
+    rational, f being irreducible) generates the subfield.
     """
     coeffs = tuple(int(c) for c in coeffs)
     if len(coeffs) != 5 or coeffs[0] != 1:
@@ -208,7 +214,9 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
                 f"the equation order Z[x]/(f) is not maximal at {p} (Dedekind's criterion), "
                 f"so the field discriminant is not disc(f) = {disc}"
             )
-    return QuarticField(coeffs=coeffs, disc=disc, subfield=subfield)
+    return QuarticField(
+        coeffs=coeffs, disc=disc, subfield=subfield, subfield_radicands=tuple(sorted(certified))
+    )
 
 
 @dataclass(frozen=True)

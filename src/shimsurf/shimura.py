@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 from .exact import factorize, recognize_rational
 from .geometry import SurfaceInvariants, shimura_surface_invariants
 from .quadfield import QuadField, QuadPrime, Splitting, primes_above
+from .quartic import QuarticField
 from .torsion import (
     BaseField,
     Place,
@@ -106,7 +107,7 @@ class QuaternionAlgebra:
     # Only meaningful over a quartic base, where the conjugacy of the two
     # unramified infinite places under the subfield automorphism cannot be
     # checked without archimedean embeddings and is taken on assertion.
-    infinite_conjugate_asserted: bool | None = None
+    infinite_conjugate_asserted: bool = False
 
     def __post_init__(self) -> None:
         degree = self.base.degree
@@ -168,7 +169,7 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
     return QuaternionAlgebra(field, tuple(ram))
 
 
-def quartic_algebra(field, infinite_conjugate_asserted: bool = False) -> QuaternionAlgebra:
+def quartic_algebra(field: QuarticField, infinite_conjugate_asserted: bool = False) -> QuaternionAlgebra:
     """The algebra over a quartic field ramified exactly at the two
     infinite places left out of the surface construction; the user asserts
     those two places to be conjugate under the subfield automorphism."""
@@ -294,7 +295,7 @@ def euler_number_general(
     zeta2: float,
     ram_norms: Sequence[int],
     index: int,
-    zeta2_error: float = 0.0,
+    zeta2_error: float,
 ) -> EulerEstimate:
     """Euler number from the volume formula in arbitrary degree n:
 
@@ -405,11 +406,11 @@ def admissibility_report(
         euler = euler_number_quadratic(A, index)
         estimate = None
     else:
-        if zeta2 is None:
-            raise ValueError("a zeta_k(2) estimate is required over a non-quadratic base")
-        estimate = euler_number_general(
-            A.base.disc, A.degree, zeta2, A.ram_norms, index, zeta2_error or 0.0
-        )
+        if zeta2 is None or zeta2_error is None:
+            raise ValueError(
+                "a zeta_k(2) estimate and its error bound are required over a non-quadratic base"
+            )
+        estimate = euler_number_general(A.base.disc, A.degree, zeta2, A.ram_norms, index, zeta2_error)
         euler = estimate.recognized
 
     obstructions = []

@@ -3,31 +3,35 @@
 An element of finite order m in the projectivized units forces the trace
 2 cos(pi/m) into the base field and amounts to an embedding of the CM
 field base(zeta_n), where n = m for odd m and n = 2m for even m.  The
-orders m = 2, 3 are candidates over every base; a real quadratic field
-adds m = 4, 5 or 6 when its radicand is 2, 5 or 3; a quartic field adds those same
-orders through its quadratic subfield, plus possibly m = 15, 8 or 10
-when its discriminant collides with a degree-four real cyclotomic field
-(those candidates are reported as undecided rather than resolved).
+orders m = 2, 3 are candidates over every base; each real quadratic
+subfield of radicand 2, 5 or 3 adds m = 4, 5 or 6 (for a quadratic base
+the field itself, for a quartic base every subfield its resolvent cubic
+certifies).  Composite orders such as 8, 10, 12 or 15 are not listed, and
+need not be: a torsion element has a power of prime order in the same
+subgroup, and an odd prime order l needs Q(cos(2 pi/l)), of degree
+(l - 1)/2, inside the base, so the only prime orders are 2, 3 and 5, the
+last one only when sqrt(5) lies in the base.  So a subgroup with no
+candidate torsion is torsion-free, and FREE is a proof.
 
 The embedding of base(zeta_n) into the algebra exists exactly when no
-ramified place splits in base(zeta_n)/base, so everything reduces to
-splitting computations in quadratic extensions:
+ramified place splits in base(zeta_n)/base, so everything reduces to one
+question: how does a place q over p behave in that quadratic extension?
 
-* n = 3, 4 over a quadratic base: the extension sits inside the
-  biquadratic field generated by sqrt(d) and sqrt(m), m = -3 or -1, and
-  the verdict follows from the Kronecker symbols of the three quadratic
-  subfield discriminants at p.
-* n = 5, 8, 12 over the matching quadratic base (radicand 5, 2, 3): the
-  extension is the full cyclotomic field of order n and the verdict
-  follows from the ramification/residue degrees of p in it.
-* n = 3, 4 over a quartic base at a prime not dividing 2m: Euler's
-  criterion in the residue field.
+* q not dividing n: Frobenius at q sends zeta_n to zeta_n^N(q), so q
+  splits exactly when N(q) = 1 (mod n), and is inert otherwise
+  (Washington, Introduction to Cyclotomic Fields, Thm 2.13).
+* q dividing n over a quadratic base Q(sqrt(d)): zeta_5 at 5 ramifies.
+  Otherwise p is 2 or 3 and base(zeta_n) = base(sqrt(m)) with m = -1 or
+  -3 respectively (Q(zeta_8) = Q(sqrt(2), sqrt(-1)) and Q(zeta_12) =
+  Q(sqrt(3), sqrt(-1)) = Q(sqrt(3), sqrt(-3))).  If p is unramified in the
+  base it ramifies in the extension; otherwise the extension behaves at q
+  as p does in Q(sqrt(d m)).
 
-Every ramified place is decided: the quadratic criteria cover every
-candidate, and a quartic base has no finite ramification (the verdicts
-refuse one, as the algebra layer does).  Only a level prime over a
-quartic base can escape them, raising Undecidable, and the subgroup
-verdict then degrades to UNKNOWN instead of guessing.
+Every ramified place is decided: over a quadratic base both rules cover
+it, and a quartic base has no finite ramification (the verdicts refuse
+one, as the algebra layer does).  Only a level prime over 2, 3 or 5 on a
+quartic base, dividing a candidate n, raises Undecidable, and the
+subgroup verdict then degrades to UNKNOWN instead of guessing.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .exact import euler_phi, factorize, kronecker, multiplicative_order
+from .exact import factorize, kronecker
 from .quadfield import QuadField, QuadPrime, Splitting, fundamental_discriminant
 from .quartic import QuarticField, QuarticPrime
 
@@ -71,126 +75,54 @@ class Verdict(Enum):
 @dataclass(frozen=True)
 class TorsionOrder:
     """A candidate order m of torsion, realized through roots of unity of
-    order n.  `decided` is False when membership of the trace field in the
-    base could not itself be settled."""
+    order n."""
 
     m: int
     n: int
-    decided: bool = True
 
 
-# Quartic fields whose discriminant matches a degree-four real cyclotomic
-# field; the corresponding torsion order cannot be confirmed or excluded
-# from the data we keep, so the candidate is marked undecided.
-_QUARTIC_TRACE_DISC = {1125: (15, 15), 2048: (8, 16), 2000: (10, 20)}
-
-_QUAD_EXTRA_ORDER = {2: (4, 8), 3: (6, 12), 5: (5, 5)}
-
-# radicand of the quadratic base over which base(zeta_n) is the full
-# cyclotomic field of order n
-_REAL_CYCLOTOMIC_RADICAND = {5: 5, 8: 2, 12: 3}
+_ALWAYS_ORDERS = (TorsionOrder(2, 4), TorsionOrder(3, 3))
+# the order added by a real quadratic subfield of the given radicand, in
+# increasing order of m
+_SUBFIELD_ORDER = {2: TorsionOrder(4, 8), 5: TorsionOrder(5, 5), 3: TorsionOrder(6, 12)}
 
 
 def possible_torsion_orders(field: BaseField) -> tuple[TorsionOrder, ...]:
-    """Candidate torsion orders for the given totally real base field."""
-    orders = [TorsionOrder(2, 4), TorsionOrder(3, 3)]
+    """Candidate torsion orders for the given totally real base field,
+    in increasing order of m."""
     degree = field.degree
     if degree == 2:
-        extra = _QUAD_EXTRA_ORDER.get(field.d)
-        if extra is not None:
-            orders.append(TorsionOrder(*extra))
+        radicands: tuple[int, ...] = (field.d,)
     elif degree == 4:
-        extra = _QUAD_EXTRA_ORDER.get(field.subfield.d)
-        if extra is not None:
-            orders.append(TorsionOrder(*extra))
-        undecided = _QUARTIC_TRACE_DISC.get(field.disc)
-        if undecided is not None:
-            orders.append(TorsionOrder(*undecided, decided=False))
+        radicands = field.subfield_radicands
     else:
         raise TypeError(f"unsupported base field {field!r}")
-    return tuple(sorted(orders, key=lambda c: c.m))
+    return _ALWAYS_ORDERS + tuple(c for d, c in _SUBFIELD_ORDER.items() if d in radicands)
 
 
 _SYMBOL_TO_SPLITTING = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}
 
 
-def _biquadratic_splitting(field: QuadField, p: int, m: int) -> Splitting:
-    """Splitting of a prime of the field over p in field(sqrt(m))/field.
-
-    The compositum is biquadratic over Q with quadratic subfields of
-    discriminants D1 = disc(field), D2 = disc(Q(sqrt m)), D3 =
-    disc(Q(sqrt(d*m))); the Kronecker symbols (Di|p) determine the
-    inertia and decomposition groups, hence the verdict.  The answer is
-    the same for both primes over a split p.
-    """
-    c1 = kronecker(field.disc, p)
-    c2 = kronecker(fundamental_discriminant(m), p)
-    c3 = kronecker(fundamental_discriminant(field.d * m), p)
-    zeros = (c1 == 0) + (c2 == 0) + (c3 == 0)
-    if zeros == 0:
-        assert c1 * c2 * c3 == 1, "quadratic characters must multiply to 1"
-        if c1 == -1:
-            # residue field of q is already quadratic; every unit below is
-            # a square in it, so the extension splits at q
-            return Splitting.SPLIT
-        return _SYMBOL_TO_SPLITTING[c2]
-    assert zeros != 1, "lone ramified subfield cannot occur for m in {-1,-3}"
-    if zeros == 3 or c1 != 0:
-        # all of the inertia of p sits in field(sqrt m)/field
-        return Splitting.RAMIFIED
-    # p ramifies in the base and in exactly one other quadratic subfield;
-    # the remaining unramified subfield carries the residue extension
-    c = c2 if c2 != 0 else c3
-    return _SYMBOL_TO_SPLITTING[c]
-
-
-def _real_cyclotomic_splitting(field: QuadField, q: QuadPrime, n: int) -> Splitting:
-    """Splitting of q in the degree-two extension (cyclotomic n)/field,
-    valid when the field is the maximal real subfield of that cyclotomic
-    field (radicand 5, 2, 3 for n = 5, 8, 12)."""
-    p = q.p
-    a, rest = 0, n
-    while rest % p == 0:
-        a += 1
-        rest //= p
-    e_top = euler_phi(p**a)
-    f_top = multiplicative_order(p % rest, rest) if rest > 1 else 1
-    e_rel, e_rem = divmod(e_top, q.ramification_index)
-    f_rel, f_rem = divmod(f_top, q.residue_degree)
-    assert e_rem == 0 and f_rem == 0 and e_rel * f_rel in (1, 2)
-    if e_rel == 2:
-        return Splitting.RAMIFIED
-    if f_rel == 2:
-        return Splitting.INERT
-    return Splitting.SPLIT
-
-
 def cyclotomic_splitting(q: Place, n: int) -> Splitting:
-    """How the prime q behaves in base(zeta_n)/base, a quadratic extension.
+    """How the prime q behaves in base(zeta_n)/base, a quadratic extension
+    for every candidate n of the base (see the module docstring for the
+    two rules).
 
-    Raises Undecidable when no implemented criterion applies (some quartic
-    configurations).
+    Raises Undecidable when n is not a candidate of the base, and at a q
+    dividing n over a quartic base.
     """
     field = q.field
-    degree = field.degree
-    if degree == 2:
-        if n in (3, 4):
-            return _biquadratic_splitting(field, q.p, -3 if n == 3 else -1)
-        if _REAL_CYCLOTOMIC_RADICAND.get(n) == field.d:
-            return _real_cyclotomic_splitting(field, q, n)
+    if all(c.n != n for c in possible_torsion_orders(field)):
         raise Undecidable(f"no criterion for zeta_{n} over {field}")
-    if degree == 4:
-        if n in (3, 4):
-            m = -3 if n == 3 else -1
-            p = q.p
-            if p == 2 or (-m) % p == 0:
-                raise Undecidable(f"no criterion for zeta_{n} over a quartic field at p={p}")
-            if q.residue_degree % 2 == 0:
-                return Splitting.SPLIT  # every unit of F_p is a square in F_{p^2}
-            euler = pow((m) % p, (p - 1) // 2, p)
-            return Splitting.SPLIT if euler == 1 else Splitting.INERT
-        raise Undecidable(f"no criterion for zeta_{n} over a quartic field")
-    raise TypeError(f"unsupported base field {field!r}")
+    p = q.p
+    if n % p:
+        return Splitting.SPLIT if q.norm % n == 1 else Splitting.INERT
+    if field.degree == 4:
+        raise Undecidable(f"no criterion for zeta_{n} over a quartic field at p={p}")
+    if n == 5 or kronecker(field.disc, p) != 0:
+        return Splitting.RAMIFIED
+    m = -1 if p == 2 else -3
+    return _SYMBOL_TO_SPLITTING[kronecker(fundamental_discriminant(field.d * m), p)]
 
 
 def _require_admitted(field: BaseField, ram: Sequence[Place]) -> None:
@@ -207,11 +139,11 @@ def _embeds(ram: Sequence[Place], n: int) -> bool:
 
 def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
     """Orders of torsion certified in the full projectivized unit group:
-    the decided candidates whose cyclotomic extension embeds in the
-    algebra.  Undecided candidates are omitted.  Raises ValueError on a
-    quartic base with finite ramification, which no algebra admits."""
+    the candidates whose cyclotomic extension embeds in the algebra.
+    Raises ValueError on a quartic base with finite ramification, which
+    no algebra admits."""
     _require_admitted(field, ram)
-    return frozenset(c.m for c in possible_torsion_orders(field) if c.decided and _embeds(ram, c.n))
+    return frozenset(c.m for c in possible_torsion_orders(field) if _embeds(ram, c.n))
 
 
 def _prime_divisors(orders: Iterable[int]) -> set[int]:
@@ -249,9 +181,6 @@ def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> T
     _require_admitted(field, ram)
     unknown: list[str] = []
     for cand in possible_torsion_orders(field):
-        if not cand.decided:
-            unknown.append(f"candidate order {cand.m} undecided for this field")
-            continue
         if not _embeds(ram, cand.n):
             continue  # order m impossible everywhere
         try:

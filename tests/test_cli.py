@@ -320,6 +320,29 @@ def test_quartic_without_assertion_fails_involution(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "poly, subfield, subgroup, torsion",
+    [
+        # Frobenius at a prime of norm 11 = 1 (mod 5) is trivial on zeta_5.
+        ("1,-1,-3,1,1", "5", "borel:11", "torsion = torsion (order 5: "),
+        ("1,-5,3,5,1", "5", "borel:11", "torsion = torsion (order 5: "),
+        # Q(zeta_16)^+ at 47: N(q) = 47 is not 1 mod 4, 3 or 8.
+        ("1,-4,-2,4,-1", "2", "borel:47", "torsion = free ("),
+        # a level over 5 divides n = 5 on a quartic base: no rule applies
+        ("1,-1,-3,1,1", "5", "principal:5", "torsion = unknown ("),
+    ],
+)
+def test_quartic_torsion_goldens(capsys, poly, subfield, subgroup, torsion):
+    code, out, _ = invoke(
+        capsys,
+        "quartic", "--poly", poly, "--subfield", subfield, "--subgroup", subgroup,
+        "--zeta-bound", "1000", "--infinite-conjugate-assert",
+    )
+    assert code == 0
+    (line,) = [line for line in out.splitlines() if line.startswith("torsion = ")]
+    assert line.startswith(torsion), line
+
+
 def test_quartic_exceptional_invariant_order(capsys):
     # disc(f) = 156^2: the field is unramified over Q(sqrt 39).
     code, out, _ = invoke(

@@ -2,7 +2,7 @@
 parts, modular square roots, and guarded rational recognition."""
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from shimsurf.exact import (
     PRIME_PROOF_BOUND,
-    euler_phi,
     factorize,
     is_prime,
     is_squarefree,
     kronecker,
-    multiplicative_order,
     primes_up_to,
     recognize_rational,
     square_part,
@@ -118,18 +116,6 @@ def test_kronecker_at_two_and_negative():
 @settings(max_examples=200, deadline=None)
 def test_kronecker_multiplicative_in_top(a, b, n):
     assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
-
-
-def test_multiplicative_order_and_phi():
-    for n in (2, 3, 4, 5, 12, 35, 97):
-        units = [a for a in range(1, n) if gcd(a, n) == 1]
-        for a in units:
-            k = multiplicative_order(a, n)
-            assert pow(a, k, n) == 1
-            assert all(pow(a, j, n) != 1 for j in range(1, k))
-        assert len(units) == euler_phi(n)
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 4)
 
 
 @given(st.integers(min_value=-2000, max_value=2000), st.integers(min_value=1, max_value=60))

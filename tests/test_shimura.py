@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shimsurf.exact import factorize, primes_up_to
 from shimsurf.quadfield import bernoulli2, quad_field, primes_above
-from shimsurf.quartic import quartic_new
+from shimsurf.quartic import choose_level_prime, quartic_new
 from shimsurf.shimura import (
     QuaternionAlgebra,
     SubgroupKind,
@@ -161,6 +161,21 @@ def test_general_formula_consistent_with_quadratic_at_degree_two():
 def test_euler_estimate_refuses_underresolved_input():
     estimate = euler_number_general(725, 4, 1.04, [29], 1, zeta2_error=0.5)
     assert estimate.recognized is None or estimate.max_den == 1
+
+
+def test_quartic_report_requires_the_zeta_error_bound():
+    # Without an error bound the recognition window shrinks to float
+    # rounding, so any zeta value would be certified: the true zeta_K(2) of
+    # the field of discriminant 725 (the one giving type 28 at unipotent:29)
+    # scaled by 32/28 would come out ADMISSIBLE of type 32.
+    K = quartic_new((1, -1, -3, 1, 1), 5)
+    algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
+    spec = SubgroupSpec(SubgroupKind.UNIPOTENT, choose_level_prime(K, 29))
+    true_zeta2 = 28 * 2**5 * math.pi**8 / (420 * 725**1.5)
+    with pytest.raises(ValueError, match="error bound"):
+        admissibility_report(algebra, spec, zeta2=true_zeta2 * 32 / 28)
+    report = admissibility_report(algebra, spec, zeta2=true_zeta2, zeta2_error=1e-9)
+    assert report.admissible_type == 28
 
 
 def test_algebra_constructor_validation():

@@ -11,10 +11,11 @@ subgroup at the prime over 2 for Q(sqrt(7)) ramified over 3).
 
 import pytest
 
-from shimsurf.exact import primes_up_to
+from shimsurf.exact import is_squarefree, kronecker, primes_up_to
 from shimsurf.quadfield import (
     Splitting,
     field_from_disc,
+    fundamental_discriminant,
     fundamental_discriminants,
     primes_above,
     quad_field,
@@ -22,6 +23,7 @@ from shimsurf.quadfield import (
 )
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.torsion import (
+    Undecidable,
     Verdict,
     borel_torsion_verdict,
     cyclotomic_splitting,
@@ -45,7 +47,16 @@ def test_possible_orders_generic_and_special_radicands():
     assert [(c.m, c.n) for c in possible_torsion_orders(quad_field(2))] == [(2, 4), (3, 3), (4, 8)]
     assert [(c.m, c.n) for c in possible_torsion_orders(quad_field(3))] == [(2, 4), (3, 3), (6, 12)]
     assert [(c.m, c.n) for c in possible_torsion_orders(quad_field(5))] == [(2, 4), (3, 3), (5, 5)]
-    assert all(c.decided for c in possible_torsion_orders(quad_field(33)))
+    # A quartic field takes them from every quadratic subfield its
+    # resolvent cubic certifies, whichever one is declared: Q(sqrt 2,
+    # sqrt 3) contains sqrt 2 and sqrt 3, the field of discriminant 725
+    # only sqrt 5.
+    for sub in (2, 3, 6):
+        K = quartic_new((1, -4, 2, 4, -2), sub)
+        assert K.subfield_radicands == (2, 3, 6)
+        assert [(c.m, c.n) for c in possible_torsion_orders(K)] == [(2, 4), (3, 3), (4, 8), (6, 12)]
+    K = quartic_new((1, -1, -3, 1, 1), 5)
+    assert [(c.m, c.n) for c in possible_torsion_orders(K)] == [(2, 4), (3, 3), (5, 5)]
 
 
 def test_gamma1_orders_frozen():
@@ -91,6 +102,89 @@ def test_cyclotomic_splitting_brute_force_squares():
                     else:
                         expected = Splitting.SPLIT
                     assert got is expected, (d, p, n)
+
+
+def _reference_kronecker_triple(field, p, m):
+    # Q(sqrt d, sqrt m) has the quadratic subfields of discriminants
+    # D1 = disc(field), D2 = disc(Q(sqrt m)), D3 = disc(Q(sqrt(d m))); the
+    # symbols (Di|p) fix the inertia and decomposition groups over p.
+    symbol = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}
+    c1 = kronecker(field.disc, p)
+    c2 = kronecker(fundamental_discriminant(m), p)
+    c3 = kronecker(fundamental_discriminant(field.d * m), p)
+    zeros = (c1 == 0) + (c2 == 0) + (c3 == 0)
+    if zeros == 0:
+        assert c1 * c2 * c3 == 1
+        return Splitting.SPLIT if c1 == -1 else symbol[c2]
+    assert zeros != 1
+    if zeros == 3 or c1 != 0:
+        return Splitting.RAMIFIED
+    return symbol[c2 if c2 != 0 else c3]
+
+
+def _reference_real_cyclotomic(q, n):
+    # base(zeta_n) is all of Q(zeta_n) over its maximal real subfield, so
+    # the relative e and f are those of p in Q(zeta_n) divided by those of q.
+    p, a, rest = q.p, 0, n
+    while rest % p == 0:
+        a, rest = a + 1, rest // p
+    e_top = p**a - p ** (a - 1) if a else 1
+    f_top = next(k for k in range(1, rest + 1) if pow(p, k, rest) == 1 % rest)
+    e_rel, f_rel = e_top // q.ramification_index, f_top // q.residue_degree
+    assert e_rel * q.ramification_index == e_top and f_rel * q.residue_degree == f_top
+    assert e_rel * f_rel in (1, 2)
+    if e_rel == 2:
+        return Splitting.RAMIFIED
+    return Splitting.INERT if f_rel == 2 else Splitting.SPLIT
+
+
+def test_cyclotomic_splitting_matches_the_quadratic_reference_criteria():
+    # The Frobenius rule and the rule at q dividing n agree with the
+    # Kronecker-triple criterion (n = 3, 4) and the real-cyclotomic one
+    # (n = 5, 8, 12 over radicand 5, 2, 3) at every place over p < 300,
+    # for every candidate n of every squarefree radicand below 400.
+    pairs = 0
+    primes = primes_up_to(299)
+    for d in range(2, 400):
+        if not is_squarefree(d):
+            continue
+        field = quad_field(d)
+        for cand in possible_torsion_orders(field):
+            n = cand.n
+            for p in primes:
+                for q in primes_above(field, p):
+                    if n in (3, 4):
+                        expected = _reference_kronecker_triple(field, p, -3 if n == 3 else -1)
+                    else:
+                        expected = _reference_real_cyclotomic(q, n)
+                    assert cyclotomic_splitting(q, n) is expected, (d, p, q.tag, n)
+                    pairs += 1
+    assert pairs == 44277
+
+
+def test_cyclotomic_splitting_raises_where_no_rule_applies():
+    with pytest.raises(Undecidable):
+        cyclotomic_splitting(primes_above(quad_field(33), 7)[0], 5)  # not a candidate
+    K = quartic_new((1, -1, -3, 1, 1), 5)
+    with pytest.raises(Undecidable):
+        cyclotomic_splitting(choose_level_prime(K, 5), 5)  # q | n on a quartic base
+    assert cyclotomic_splitting(choose_level_prime(K, 11), 5) is Splitting.SPLIT
+
+
+def test_verdicts_do_not_depend_on_the_declared_subfield():
+    # Q(sqrt 2, sqrt 3) declared through any of its three quadratic
+    # subfields is one field, so it gets one verdict at every level.
+    fields = [quartic_new((1, -4, 2, 4, -2), sub) for sub in (2, 3, 6)]
+    for p in primes_up_to(59):
+        places = [primes_above_quartic(K, p) for K in fields]
+        for i in range(len(places[0])):
+            verdicts = {
+                (borel_torsion_verdict(K, (), qs[i]), principal_torsion_verdict(K, (), qs[i]))
+                for K, qs in zip(fields, places)
+            }
+            assert len(verdicts) == 1, (p, verdicts)
+    for K in fields:
+        assert borel_torsion_verdict(K, (), choose_level_prime(K, 23)).verdict is Verdict.FREE
 
 
 def test_borel_free_at_11_over_radicand_33():
