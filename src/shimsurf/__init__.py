@@ -7,11 +7,14 @@ The layers, bottom up:
   deterministic primality and factorization, rational recognition);
 - :mod:`shimsurf.polymod` — dense polynomial arithmetic and factorization
   over prime fields;
+- :mod:`shimsurf.siegel` — exact zeta_K(-1) of totally real fields of
+  degree 2 and 4 by Siegel's formula, with Kummer-Dedekind primes and
+  valuations in a maximal equation order;
 - :mod:`shimsurf.quadfield` — real quadratic fields: splitting of primes,
-  conjugation, exact generalized Bernoulli values B_2;
+  conjugation, exact generalized Bernoulli values B_2 = 24 zeta_k(-1);
 - :mod:`shimsurf.quartic` — totally real quartic fields with a quadratic
   subfield: discriminants, splitting read off the defining polynomial
-  mod p, zeta Euler products;
+  mod p, and the zeta_K(2) Euler product kept as a cross-check;
 - :mod:`shimsurf.torsion` — certified torsion-freeness of congruence
   subgroups via cyclotomic splitting;
 - :mod:`shimsurf.shimura` — quaternion algebras, involutions of second

@@ -7,7 +7,7 @@ admissibility report for a congruence subgroup over a quadratic base,
 ``quotient`` prints the numerical invariants of an involution quotient,
 ``curve`` the Euler characteristic and genus of a quotient curve, and
 ``quartic`` the admissibility report over a totally real quartic base
-(where the Euler number rests on a Dedekind zeta Euler-product estimate).
+(with zeta_k(-1), hence the Euler number, exact by Siegel's formula).
 
 All output is deterministic.  Text mode prints ``key = value`` report
 lines; ``--format csv`` prints comma-separated rows with a header, stable
@@ -32,7 +32,7 @@ from .geometry import (
     shimura_curve_genus,
 )
 from .quadfield import QuadPrime, field_from_disc, primes_above, quad_field
-from .quartic import choose_level_prime, quartic_new, zeta2_euler_product
+from .quartic import choose_level_prime, quartic_new
 from .search import DEFAULT_TYPES, RowStatus, run_pipeline
 from .shimura import (
     AdmissibilityReport,
@@ -271,15 +271,15 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quartic(args: argparse.Namespace) -> int:
+    from .siegel import zeta_minus1  # on first use, as in quadfield.bernoulli2
+
     coeffs = _parse_int_list(args.poly, "--poly")
     if len(coeffs) != 5:
         raise ValueError("--poly takes five comma-separated coefficients c4,c3,c2,c1,c0")
     K = quartic_new(tuple(coeffs), args.subfield)
     algebra = quartic_algebra(K, infinite_conjugate_asserted=args.infinite_conjugate_assert)
     spec = _parse_subgroup(args.subgroup, lambda p: choose_level_prime(K, p))
-    zeta2, zeta2_error = zeta2_euler_product(K, args.zeta_bound)
-    report = admissibility_report(algebra, spec, zeta2=zeta2, zeta2_error=zeta2_error)
-    est = report.euler_estimate
+    report = admissibility_report(algebra, spec)
     lines = [
         f"polynomial = {K}",
         f"polynomial discriminant = {K.disc}",
@@ -290,14 +290,10 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
         _check_line("involution of second kind", report.involution_ok),
         _check_line("invariant maximal order", report.invariant_order_ok),
         _check_line("level invariance", report.level_invariance_ok),
-        f"zeta_k(2) = {zeta2:.8f} (error bound {zeta2_error:.2e}, "
-        f"Euler product over primes < {args.zeta_bound})",
+        f"zeta_k(-1) = {zeta_minus1(K)} (Siegel's formula, checked by s(2) = 129 s(1))",
+        f"euler number of the full group = {report.euler / report.index}",
+        f"euler number = {report.euler} (index {report.index} times zeta_k(-1)/2)",
     ]
-    if report.euler is not None:
-        lines.append(f"euler number of the full group = {report.euler / report.index}")
-        lines.append(f"euler number = {report.euler} ({est.note})")
-    else:
-        lines.append(f"euler number = unrecognized (float {est.value:.8g}; {est.note})")
     lines.extend(_report_tail_lines(report, with_quotients=False))
     print("\n".join(lines))
     return 0
@@ -363,7 +359,12 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="full, borel:<p>, unipotent:<p>, or principal:<p> (level = smallest-norm prime over p)",
     )
-    p.add_argument("--zeta-bound", type=int, default=100_000, help="Euler product prime bound")
+    p.add_argument(
+        "--zeta-bound",
+        type=int,
+        help="ignored: zeta_k(-1) is exact by Siegel's formula and no Euler product runs; "
+        "accepted so that older command lines still parse",
+    )
     p.add_argument(
         "--infinite-conjugate-assert",
         action="store_true",

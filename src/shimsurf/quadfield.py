@@ -6,9 +6,11 @@ split, stay inert, or ramify according to the Kronecker symbol of the
 discriminant, and a prime of the field is modelled as the rational prime
 below it plus a tag selecting one of the (at most two) primes above.
 
-The module also evaluates the generalized second Bernoulli number of the
-field's quadratic character by two independent closed forms that are
-checked against each other, in integers, on every evaluation.
+The generalized second Bernoulli number of the field's quadratic
+character is B_2 = 24 zeta_k(-1), exact by Siegel's formula
+(``siegel.zeta_minus1``, which checks s(2) = 9 s(1) on every evaluation)
+in about sqrt(disc) lattice points; the Theta(disc) character sum it
+replaced is the tests' reference.
 """
 
 from __future__ import annotations
@@ -33,6 +35,13 @@ class Splitting(Enum):
         return self.value
 
 
+_DECOMPOSITIONS = {
+    Splitting.SPLIT: ((1, 1), (1, 1)),
+    Splitting.INERT: ((2, 1),),
+    Splitting.RAMIFIED: ((1, 2),),
+}
+
+
 @dataclass(frozen=True)
 class QuadField:
     """The real quadratic field generated by the square root of d."""
@@ -44,6 +53,19 @@ class QuadField:
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
+
+    @property
+    def polynomial(self) -> tuple[int, int, int]:
+        """Ascending coefficients of the minimal polynomial of (1 + sqrt(d))/2
+        when d = 1 (mod 4), of sqrt(d) otherwise: a generator of the ring
+        of integers."""
+        if self.disc % 4 == 1:
+            return (-(self.disc - 1) // 4, -1, 1)
+        return (-self.d, 0, 1)
+
+    def decomposition(self, p: int) -> tuple[tuple[int, int], ...]:
+        """(residue degree, ramification index) of each prime over p."""
+        return _DECOMPOSITIONS[splitting_type(self, p)]
 
     def bernoulli2(self) -> Fraction:
         return bernoulli2(self.disc)
@@ -173,16 +195,12 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
 
 @lru_cache(maxsize=None)
 def bernoulli2(disc: int) -> Fraction:
-    """Generalized Bernoulli number B_2 of the quadratic character mod disc.
+    """Generalized Bernoulli number B_2 of the quadratic character mod disc:
+    24 zeta_k(-1) for the field k of discriminant disc, which Siegel's
+    formula gives exactly (``siegel.zeta_minus1``)."""
+    # Imported on first use, so that ``import shimsurf`` does not load the
+    # kernel; compiling it is most of its import time when no bytecode
+    # cache is written.
+    from .siegel import zeta_minus1
 
-    Two independent closed forms, disc * sum_a chi(a) B2(a/disc) with
-    B2(x) = x^2 - x + 1/6, and (1/disc) * sum_a chi(a) a^2, are asserted
-    equal through their integer numerators over the denominator 6 * disc.
-    """
-    if disc <= 1 or not is_fundamental_discriminant(disc):
-        raise ValueError(f"{disc} is not a real-quadratic fundamental discriminant")
-    chi = [0] + [kronecker(disc, a) for a in range(1, disc)]
-    squares = sum(chi[a] * a * a for a in range(1, disc))
-    via_poly = sum(chi[a] * (6 * a * a - 6 * a * disc + disc * disc) for a in range(1, disc))
-    assert via_poly == 6 * squares, f"Bernoulli cross-check failed at disc {disc}"
-    return Fraction(squares, disc)
+    return 24 * zeta_minus1(field_from_disc(disc))

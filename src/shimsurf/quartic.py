@@ -6,12 +6,16 @@ prime splitting read off the defining polynomial modulo p, the
 nonsplit-over-the-subfield test for level primes, and a truncated Euler
 product for the Dedekind zeta value at 2.
 
-No general number-field arithmetic is attempted: ``quartic_splitting``
-answers every splitting question from the degrees and multiplicities of
-the irreducible factors of the defining polynomial mod p, at every prime
-since the equation order is maximal.  The zeta product also accepts real
-quadratic fields, where splitting comes from the field character
-instead; this gives an exact cross-check of the volume formula in degree 2.
+``quartic_splitting`` answers every splitting question from the degrees
+and multiplicities of the irreducible factors of the defining polynomial
+mod p, at every prime since the equation order is maximal; the field
+hands its polynomial and these decompositions to ``siegel.zeta_minus1``,
+which gives zeta_K(-1), and so every Euler number, exactly.  The Euler
+product is not used for any reported number: it stays as the tests'
+independent check of that value through the functional equation
+zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), with a proven error
+bound.  It also accepts real quadratic fields, where splitting comes from
+the field character instead.
 """
 
 from __future__ import annotations
@@ -144,6 +148,15 @@ class QuarticField:
     subfield: QuadField
     subfield_radicands: tuple[int, ...]
     degree: ClassVar[int] = 4
+
+    @property
+    def polynomial(self) -> tuple[int, ...]:
+        """The defining polynomial in ascending coefficients."""
+        return self.coeffs[::-1]
+
+    def decomposition(self, p: int) -> list[tuple[int, int]]:
+        """(residue degree, ramification index) of each prime over p."""
+        return quartic_splitting(self, p)
 
     def __str__(self) -> str:
         """The defining polynomial, e.g. ``x^4 - x^3 - 3*x^2 + x + 1``."""

@@ -15,6 +15,23 @@ are diffed against the embedded fourteen-row classification table.
 The necessary conditions implemented here are not complete: a handful of
 rows (at discriminants 21, 33, 41, 57, 65) pass all of them yet admit no
 torsion-free group; they are reported as extras rather than suppressed.
+
+Two sharper criteria have been tried and must not be retried:
+
+* Klein-four or dihedral subgroups of the unit group, to force a larger
+  index.  They do not exist: every finite subgroup of the group is
+  cyclic.  A finite subgroup fixes a point of H x H (Cartan), so it lies
+  in a point stabilizer, which is abelian.  Two commuting elements whose
+  lifts to the quaternion algebra B commute lie in one CM field L over
+  the base K, where x -> x/conj(x) embeds the torsion of L^x/K^x into the
+  cyclic group of roots of unity of L.  Lifts a, b that anticommute, with
+  a^2 and b^2 in K, give B = (a^2, b^2)_K, and both squares are negative
+  at each split real place, because the reduced norms are positive
+  there; then B would ramify at places where it is split.  Elements of
+  odd order cannot anticommute.
+* Requiring the Borel, unipotent or principal index at a single
+  conjugation-stable prime.  It prunes the reference row
+  (e, D, ramification, index) = (16, 13, (3,), 12).
 """
 
 from __future__ import annotations

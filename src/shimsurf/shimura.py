@@ -10,11 +10,13 @@ declared quadratic subfield for a quartic one).  The number of ramified
 infinite places is implied by the degree: a surface algebra is unramified
 at exactly two infinite places.
 
-Euler numbers come in two flavours: an exact rational for quadratic
-bases, through the generalized Bernoulli number of the field character,
-and a floating estimate for arbitrary degree, through a truncated
-Dedekind zeta product that is immediately discharged into exact rational
-recognition with a denominator cap sized to the error budget.
+Euler numbers are exact rationals for both degrees,
+index * 2^(3-n) * zeta_k(-1) * prod (N - 1)^2, with zeta_k(-1) from
+Siegel's formula (``siegel.zeta_minus1``): over a quadratic base through
+the generalized Bernoulli number B_2 = 24 zeta_k(-1).  The volume
+formula with a floating zeta_k(2) stays as an independent cross-check
+(``euler_number_general``), and a zeta_k(2) estimate handed to the
+report must enclose the exact value.
 """
 
 from __future__ import annotations
@@ -359,8 +361,7 @@ class AdmissibilityReport:
     invariant_order_ok: Check
     level_invariance_ok: Check
     index: int
-    euler: Fraction | None
-    euler_estimate: EulerEstimate | None
+    euler: Fraction
     torsion: TorsionVerdict
     obstructions: tuple[str, ...]
     admissible_type: int | None
@@ -374,15 +375,30 @@ _TORSION_DISPATCH = {
 }
 
 
+def _zeta_minus1(field: BaseField) -> Fraction:
+    from .siegel import zeta_minus1  # on first use, as in quadfield.bernoulli2
+
+    return zeta_minus1(field)
+
+
 def admissibility_report(
     A: QuaternionAlgebra,
     spec: SubgroupSpec,
     zeta2: float | None = None,
     zeta2_error: float | None = None,
 ) -> AdmissibilityReport:
-    """Run the full pipeline for one algebra and subgroup.  Over a quartic
-    base a zeta estimate with its error bound must be supplied; over a
-    quadratic base the Euler number is computed exactly."""
+    """Run the full pipeline for one algebra and subgroup.  The Euler
+    number is exact over both bases.  A zeta_k(2) estimate, if supplied
+    with its error bound (as ``zeta2_euler_product`` returns them), must
+    enclose (2 pi^2)^n zeta_k(-1) / d_k^(3/2); ValueError otherwise."""
+    if zeta2 is not None:
+        if zeta2_error is None:
+            raise ValueError("a zeta_k(2) estimate needs its error bound")
+        exact = (2 * math.pi**2) ** A.degree * float(_zeta_minus1(A.base)) / A.base.disc**1.5
+        if not zeta2 * (1 - 1e-12) <= exact <= (zeta2 + zeta2_error) * (1 + 1e-12):
+            raise ValueError(
+                f"zeta_k(2) = {zeta2} (error bound {zeta2_error}) does not enclose the exact {exact}"
+            )
     inv = involution_exists(A)
     order_ok = invariant_order_exists(A)
     if spec.kind is SubgroupKind.FULL:
@@ -400,18 +416,10 @@ def admissibility_report(
         index = subgroup_index(spec.kind, q.norm)
         torsion = _TORSION_DISPATCH[spec.kind](A.base, A.ram, q)
 
-    euler: Fraction | None
-    estimate: EulerEstimate | None
     if A.degree == 2:
         euler = euler_number_quadratic(A, index)
-        estimate = None
-    else:
-        if zeta2 is None or zeta2_error is None:
-            raise ValueError(
-                "a zeta_k(2) estimate and its error bound are required over a non-quadratic base"
-            )
-        estimate = euler_number_general(A.base.disc, A.degree, zeta2, A.ram_norms, index, zeta2_error)
-        euler = estimate.recognized
+    else:  # index * 2^(3-4) * zeta_K(-1); a quartic algebra has no finite ramification
+        euler = index * _zeta_minus1(A.base) / 2
 
     obstructions = []
     if not inv:
@@ -424,9 +432,7 @@ def admissibility_report(
         obstructions.append(f"torsion of order {torsion.order}")
     elif torsion.verdict is Verdict.UNKNOWN:
         obstructions.append("torsion undecided")
-    if euler is None:
-        obstructions.append("Euler number not recognized as a rational")
-    elif not (euler.denominator == 1 and euler > 0 and euler % 4 == 0):
+    if not (euler.denominator == 1 and euler > 0 and euler % 4 == 0):
         obstructions.append(f"Euler number {euler} is not a positive integer divisible by 4")
     admissible_type: int | None = None
     surface: SurfaceInvariants | None = None
@@ -441,7 +447,6 @@ def admissibility_report(
         level_invariance_ok=level_ok,
         index=index,
         euler=euler,
-        euler_estimate=estimate,
         torsion=torsion,
         obstructions=tuple(obstructions),
         admissible_type=admissible_type,

@@ -39,6 +39,17 @@ def test_bernoulli_fractional(capsys):
     assert code == 0 and out == "4/5\n"
 
 
+def test_bernoulli_large_radicand_quickly(capsys):
+    # B_2 of Q(sqrt 1000003), disc 4000012: Siegel's formula walks about
+    # 6000 lattice points where the character sum needs 4 million
+    # Kronecker symbols; both gave this value.
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "bernoulli", "--d", "1000003")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out == "906137484\n"
+    assert elapsed < 2.0, f"took {elapsed:.2f}s >= 2s"
+
+
 def test_bernoulli_rejects_non_squarefree(capsys):
     code, out, err = invoke(capsys, "bernoulli", "--d", "12")
     assert code == 2 and out == "" and "squarefree" in err
@@ -293,6 +304,21 @@ def test_quartic_golden_admissible(capsys):
     assert "index = 420" in lines
     assert "euler number of the full group = 1/15" in lines
     assert lines[-1] == "ADMISSIBLE of type 28; p_g(X) = 6"
+
+
+def test_quartic_euler_number_is_exact_for_a_large_index(capsys):
+    # A prime of norm 2401 over 7: the old float recognizer printed 1121.
+    code, out, _ = invoke(
+        capsys,
+        "quartic", "--poly", "1,-5,3,5,1", "--subfield", "5",
+        "--subgroup", "borel:7", "--zeta-bound", "10000",
+        "--infinite-conjugate-assert",
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "index = 2402" in lines
+    assert "euler number of the full group = 7/15" in lines
+    assert "euler number = 16814/15 (index 2402 times zeta_k(-1)/2)" in lines
 
 
 def test_quartic_full_group_not_admissible(capsys):

@@ -43,14 +43,35 @@ BERNOULLI_TABLE = {
 }
 
 
+def character_sum_bernoulli(disc):
+    """B_2 of the quadratic character mod disc by two closed forms,
+    disc * sum_a chi(a) B2(a/disc) with B2(x) = x^2 - x + 1/6, and
+    (1/disc) * sum_a chi(a) a^2, asserted equal through their integer
+    numerators over the denominator 6 * disc: Theta(disc) Kronecker
+    symbols, kept as the reference for the kernel."""
+    chi = [0] + [kronecker(disc, a) for a in range(1, disc)]
+    squares = sum(chi[a] * a * a for a in range(1, disc))
+    via_poly = sum(chi[a] * (6 * a * a - 6 * a * disc + disc * disc) for a in range(1, disc))
+    assert via_poly == 6 * squares, disc
+    return Fraction(squares, disc)
+
+
+def test_kernel_matches_the_character_sum_to_2000():
+    count = 0
+    for disc in fundamental_discriminants(5, 2000):
+        assert bernoulli2(disc) == character_sum_bernoulli(disc), disc
+        count += 1
+    assert count == 607
+
+
 def test_bernoulli_frozen_table():
     for disc, value in BERNOULLI_TABLE.items():
         assert bernoulli2(disc) == value, disc
 
 
 def test_bernoulli_closed_forms_agree_up_to_400():
-    # bernoulli2 internally evaluates two independent closed forms and
-    # asserts their agreement; also pin positivity and the zeta bridge:
+    # bernoulli2 checks Siegel's identity s(2) = 9 s(1) on every
+    # evaluation; also pin positivity and the zeta bridge:
     # zeta_k(2) = pi^4 B / (6 d^(3/2)) must land in (1, zeta(2)^2).
     zeta_q2_squared = (math.pi**2 / 6) ** 2
     for disc in fundamental_discriminants(5, 400):

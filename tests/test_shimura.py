@@ -164,18 +164,22 @@ def test_euler_estimate_refuses_underresolved_input():
 
 
 def test_quartic_report_requires_the_zeta_error_bound():
-    # Without an error bound the recognition window shrinks to float
-    # rounding, so any zeta value would be certified: the true zeta_K(2) of
-    # the field of discriminant 725 (the one giving type 28 at unipotent:29)
-    # scaled by 32/28 would come out ADMISSIBLE of type 32.
+    # A zeta_k(2) estimate handed to the report is a cross-check of the
+    # exact Euler number: it needs its error bound, and its window must
+    # hold the exact value.  The true zeta_K(2) of the field of
+    # discriminant 725 scaled by 32/28 (which once came out ADMISSIBLE of
+    # type 32 at unipotent:29) is refused either way.
     K = quartic_new((1, -1, -3, 1, 1), 5)
     algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
     spec = SubgroupSpec(SubgroupKind.UNIPOTENT, choose_level_prime(K, 29))
     true_zeta2 = 28 * 2**5 * math.pi**8 / (420 * 725**1.5)
     with pytest.raises(ValueError, match="error bound"):
         admissibility_report(algebra, spec, zeta2=true_zeta2 * 32 / 28)
+    with pytest.raises(ValueError, match="does not enclose"):
+        admissibility_report(algebra, spec, zeta2=true_zeta2 * 32 / 28, zeta2_error=1e-9)
     report = admissibility_report(algebra, spec, zeta2=true_zeta2, zeta2_error=1e-9)
     assert report.admissible_type == 28
+    assert admissibility_report(algebra, spec).euler == 28
 
 
 def test_algebra_constructor_validation():
