@@ -9,9 +9,11 @@ The layers, bottom up:
   over prime fields;
 - :mod:`shimsurf.siegel` — exact zeta_K(-1) of totally real fields of
   degree 2 and 4 by Siegel's formula, with Kummer-Dedekind primes and
-  valuations in a maximal equation order;
+  valuations in a maximal equation order; it runs for quartic fields,
+  and its degree-2 instance is the tests' reference for ``quadfield``;
 - :mod:`shimsurf.quadfield` — real quadratic fields: splitting of primes,
-  conjugation, exact generalized Bernoulli values B_2 = 24 zeta_k(-1);
+  conjugation, exact generalized Bernoulli values B_2 = 24 zeta_k(-1)
+  from Cohen's closed divisor sum;
 - :mod:`shimsurf.quartic` — totally real quartic fields with a quadratic
   subfield: discriminants, splitting read off the defining polynomial
   mod p, and the zeta_K(2) Euler product kept as a cross-check;

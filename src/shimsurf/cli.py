@@ -271,7 +271,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quartic(args: argparse.Namespace) -> int:
-    from .siegel import zeta_minus1  # on first use, as in quadfield.bernoulli2
+    from .siegel import zeta_minus1  # on first use, as in shimura._zeta_minus1
 
     coeffs = _parse_int_list(args.poly, "--poly")
     if len(coeffs) != 5:

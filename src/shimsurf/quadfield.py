@@ -7,10 +7,20 @@ discriminant, and a prime of the field is modelled as the rational prime
 below it plus a tag selecting one of the (at most two) primes above.
 
 The generalized second Bernoulli number of the field's quadratic
-character is B_2 = 24 zeta_k(-1), exact by Siegel's formula
-(``siegel.zeta_minus1``, which checks s(2) = 9 s(1) on every evaluation)
-in about sqrt(disc) lattice points; the Theta(disc) character sum it
-replaced is the tests' reference.
+character is B_2 = 24 zeta_k(-1) = 2 s(1)/5, by Siegel's formula in
+Cohen's closed form: the totally positive nu in the inverse different
+d^-1 = (1/sqrt(D)) O with Tr(nu) = 1 are nu = (u + sqrt(D))/(2 sqrt(D))
+for the integers u with u^2 < D and u = D (mod 2), and nu d is the
+primitive ideal ((u + sqrt(D))/2) of norm (D - u^2)/4, whose ideal
+divisor sum is the integer sigma_1((D - u^2)/4) (Cohen, Math. Ann. 217,
+1975; Zagier, Enseign. Math. 22, 1976).  So
+
+    s(1) = sum over u^2 < D, u = D (mod 2) of sigma_1((D - u^2)/4),
+
+in about sqrt(D) integer divisor sums, cached across fields.  Every
+evaluation also checks s(2) = 9 s(1), over the points gamma = w + sqrt(D)
+of trace 2; the degree-n Siegel kernel (``siegel.zeta_minus1``) and the
+Theta(D) character sum are the tests' references.
 """
 
 from __future__ import annotations
@@ -19,9 +29,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import ClassVar, Iterator
 
-from .exact import is_prime, is_squarefree, kronecker, square_part
+from .exact import factorize, is_prime, is_squarefree, kronecker, square_part
 
 
 class Splitting(Enum):
@@ -35,13 +46,6 @@ class Splitting(Enum):
         return self.value
 
 
-_DECOMPOSITIONS = {
-    Splitting.SPLIT: ((1, 1), (1, 1)),
-    Splitting.INERT: ((2, 1),),
-    Splitting.RAMIFIED: ((1, 2),),
-}
-
-
 @dataclass(frozen=True)
 class QuadField:
     """The real quadratic field generated by the square root of d."""
@@ -53,19 +57,6 @@ class QuadField:
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
-
-    @property
-    def polynomial(self) -> tuple[int, int, int]:
-        """Ascending coefficients of the minimal polynomial of (1 + sqrt(d))/2
-        when d = 1 (mod 4), of sqrt(d) otherwise: a generator of the ring
-        of integers."""
-        if self.disc % 4 == 1:
-            return (-(self.disc - 1) // 4, -1, 1)
-        return (-self.d, 0, 1)
-
-    def decomposition(self, p: int) -> tuple[tuple[int, int], ...]:
-        """(residue degree, ramification index) of each prime over p."""
-        return _DECOMPOSITIONS[splitting_type(self, p)]
 
     def bernoulli2(self) -> Fraction:
         return bernoulli2(self.disc)
@@ -193,14 +184,40 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
     return [QuadPrime(field, p, kind, 0)]
 
 
+@lru_cache(maxsize=1 << 14)
+def _sigma1(n: int) -> int:
+    """The sum of the divisors of n >= 1."""
+    total = 1
+    for p, k in factorize(n):
+        total *= (p ** (k + 1) - 1) // (p - 1)
+    return total
+
+
 @lru_cache(maxsize=None)
 def bernoulli2(disc: int) -> Fraction:
     """Generalized Bernoulli number B_2 of the quadratic character mod disc:
-    24 zeta_k(-1) for the field k of discriminant disc, which Siegel's
-    formula gives exactly (``siegel.zeta_minus1``)."""
-    # Imported on first use, so that ``import shimsurf`` does not load the
-    # kernel; compiling it is most of its import time when no bytecode
-    # cache is written.
-    from .siegel import zeta_minus1
+    24 zeta_k(-1) = 2 s(1)/5 for the field k of discriminant disc.
 
-    return 24 * zeta_minus1(field_from_disc(disc))
+    Raises AssertionError, also under ``python -O``, unless s(2) = 9 s(1).
+    The points of trace 2 are gamma = w + sqrt(D) with w^2 < D, of norm
+    D - w^2.  gamma has content 2 exactly when w = D (mod 2), and is
+    primitive otherwise, with divisor sum sigma_1(D - w^2).  For content
+    2, (gamma) = (2) b with b primitive of norm (D - w^2)/4 = 2^a m, m odd;
+    the primes over 2 give the factor 5 (2 inert, so a = 0),
+    3 (2^(a+2) - 1) (2 split) or 2^(a+3) - 1 (2 ramified, a <= 1)."""
+    field = field_from_disc(disc)
+    chi2 = kronecker(disc, 2)  # 1, -1, 0: 2 splits, is inert, ramifies
+    r = isqrt(disc)
+    s1 = s2 = 0
+    for w in range(-r, r + 1):
+        norm = disc - w * w
+        if (disc - w) % 2:
+            s2 += _sigma1(norm)
+            continue
+        n = norm // 4  # also the norm of the trace-1 point u = w
+        low = n & -n  # 2^a
+        s1 += _sigma1(n)
+        s2 += _sigma1(n // low) * (5 if chi2 < 0 else 3 * (4 * low - 1) if chi2 else 8 * low - 1)
+    if s2 != 9 * s1:
+        raise AssertionError(f"Siegel's identity s(2) = 9 s(1) fails for {field}: s(1) = {s1}, s(2) = {s2}")
+    return Fraction(2 * s1, 5)

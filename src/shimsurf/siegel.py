@@ -16,7 +16,10 @@ ganzzahligen Stellen", Nachr. Akad. Wiss. Goettingen 1969; Zagier, "On the
 values at negative integers of the zeta-function of a real quadratic
 field", Enseign. Math. 22, 1976; for n = 2 this is Cohen's sum, Math. Ann.
 217, 1975).  The coefficient of q^2 gives s(2) = sigma_{2n-1}(2) s(1),
-that is 9 s(1) or 129 s(1), and every evaluation checks it.
+that is 9 s(1) or 129 s(1), and every evaluation checks it.  The
+quartic path reads zeta_K(-1) from here; the quadratic one sums Cohen's
+closed form (``quadfield.bernoulli2``), and the degree-2 instance of this
+kernel is that sum's test reference.
 
 The field comes with a monic defining polynomial f whose equation order
 Z[alpha] = Z[x]/(f) is maximal.  Then d = (f'(alpha)), so nu = beta/f'(alpha)

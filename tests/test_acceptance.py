@@ -312,7 +312,7 @@ def test_criterion_8d_bernoulli_closed_forms(capsys):
     failures = []
     count = 0
     for disc in fundamental_discriminants(5, 400):
-        value = bernoulli2(disc)  # raises unless the kernel's identity s(2) = 9 s(1) holds
+        value = bernoulli2(disc)  # raises unless Siegel's identity s(2) = 9 s(1) holds
         count += 1
         if not value > 0:
             failures.append(f"B({disc}) = {value} not positive")

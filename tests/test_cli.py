@@ -3,13 +3,18 @@
 Every invocation runs in-process through ``run(argv)``; stdout/stderr are
 captured with capsys.  The golden set pins exit codes for well-formed and
 malformed calls, the headline report lines, CSV round-tripping, and the
-agreement of numeric facts between text and CSV modes.
+agreement of numeric facts between text and CSV modes.  One check runs
+quadratic commands in a fresh interpreter, to see which modules they load.
 """
 
 import contextlib
 import csv
 import io
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,9 +45,9 @@ def test_bernoulli_fractional(capsys):
 
 
 def test_bernoulli_large_radicand_quickly(capsys):
-    # B_2 of Q(sqrt 1000003), disc 4000012: Siegel's formula walks about
-    # 6000 lattice points where the character sum needs 4 million
-    # Kronecker symbols; both gave this value.
+    # B_2 of Q(sqrt 1000003), disc 4000012: Cohen's closed sum takes
+    # about 4000 integer divisor sums where the character sum needs 4
+    # million Kronecker symbols; both give this value.
     start = time.perf_counter()
     code, out, _ = invoke(capsys, "bernoulli", "--d", "1000003")
     elapsed = time.perf_counter() - start
@@ -53,6 +58,34 @@ def test_bernoulli_large_radicand_quickly(capsys):
 def test_bernoulli_rejects_non_squarefree(capsys):
     code, out, err = invoke(capsys, "bernoulli", "--d", "12")
     assert code == 2 and out == "" and "squarefree" in err
+
+
+_LOADS_SIEGEL = """
+import contextlib, io, sys
+from shimsurf.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(code, "shimsurf.siegel" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bernoulli", "--d", "33"],
+        ["search", "--format", "csv"],
+        ["surface", "--d", "33", "--ram", "2", "--subgroup", "borel:11", "--format", "csv"],
+    ],
+    ids=["bernoulli", "search", "surface"],
+)
+def test_quadratic_commands_leave_the_siegel_kernel_unloaded(argv):
+    # Cohen's closed sum gives every quadratic B_2, so a fresh process
+    # never compiles the lattice kernel.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_SIEGEL, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------

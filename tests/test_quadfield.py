@@ -48,7 +48,7 @@ def character_sum_bernoulli(disc):
     disc * sum_a chi(a) B2(a/disc) with B2(x) = x^2 - x + 1/6, and
     (1/disc) * sum_a chi(a) a^2, asserted equal through their integer
     numerators over the denominator 6 * disc: Theta(disc) Kronecker
-    symbols, kept as the reference for the kernel."""
+    symbols, kept as the reference for Cohen's closed sum."""
     chi = [0] + [kronecker(disc, a) for a in range(1, disc)]
     squares = sum(chi[a] * a * a for a in range(1, disc))
     via_poly = sum(chi[a] * (6 * a * a - 6 * a * disc + disc * disc) for a in range(1, disc))

@@ -1,7 +1,11 @@
 """The bounded classification search: exact enumeration, torsion pruning,
 and the diff against the embedded reference classification."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +126,17 @@ def test_enumeration_validates_types():
 def test_row_constructor_enforces_identity():
     with pytest.raises(AssertionError):
         CandidateRow(D=17, B2=Fraction(8), e=12, ram_primes=(2,), index=17)
+
+
+def test_row_identity_is_checked_under_optimize():
+    code = (
+        "from fractions import Fraction; from shimsurf.search import CandidateRow; "
+        "CandidateRow(D=17, B2=Fraction(8), e=12, ram_primes=(2,), index=17)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "AssertionError: row violates the exact Euler number identity" in proc.stderr
 
 
 def test_discriminant_bound_is_safe():

@@ -182,6 +182,19 @@ def test_quartic_report_requires_the_zeta_error_bound():
     assert admissibility_report(algebra, spec).euler == 28
 
 
+def test_quadratic_report_checks_the_zeta_enclosure():
+    # Over a quadratic base the window must hold
+    # (2 pi^2)^2 zeta_k(-1) / d^(3/2) = pi^4 B_2 / (6 d^(3/2)), B_2 = 24 here.
+    field = quad_field(33)
+    algebra = quadratic_algebra(field, [2])
+    spec = SubgroupSpec(SubgroupKind.BOREL, primes_above(field, 11)[0])
+    true_zeta2 = math.pi**4 * 24 / (6 * 33**1.5)
+    with pytest.raises(ValueError, match="does not enclose"):
+        admissibility_report(algebra, spec, zeta2=true_zeta2 * 1.01, zeta2_error=1e-9)
+    report = admissibility_report(algebra, spec, zeta2=true_zeta2, zeta2_error=1e-9)
+    assert report == admissibility_report(algebra, spec)
+
+
 def test_algebra_constructor_validation():
     field = quad_field(33)
     q2, q2bar = primes_above(field, 2)

@@ -1,7 +1,8 @@
 """Exact zeta_K(-1) by Siegel's formula: the pinned values of the
 benchmark fields, the float Euler product as an independent oracle, the
 weight-8 identity s(2) = 129 s(1) over a box of defining polynomials, the
-Kummer-Dedekind valuation helpers, and the identity check surviving
+Kummer-Dedekind valuation helpers, the degree-2 kernel as the reference
+for Cohen's closed sum in ``quadfield``, and the identity check surviving
 ``python -O``."""
 
 import itertools
@@ -9,13 +10,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from shimsurf.exact import factorize, square_part
-from shimsurf.quadfield import quad_field
+from shimsurf.exact import factorize, kronecker, square_part
+from shimsurf.quadfield import bernoulli2, fundamental_discriminants, quad_field
 from shimsurf.quartic import (
     _integer_roots,
     _pair_discriminants,
@@ -118,13 +120,41 @@ def test_valuations_add_up_to_the_norm(coeffs):
     assert any(len(primes) > 1 for primes in primes_over.values())
 
 
+@dataclass(frozen=True)
+class _QuadraticOrder:
+    """Q(sqrt D) as the kernel reads it: the minimal polynomial of
+    (1 + sqrt D)/2 or of sqrt(D/4), a generator of the ring of integers,
+    and the primes over p from the Kronecker symbol (D|p)."""
+
+    disc: int
+    degree: int = 2
+
+    @property
+    def polynomial(self):
+        D = self.disc
+        return (-(D - 1) // 4, -1, 1) if D % 4 == 1 else (-D // 4, 0, 1)
+
+    def decomposition(self, p):
+        return {1: ((1, 1), (1, 1)), -1: ((2, 1),), 0: ((1, 2),)}[kronecker(self.disc, p)]
+
+
 def test_quadratic_presentations_agree():
-    # Q(sqrt 5) through x^2 - x - 1 (its ring of integers) and Q(sqrt 13)
-    # through x^2 - x - 3 give Cohen's values 1/30 and 1/6.
-    assert zeta_minus1(quad_field(5)) == Fraction(1, 30)
-    assert zeta_minus1(quad_field(13)) == Fraction(1, 6)
-    assert quad_field(5).polynomial == (-1, -1, 1)
-    assert quad_field(7).polynomial == (-7, 0, 1)
+    # Q(sqrt 5) through x^2 - x - 1, Q(sqrt 13) through x^2 - x - 3 and
+    # Q(sqrt 7) through x^2 - 7 give Cohen's values 1/30, 1/6 and 2/3.
+    cases = ((5, (-1, -1, 1), Fraction(1, 30)), (13, (-3, -1, 1), Fraction(1, 6)), (7, (-7, 0, 1), Fraction(2, 3)))
+    for d, polynomial, value in cases:
+        K = _QuadraticOrder(quad_field(d).disc)
+        assert K.polynomial == polynomial
+        assert zeta_minus1(K) == value == quad_field(d).bernoulli2() / 24
+
+
+def test_quadratic_kernel_matches_the_closed_sum_to_2000():
+    # The lattice kernel's degree-2 instance against Cohen's closed sum.
+    count = 0
+    for disc in fundamental_discriminants(5, 2000):
+        assert 24 * zeta_minus1(_QuadraticOrder(disc)) == bernoulli2(disc), disc
+        count += 1
+    assert count == 607
 
 
 def test_rejects_unsupported_degree_and_a_wrong_discriminant():
@@ -141,12 +171,13 @@ def test_rejects_unsupported_degree_and_a_wrong_discriminant():
         zeta_minus1(Wrong())
 
 
-# Breaks sigma_1 for every point, so s(2) = 129 s(1) cannot hold.
-_BROKEN = (
-    "import sys; import shimsurf.siegel as s; "
-    "s._SiegelSum._sigma1 = lambda self, beta, norm, content: 1; "
-    "from shimsurf.cli import run; sys.exit(run(sys.argv[1:]))"
-)
+# Breaks sigma_1 for every point, so s(2) = 9 s(1) or 129 s(1) cannot
+# hold: the closed sum's integer sigma_1 for a quadratic field, the
+# kernel's ideal sigma_1 for a quartic one.
+_BROKEN = {
+    "bernoulli": "import shimsurf.quadfield as q; q._sigma1 = lambda n: 1",
+    "quartic": "import shimsurf.siegel as s; s._SiegelSum._sigma1 = lambda self, beta, norm, content: 1",
+}
 
 
 @pytest.mark.parametrize(
@@ -158,8 +189,13 @@ _BROKEN = (
 )
 def test_identity_mismatch_raises_under_optimize(argv):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    code = f"import sys; {_BROKEN[argv[0]]}; from shimsurf.cli import run; sys.exit(run(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-O", "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
