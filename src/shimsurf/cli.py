@@ -39,7 +39,6 @@ from .shimura import (
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
-    euler_number_quadratic,
     quadratic_algebra,
     quartic_algebra,
 )
@@ -194,7 +193,6 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     algebra = quadratic_algebra(field, _parse_primes(args.ram, "--ram"))
     spec = _parse_subgroup(args.subgroup, lambda p: primes_above(field, p)[0])
     report = admissibility_report(algebra, spec)
-    euler_full = euler_number_quadratic(algebra, 1)
     if args.format == "csv":
         s = report.surface
         row = {
@@ -232,7 +230,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         _check_line("involution of second kind", report.involution_ok),
         _check_line("invariant maximal order", report.invariant_order_ok),
         _check_line("level invariance", report.level_invariance_ok),
-        f"euler number of the full group = {euler_full}",
+        f"euler number of the full group = {report.euler / report.index}",
         f"euler number = {report.euler}",
     ]
     lines.extend(_report_tail_lines(report, with_quotients=True))
@@ -271,8 +269,6 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quartic(args: argparse.Namespace) -> int:
-    from .siegel import zeta_minus1  # on first use, as in shimura._zeta_minus1
-
     coeffs = _parse_int_list(args.poly, "--poly")
     if len(coeffs) != 5:
         raise ValueError("--poly takes five comma-separated coefficients c4,c3,c2,c1,c0")
@@ -290,7 +286,7 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
         _check_line("involution of second kind", report.involution_ok),
         _check_line("invariant maximal order", report.invariant_order_ok),
         _check_line("level invariance", report.level_invariance_ok),
-        f"zeta_k(-1) = {zeta_minus1(K)} (Siegel's formula, checked by s(2) = 129 s(1))",
+        f"zeta_k(-1) = {K.zeta_minus1()} (Siegel's formula, checked by s(2) = 129 s(1))",
         f"euler number of the full group = {report.euler / report.index}",
         f"euler number = {report.euler} (index {report.index} times zeta_k(-1)/2)",
     ]

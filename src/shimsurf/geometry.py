@@ -47,10 +47,10 @@ class SurfaceInvariants:
     q: int = 0
 
     def __post_init__(self) -> None:
-        assert self.c1sq == 2 * self.e
-        assert 4 * self.chi == self.e
-        assert self.pg == self.chi - 1
-        assert self.q == 0
+        if (self.c1sq, 4 * self.chi, self.pg, self.q) != (2 * self.e, self.e, self.chi - 1, 0):
+            raise AssertionError(
+                f"inconsistent surface invariants {self}: need c1^2 = 2e = 8 chi, p_g = chi - 1 and q = 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class QuotientInvariants:
     general_type: bool | None = None
 
     def __post_init__(self) -> None:
-        assert self.Ksq + self.c2 == 12 * (1 + self.pg), "Noether identity violated"
-        assert self.q == 0
+        if self.Ksq + self.c2 != 12 * (1 + self.pg) or self.q != 0:
+            raise AssertionError(f"Noether identity violated or q != 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +81,8 @@ class CurveData:
     KC: int
 
     def __post_init__(self) -> None:
-        assert self.Csq == 2 - 2 * self.g
-        assert self.KC == 4 * (self.g - 1)
-        assert self.Csq + self.KC == 2 * self.g - 2
+        if (self.Csq, self.KC) != (2 - 2 * self.g, 4 * (self.g - 1)):
+            raise AssertionError(f"inconsistent fixed-curve numbers {self}: need C^2 = 2 - 2g, K.C = 4(g - 1)")
 
 
 def shimura_surface_invariants(e: int) -> SurfaceInvariants:
@@ -135,13 +134,15 @@ def quotient_invariants_from_pg(pg_X: int) -> QuotientInvariants:
     """Quotient invariants in the boundary case g = p_g(X), where the
     quotient has p_g = q = 0: K^2 = 9 - p_g(X) and c_2 = 3 + p_g(X).
 
-    Asserted to agree with ``quotient_invariants(4(1 + p_g), p_g)``.
+    Checked to agree with ``quotient_invariants(4(1 + p_g), p_g)``, also
+    under ``python -O``.
     """
     if not 2 <= pg_X <= 8:
         raise ValueError(f"geometric genus must lie in [2, 8], got {pg_X}")
     direct = QuotientInvariants(Ksq=9 - pg_X, c2=3 + pg_X, pg=0, general_type=True)
     computed = quotient_invariants(4 * (1 + pg_X), pg_X)
-    assert direct == computed, "closed form disagrees with the general quotient formulas"
+    if direct != computed:
+        raise AssertionError(f"closed form {direct} disagrees with the general quotient formulas {computed}")
     return computed
 
 

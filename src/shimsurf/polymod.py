@@ -318,5 +318,6 @@ def poly_factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
         for d, h in distinct_degree_factors(g):
             out.extend((irr, m) for irr in _equal_degree_split(h, d, rng))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    assert sum(g.degree * m for g, m in out) == f.degree
+    if sum(g.degree * m for g, m in out) != f.degree:
+        raise AssertionError(f"the factors of {f.coeffs} mod {f.p} do not add up to its degree")
     return out

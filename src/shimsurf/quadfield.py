@@ -61,6 +61,10 @@ class QuadField:
     def bernoulli2(self) -> Fraction:
         return bernoulli2(self.disc)
 
+    def zeta_minus1(self) -> Fraction:
+        """zeta_k(-1) = B_2/24, exactly, by Cohen's closed sum."""
+        return self.bernoulli2() / 24
+
 
 def quad_field(d: int) -> QuadField:
     """The real quadratic field of squarefree radicand d > 1."""

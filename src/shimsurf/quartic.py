@@ -8,20 +8,22 @@ product for the Dedekind zeta value at 2.
 
 ``quartic_splitting`` answers every splitting question from the degrees
 and multiplicities of the irreducible factors of the defining polynomial
-mod p, at every prime since the equation order is maximal; the field
-hands its polynomial and these decompositions to ``siegel.zeta_minus1``,
-which gives zeta_K(-1), and so every Euler number, exactly.  The Euler
-product is not used for any reported number: it stays as the tests'
-independent check of that value through the functional equation
-zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), with a proven error
-bound.  It also accepts real quadratic fields, where splitting comes from
-the field character instead.
+mod p, at every prime since the equation order is maximal.
+``QuarticField.zeta_minus1`` hands only that polynomial to
+``siegel.zeta_minus1``, which reads the same shapes from the
+Kummer-Dedekind factors and gives zeta_K(-1), and so every Euler number,
+exactly.  The Euler product is not used for any reported number: it
+stays as the tests' independent check of that value through the
+functional equation zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), with
+a proven error bound.  It also accepts real quadratic fields, where
+splitting comes from the field character instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar, Sequence
 
 from .exact import factorize, primes_up_to, square_part
@@ -154,9 +156,14 @@ class QuarticField:
         """The defining polynomial in ascending coefficients."""
         return self.coeffs[::-1]
 
-    def decomposition(self, p: int) -> list[tuple[int, int]]:
-        """(residue degree, ramification index) of each prime over p."""
-        return quartic_splitting(self, p)
+    def zeta_minus1(self) -> Fraction:
+        """zeta_K(-1), exactly, by Siegel's formula."""
+        # Imported on first use, so that no quadratic path loads the
+        # kernel; compiling it is most of its import time when no bytecode
+        # cache is written.
+        from .siegel import zeta_minus1
+
+        return zeta_minus1(self)
 
     def __str__(self) -> str:
         """The defining polynomial, e.g. ``x^4 - x^3 - 3*x^2 + x + 1``."""
@@ -272,7 +279,8 @@ def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
         for d, h in distinct_degree_factors(g)
         for _ in range(h.degree // d)
     )
-    assert sum(f * e for f, e in shapes) == 4
+    if sum(f * e for f, e in shapes) != 4:
+        raise AssertionError(f"the shape {shapes} of {p} does not add up to the degree 4")
     return shapes
 
 
@@ -296,7 +304,8 @@ def subfield_prime_nonsplit(K: QuarticField, p: int) -> bool:
     over p."""
     g_upper = len(quartic_splitting(K, p))
     g_lower = 2 if splitting_type(K.subfield, p) is Splitting.SPLIT else 1
-    assert g_lower <= g_upper <= 2 * g_lower
+    if not g_lower <= g_upper <= 2 * g_lower:
+        raise AssertionError(f"{g_upper} primes over {p} cannot lie over {g_lower} of the subfield")
     return g_upper == g_lower
 
 

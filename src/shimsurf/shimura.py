@@ -12,10 +12,11 @@ at exactly two infinite places.
 
 Euler numbers are exact rationals for both degrees,
 index * 2^(3-n) * zeta_k(-1) * prod (N - 1)^2, with zeta_k(-1) from
-Siegel's formula: over a quadratic base through the generalized Bernoulli
-number B_2 = 24 zeta_k(-1) of Cohen's closed sum (``quadfield.bernoulli2``),
-over a quartic base from the lattice kernel (``siegel.zeta_minus1``).  The
-volume formula with a floating zeta_k(2) stays as an independent cross-check
+Siegel's formula, read only through the base field's ``zeta_minus1()``:
+a quadratic field answers with B_2/24 from Cohen's closed sum
+(``quadfield.bernoulli2``), a quartic one hands its defining polynomial
+to the lattice kernel (``siegel.zeta_minus1``).  The volume formula
+with a floating zeta_k(2) stays as an independent cross-check
 (``euler_number_general``), and a zeta_k(2) estimate handed to the
 report must enclose the exact value.
 """
@@ -376,15 +377,6 @@ _TORSION_DISPATCH = {
 }
 
 
-def _zeta_minus1(field: QuarticField) -> Fraction:
-    # Imported on first use, so that no quadratic path loads the kernel;
-    # compiling it is most of its import time when no bytecode cache is
-    # written.
-    from .siegel import zeta_minus1
-
-    return zeta_minus1(field)
-
-
 def admissibility_report(
     A: QuaternionAlgebra,
     spec: SubgroupSpec,
@@ -398,8 +390,7 @@ def admissibility_report(
     if zeta2 is not None:
         if zeta2_error is None:
             raise ValueError("a zeta_k(2) estimate needs its error bound")
-        zeta = A.base.bernoulli2() / 24 if A.degree == 2 else _zeta_minus1(A.base)
-        exact = (2 * math.pi**2) ** A.degree * float(zeta) / A.base.disc**1.5
+        exact = (2 * math.pi**2) ** A.degree * float(A.base.zeta_minus1()) / A.base.disc**1.5
         if not zeta2 * (1 - 1e-12) <= exact <= (zeta2 + zeta2_error) * (1 + 1e-12):
             raise ValueError(
                 f"zeta_k(2) = {zeta2} (error bound {zeta2_error}) does not enclose the exact {exact}"
@@ -424,7 +415,7 @@ def admissibility_report(
     if A.degree == 2:
         euler = euler_number_quadratic(A, index)
     else:  # index * 2^(3-4) * zeta_K(-1); a quartic algebra has no finite ramification
-        euler = index * _zeta_minus1(A.base) / 2
+        euler = index * A.base.zeta_minus1() / 2
 
     obstructions = []
     if not inv:

@@ -16,10 +16,10 @@ ganzzahligen Stellen", Nachr. Akad. Wiss. Goettingen 1969; Zagier, "On the
 values at negative integers of the zeta-function of a real quadratic
 field", Enseign. Math. 22, 1976; for n = 2 this is Cohen's sum, Math. Ann.
 217, 1975).  The coefficient of q^2 gives s(2) = sigma_{2n-1}(2) s(1),
-that is 9 s(1) or 129 s(1), and every evaluation checks it.  The
-quartic path reads zeta_K(-1) from here; the quadratic one sums Cohen's
-closed form (``quadfield.bernoulli2``), and the degree-2 instance of this
-kernel is that sum's test reference.
+that is 9 s(1) or 129 s(1), and every evaluation checks it.  A quartic
+field reads zeta_K(-1) from here (``QuarticField.zeta_minus1``); a
+quadratic one sums Cohen's closed form (``QuadField.zeta_minus1``), and
+the degree-2 instance of this kernel is that sum's test reference.
 
 The field comes with a monic defining polynomial f whose equation order
 Z[alpha] = Z[x]/(f) is maximal.  Then d = (f'(alpha)), so nu = beta/f'(alpha)
@@ -34,12 +34,13 @@ power sums by Newton's identities, in integers for X = disc(f) nu.
 
 sigma_1 of the ideal (beta) = nu d is a product over the rational primes
 p dividing its norm N(nu) |disc f|, and needs the exponent of each prime
-of K over p.  The decomposition of p comes from the field, and with it
-the content of beta and the norm settle the exponents, except where two
-or more primes over p could share them in more than one way.  There the
-primes are (p, g(alpha)) for the irreducible factors g of f mod p
-(Kummer-Dedekind; Cohen, A Course in Computational Algebraic Number
-Theory, Thm 4.8.13), and a valuation is read off by multiplying with the
+of K over p.  The primes over p are (p, g(alpha)) for the irreducible
+factors g of f mod p, of residue degree deg g and ramification index the
+multiplicity of g (Kummer-Dedekind; Cohen, A Course in Computational
+Algebraic Number Theory, Thm 4.8.13), so the field hands over only its
+polynomial.  Those shapes, the content of beta and the norm settle the
+exponents, except where two or more primes over p could share them in
+more than one way.  There a valuation is read off by multiplying with the
 lift tau of f/g, for which tau/p has valuation -1 at (p, g(alpha)) and
 is integral at every other prime (Cohen, Alg. 4.8.17).  These helpers
 take a defining polynomial of any degree.  No float is used anywhere.
@@ -62,19 +63,16 @@ Element = Sequence[int]
 
 
 class TotallyRealField(Protocol):
-    """What the kernel reads of a field: its degree and discriminant, a
+    """What the kernel reads of a field: its degree and discriminant and a
     monic defining polynomial (ascending coefficients) whose equation
-    order is the maximal order, and the decomposition of a rational prime
-    p as the sorted (residue degree, ramification index) of the primes
-    over it."""
+    order is the maximal order.  The primes over each p come from the
+    Kummer-Dedekind factors of that polynomial."""
 
     degree: int
     disc: int
 
     @property
     def polynomial(self) -> tuple[int, ...]: ...
-
-    def decomposition(self, p: int) -> Sequence[tuple[int, int]]: ...
 
 
 def mul_mod(a: Element, b: Element, f: Sequence[int]) -> list[int]:
@@ -172,13 +170,6 @@ def _open_range(a: int, b: int, c: int) -> range:
     return range(lo, hi + 1)
 
 
-@lru_cache(maxsize=1 << 14)
-def _factor(n: int) -> tuple[tuple[int, int], ...]:
-    # Norms recur: conjugate points share theirs, and small ones come
-    # back from field to field.
-    return tuple(factorize(n))
-
-
 class _SiegelSum:
     """s(m) for one field, through its maximal equation order Z[alpha].
 
@@ -193,7 +184,7 @@ class _SiegelSum:
     def __init__(self, field: TotallyRealField) -> None:
         f, disc = field.polynomial, field.disc
         n = len(f) - 1
-        self.field, self.f, self.n, self.disc = field, f, n, disc
+        self.f, self.n, self.disc = f, n, disc
         derivative = [i * c for i, c in enumerate(f)][1:]
         columns, column = [], derivative  # f'(alpha) alpha^i
         for _ in range(n):
@@ -232,7 +223,6 @@ class _SiegelSum:
                 [[(W[0][0] * W[i][j] - W[i][0] * W[0][j]) // d_k for j in range(1, size)] for i in range(1, size)],
                 W[0][0],
             ))
-        self.decompositions: dict[int, Sequence[tuple[int, int]]] = {}
         self.primes: dict[int, list[PrimeIdeal]] = {}
         self.known: dict[tuple[int, int], int] = {}
 
@@ -313,13 +303,14 @@ class _SiegelSum:
         computed."""
         n, f = self.n, self.f
         total, known = 1, True
-        for p, k in _factor(norm):
+        for p, k in factorize(norm):
             if k == 1:  # one prime of norm p divides (beta), once
                 total *= p + 1
                 continue
-            shape = self.decompositions.get(p)
-            if shape is None:
-                shape = self.decompositions[p] = self.field.decomposition(p)
+            primes = self.primes.get(p)
+            if primes is None:
+                primes = self.primes[p] = kummer_dedekind_primes(f, p)
+            shape = [(q.residue_degree, q.ramification_index) for q in primes]
             a = 0
             while content % p ** (a + 1) == 0:
                 a += 1
@@ -335,10 +326,6 @@ class _SiegelSum:
                 v = [k // f1, 0]
             else:
                 known = False
-                primes = self.primes.get(p)
-                if primes is None:
-                    primes = self.primes[p] = kummer_dedekind_primes(f, p)
-                shape = [(q.residue_degree, q.ramification_index) for q in primes]
                 beta1 = [c // p**a for c in beta]
                 v = [valuation(f, q, beta1) for q in primes[:-1]]
                 v.append((k - sum(fd * x for (fd, _), x in zip(shape, v))) // shape[-1][0])

@@ -7,6 +7,7 @@ agreement of numeric facts between text and CSV modes.  One check runs
 quadratic commands in a fresh interpreter, to see which modules they load.
 """
 
+import ast
 import contextlib
 import csv
 import io
@@ -490,6 +491,19 @@ def test_unknown_subcommand_and_missing_args(capsys):
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
     assert invoke(capsys, "search", "--help")[0] == 0
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so every invariant check raises
+    # AssertionError explicitly, which run() maps to exit code 1.
+    package = Path(__file__).resolve().parents[1] / "src" / "shimsurf"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

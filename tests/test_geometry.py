@@ -1,6 +1,10 @@
 """Chern invariants of the surfaces, involution quotients, and curves."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -145,3 +149,31 @@ def test_noether_identity_everywhere(k):
         assert inv.Ksq + inv.c2 == 12 * (1 + inv.pg)
         # Chern numbers of the double cover recombine: c_2(X) = 2 c_2 + 2(g - 1).
         assert 2 * inv.c2 + 2 * (g - 1) == e
+
+
+# Each construction breaks an invariant of its class.
+_INCONSISTENT = """
+from shimsurf.geometry import CurveData, QuotientInvariants, SurfaceInvariants
+for make in (
+    lambda: SurfaceInvariants(e=5, c1sq=1, chi=9, pg=0),
+    lambda: SurfaceInvariants(e=4, c1sq=8, chi=1, pg=0, q=1),
+    lambda: QuotientInvariants(Ksq=1, c2=1, pg=1),
+    lambda: QuotientInvariants(Ksq=7, c2=5, pg=0, q=1),
+    lambda: CurveData(g=2, Csq=0, KC=4),
+    lambda: CurveData(g=2, Csq=-2, KC=0),
+):
+    try:
+        make()
+        print("constructed")
+    except AssertionError:
+        print("raised")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
+def test_inconsistent_invariants_raise(flags):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _INCONSISTENT], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout == "raised\n" * 6, proc.stderr

@@ -1,7 +1,8 @@
 """Exact zeta_K(-1) by Siegel's formula: the pinned values of the
 benchmark fields, the float Euler product as an independent oracle, the
 weight-8 identity s(2) = 129 s(1) over a box of defining polynomials, the
-Kummer-Dedekind valuation helpers, the degree-2 kernel as the reference
+Kummer-Dedekind valuation helpers, the shape shortcuts of sigma_1 against
+the valuations at every prime, the degree-2 kernel as the reference
 for Cohen's closed sum in ``quadfield``, and the identity check surviving
 ``python -O``."""
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from shimsurf.exact import factorize, kronecker, square_part
+from shimsurf.exact import factorize, square_part
 from shimsurf.quadfield import bernoulli2, fundamental_discriminants, quad_field
 from shimsurf.quartic import (
     _integer_roots,
@@ -46,7 +47,7 @@ BENCHMARK_FIELDS = (
 def test_benchmark_fields_pinned(disc, coeffs, sub, value):
     K = quartic_new(coeffs, sub)
     assert K.disc == disc
-    assert zeta_minus1(K) == value
+    assert zeta_minus1(K) == K.zeta_minus1() == value
 
 
 @pytest.mark.parametrize("disc, coeffs, sub, value", BENCHMARK_FIELDS)
@@ -91,6 +92,54 @@ def test_weight_eight_identity_on_a_coefficient_box():
     assert all(len(v) == 1 for v in values.values()), values
 
 
+def _sigma1_reference(f, beta, norm):
+    """sigma_1 of the ideal (beta) of the given norm, from the valuation of
+    beta at every Kummer-Dedekind prime over every p dividing the norm."""
+    total = 1
+    for p, _ in factorize(norm):
+        for q in kummer_dedekind_primes(f, p):
+            size = p**q.residue_degree
+            total *= (size ** (valuation(f, q, beta) + 1) - 1) // (size - 1)
+    return total
+
+
+class _NeverAnswers(dict):
+    """A (norm, content) memo that stores what the kernel puts in but
+    never answers, so that the kernel runs _sigma1 at every point."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class _RecordingSum(_SiegelSum):
+    """The kernel, recording (beta, norm, content, sigma_1) at every point."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        self.known = _NeverAnswers()
+        self.points = []
+
+    def _sigma1(self, beta, norm, content):
+        value = super()._sigma1(beta, norm, content)
+        self.points.append((tuple(beta), norm, content, value))
+        return value
+
+
+def test_sigma1_shortcuts_match_every_valuation():
+    # The shape shortcuts of _sigma1 and its (norm, content) memo against
+    # the valuations at every prime, on each point of s(1) and s(2) of the
+    # six benchmark fields and the 42 polynomials of the box.
+    fields = [quartic_new(coeffs, sub) for _, coeffs, sub, _ in BENCHMARK_FIELDS]
+    for K in [*fields, *_accepted_quartics(4)]:
+        kernel = _RecordingSum(K)
+        kernel.s(1), kernel.s(2)
+        memo = dict(kernel.known)
+        assert kernel.points
+        for beta, norm, content, value in kernel.points:
+            expected = _sigma1_reference(K.polynomial, beta, norm)
+            assert value == expected == memo.get((norm, content), expected), (K.coeffs, beta)
+
+
 def _norm(f, beta):
     n = len(f) - 1
     columns = [beta]
@@ -123,8 +172,7 @@ def test_valuations_add_up_to_the_norm(coeffs):
 @dataclass(frozen=True)
 class _QuadraticOrder:
     """Q(sqrt D) as the kernel reads it: the minimal polynomial of
-    (1 + sqrt D)/2 or of sqrt(D/4), a generator of the ring of integers,
-    and the primes over p from the Kronecker symbol (D|p)."""
+    (1 + sqrt D)/2 or of sqrt(D/4), a generator of the ring of integers."""
 
     disc: int
     degree: int = 2
@@ -134,9 +182,6 @@ class _QuadraticOrder:
         D = self.disc
         return (-(D - 1) // 4, -1, 1) if D % 4 == 1 else (-D // 4, 0, 1)
 
-    def decomposition(self, p):
-        return {1: ((1, 1), (1, 1)), -1: ((2, 1),), 0: ((1, 2),)}[kronecker(self.disc, p)]
-
 
 def test_quadratic_presentations_agree():
     # Q(sqrt 5) through x^2 - x - 1, Q(sqrt 13) through x^2 - x - 3 and
@@ -145,7 +190,7 @@ def test_quadratic_presentations_agree():
     for d, polynomial, value in cases:
         K = _QuadraticOrder(quad_field(d).disc)
         assert K.polynomial == polynomial
-        assert zeta_minus1(K) == value == quad_field(d).bernoulli2() / 24
+        assert zeta_minus1(K) == value == quad_field(d).zeta_minus1()
 
 
 def test_quadratic_kernel_matches_the_closed_sum_to_2000():
