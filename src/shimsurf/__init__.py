@@ -25,9 +25,14 @@ The layers, bottom up:
   involution quotients, and quotient curves;
 - :mod:`shimsurf.search` — the bounded classification search;
 - :mod:`shimsurf.cli` — the command-line frontend.
+
+Records are immutable, hashable ``NamedTuple``s that compare by value as
+tuples, so ``QuadField(5, 5) == (5, 5)``.  A violated internal invariant
+raises :class:`InvariantError`, a subclass of AssertionError that also
+fires under ``python -O``.
 """
 
-from .exact import is_prime, kronecker, recognize_rational
+from .exact import InvariantError, is_prime, kronecker, recognize_rational
 from .geometry import (
     CurveResult,
     QuotientInvariants,
@@ -99,6 +104,7 @@ __all__ = [
     "CurveResult",
     "DiffReport",
     "EulerEstimate",
+    "InvariantError",
     "QuadField",
     "QuadPrime",
     "QuarticField",

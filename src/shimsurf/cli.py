@@ -23,7 +23,7 @@ import csv
 import sys
 from typing import Callable
 
-from .exact import is_prime
+from .exact import InvariantError, is_prime
 from .geometry import (
     GENERAL_TYPE_MAX_E,
     QuotientInvariants,
@@ -382,7 +382,7 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 1
 

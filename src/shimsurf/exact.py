@@ -16,6 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+
+class InvariantError(AssertionError):
+    """An internal invariant of the package failed: an identity that the
+    mathematics guarantees did not hold.  Raised explicitly, so that it
+    also fires under ``python -O``; a subclass of AssertionError, so that
+    callers catching that still see it."""
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Least strong pseudoprime to the bases _SMALL_PRIMES (Sorenson, Webster 2017)
 PRIME_PROOF_BOUND = 318665857834031151167461

@@ -12,11 +12,10 @@ built-in consistency check on every output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .exact import is_prime
+from .exact import InvariantError, is_prime
 
 __all__ = [
     "GENERAL_TYPE_MAX_E",
@@ -36,53 +35,68 @@ __all__ = [
 GENERAL_TYPE_MAX_E = 36
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    """Chern and Hodge numbers of a smooth compact bidisc quotient."""
-
+class _SurfaceInvariantsFields(NamedTuple):
     e: int
     c1sq: int
     chi: int
     pg: int
     q: int = 0
 
-    def __post_init__(self) -> None:
+
+class SurfaceInvariants(_SurfaceInvariantsFields):
+    """Chern and Hodge numbers of a smooth compact bidisc quotient."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SurfaceInvariants:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.c1sq, 4 * self.chi, self.pg, self.q) != (2 * self.e, self.e, self.chi - 1, 0):
-            raise AssertionError(
+            raise InvariantError(
                 f"inconsistent surface invariants {self}: need c1^2 = 2e = 8 chi, p_g = chi - 1 and q = 0"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class QuotientInvariants:
-    """Invariants of the quotient of the surface by the involution.
-
-    ``general_type`` is decided for every e <= GENERAL_TYPE_MAX_E; None
-    means the implemented bound does not settle the question.
-    """
-
+class _QuotientInvariantsFields(NamedTuple):
     Ksq: int
     c2: int
     pg: int
     q: int = 0
     general_type: bool | None = None
 
-    def __post_init__(self) -> None:
+
+class QuotientInvariants(_QuotientInvariantsFields):
+    """Invariants of the quotient of the surface by the involution.
+
+    ``general_type`` is decided for every e <= GENERAL_TYPE_MAX_E; None
+    means the implemented bound does not settle the question.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> QuotientInvariants:
+        self = super().__new__(cls, *args, **kwargs)
         if self.Ksq + self.c2 != 12 * (1 + self.pg) or self.q != 0:
-            raise AssertionError(f"Noether identity violated or q != 0: {self}")
+            raise InvariantError(f"Noether identity violated or q != 0: {self}")
+        return self
 
 
-@dataclass(frozen=True)
-class CurveData:
-    """Intersection numbers of the curve fixed by the involution."""
-
+class _CurveDataFields(NamedTuple):
     g: int
     Csq: int
     KC: int
 
-    def __post_init__(self) -> None:
+
+class CurveData(_CurveDataFields):
+    """Intersection numbers of the curve fixed by the involution."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CurveData:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.Csq, self.KC) != (2 - 2 * self.g, 4 * (self.g - 1)):
-            raise AssertionError(f"inconsistent fixed-curve numbers {self}: need C^2 = 2 - 2g, K.C = 4(g - 1)")
+            raise InvariantError(f"inconsistent fixed-curve numbers {self}: need C^2 = 2 - 2g, K.C = 4(g - 1)")
+        return self
 
 
 def shimura_surface_invariants(e: int) -> SurfaceInvariants:
@@ -142,7 +156,7 @@ def quotient_invariants_from_pg(pg_X: int) -> QuotientInvariants:
     direct = QuotientInvariants(Ksq=9 - pg_X, c2=3 + pg_X, pg=0, general_type=True)
     computed = quotient_invariants(4 * (1 + pg_X), pg_X)
     if direct != computed:
-        raise AssertionError(f"closed form {direct} disagrees with the general quotient formulas {computed}")
+        raise InvariantError(f"closed form {direct} disagrees with the general quotient formulas {computed}")
     return computed
 
 
@@ -153,8 +167,7 @@ def fixed_curve_numbers(g: int) -> CurveData:
     return CurveData(g=g, Csq=2 - 2 * g, KC=4 * (g - 1))
 
 
-@dataclass(frozen=True)
-class CurveResult:
+class CurveResult(NamedTuple):
     """Euler characteristic of a quotient curve over the rationals; the
     genus is filled in only when the characteristic is consistent with a
     torsion-free group (an even integer 2 - 2g with g >= 2)."""

@@ -24,15 +24,14 @@ composing with it (von zur Gathen and Shoup, Computational Complexity 2,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .exact import is_prime
+from .exact import InvariantError, is_prime
 
 Coeffs = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolyModP:
+class PolyModP(NamedTuple):
     """A polynomial over F_p, coeffs ascending and reduced, leading
     coefficient nonzero; an unchecked record that the kernels produce."""
 
@@ -319,5 +318,5 @@ def poly_factor_mod_p(f: PolyModP) -> list[tuple[PolyModP, int]]:
             out.extend((irr, m) for irr in _equal_degree_split(h, d, rng))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     if sum(g.degree * m for g, m in out) != f.degree:
-        raise AssertionError(f"the factors of {f.coeffs} mod {f.p} do not add up to its degree")
+        raise InvariantError(f"the factors of {f.coeffs} mod {f.p} do not add up to its degree")
     return out

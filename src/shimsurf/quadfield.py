@@ -25,14 +25,13 @@ Theta(D) character sum are the tests' references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import ClassVar, Iterator
+from typing import Iterator, NamedTuple
 
-from .exact import factorize, is_prime, is_squarefree, kronecker, square_part
+from .exact import InvariantError, factorize, is_prime, is_squarefree, kronecker, square_part
 
 
 class Splitting(Enum):
@@ -46,14 +45,13 @@ class Splitting(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class QuadField:
+class QuadField(NamedTuple):
     """The real quadratic field generated by the square root of d."""
 
     d: int
     disc: int
 
-    degree: ClassVar[int] = 2
+    degree = 2
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
@@ -130,8 +128,14 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
     return Splitting.RAMIFIED
 
 
-@dataclass(frozen=True)
-class QuadPrime:
+class _QuadPrimeFields(NamedTuple):
+    field: QuadField
+    p: int
+    splitting: Splitting
+    tag: int = 0
+
+
+class QuadPrime(_QuadPrimeFields):
     """A prime of a real quadratic field, lying over the rational prime p.
 
     Over a split p there are two primes, distinguished by tag 0 / tag 1
@@ -139,12 +143,10 @@ class QuadPrime:
     is 0.
     """
 
-    field: QuadField
-    p: int
-    splitting: Splitting
-    tag: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> QuadPrime:
+        self = super().__new__(cls, *args, **kwargs)
         if splitting_type(self.field, self.p) is not self.splitting:
             raise ValueError(
                 f"{self.p} is {splitting_type(self.field, self.p).value} "
@@ -153,6 +155,7 @@ class QuadPrime:
         allowed = (0, 1) if self.splitting is Splitting.SPLIT else (0,)
         if self.tag not in allowed:
             raise ValueError(f"tag {self.tag} invalid for a {self.splitting.value} prime")
+        return self
 
     @property
     def residue_degree(self) -> int:
@@ -169,7 +172,7 @@ class QuadPrime:
     def conjugate(self) -> "QuadPrime":
         """The image under the nontrivial automorphism of the field."""
         if self.splitting is Splitting.SPLIT:
-            return replace(self, tag=1 - self.tag)
+            return QuadPrime(self.field, self.p, self.splitting, 1 - self.tag)
         return self
 
     def is_conjugation_stable(self) -> bool:
@@ -202,7 +205,7 @@ def bernoulli2(disc: int) -> Fraction:
     """Generalized Bernoulli number B_2 of the quadratic character mod disc:
     24 zeta_k(-1) = 2 s(1)/5 for the field k of discriminant disc.
 
-    Raises AssertionError, also under ``python -O``, unless s(2) = 9 s(1).
+    Raises InvariantError, also under ``python -O``, unless s(2) = 9 s(1).
     The points of trace 2 are gamma = w + sqrt(D) with w^2 < D, of norm
     D - w^2.  gamma has content 2 exactly when w = D (mod 2), and is
     primitive otherwise, with divisor sum sigma_1(D - w^2).  For content
@@ -223,5 +226,5 @@ def bernoulli2(disc: int) -> Fraction:
         s1 += _sigma1(n)
         s2 += _sigma1(n // low) * (5 if chi2 < 0 else 3 * (4 * low - 1) if chi2 else 8 * low - 1)
     if s2 != 9 * s1:
-        raise AssertionError(f"Siegel's identity s(2) = 9 s(1) fails for {field}: s(1) = {s1}, s(2) = {s2}")
+        raise InvariantError(f"Siegel's identity s(2) = 9 s(1) fails for {field}: s(1) = {s1}, s(2) = {s2}")
     return Fraction(2 * s1, 5)

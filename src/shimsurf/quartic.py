@@ -22,11 +22,10 @@ splitting comes from the field character instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import NamedTuple, Sequence
 
-from .exact import factorize, primes_up_to, square_part
+from .exact import InvariantError, factorize, primes_up_to, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, squarefree_decomposition
 from .quadfield import QuadField, Splitting, quad_field, splitting_type
 
@@ -137,8 +136,7 @@ def _real_root_count(coeffs: Sequence[int], disc: int) -> int:
     return 4 if P < 0 and D < 0 else 0
 
 
-@dataclass(frozen=True)
-class QuarticField:
+class QuarticField(NamedTuple):
     """A totally real quartic field presented by a monic defining
     polynomial (descending coefficients) whose equation order is maximal,
     its discriminant disc(f) = d_K, a declared real quadratic subfield,
@@ -149,7 +147,8 @@ class QuarticField:
     disc: int
     subfield: QuadField
     subfield_radicands: tuple[int, ...]
-    degree: ClassVar[int] = 4
+
+    degree = 4
 
     @property
     def polynomial(self) -> tuple[int, ...]:
@@ -239,8 +238,7 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
     )
 
 
-@dataclass(frozen=True)
-class QuarticPrime:
+class QuarticPrime(NamedTuple):
     """A prime of a quartic field over the rational prime p, recorded by
     its residue degree and ramification exponent."""
 
@@ -280,7 +278,7 @@ def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
         for _ in range(h.degree // d)
     )
     if sum(f * e for f, e in shapes) != 4:
-        raise AssertionError(f"the shape {shapes} of {p} does not add up to the degree 4")
+        raise InvariantError(f"the shape {shapes} of {p} does not add up to the degree 4")
     return shapes
 
 
@@ -305,7 +303,7 @@ def subfield_prime_nonsplit(K: QuarticField, p: int) -> bool:
     g_upper = len(quartic_splitting(K, p))
     g_lower = 2 if splitting_type(K.subfield, p) is Splitting.SPLIT else 1
     if not g_lower <= g_upper <= 2 * g_lower:
-        raise AssertionError(f"{g_upper} primes over {p} cannot lie over {g_lower} of the subfield")
+        raise InvariantError(f"{g_upper} primes over {p} cannot lie over {g_lower} of the subfield")
     return g_upper == g_lower
 
 

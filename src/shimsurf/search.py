@@ -36,13 +36,13 @@ Two sharper criteria have been tried and must not be retried:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
+from typing import NamedTuple
 
-from .exact import primes_up_to
+from .exact import InvariantError, primes_up_to
 from .quadfield import (
     Splitting,
     bernoulli2,
@@ -84,12 +84,7 @@ class RowStatus(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CandidateRow:
-    """One solution of the Euler number identity: a field (by fundamental
-    discriminant), a surface type, the rational primes under the ramified
-    conjugate pairs, and the subgroup index."""
-
+class _CandidateRowFields(NamedTuple):
     D: int
     B2: Fraction
     e: int
@@ -98,12 +93,22 @@ class CandidateRow:
     status: RowStatus = RowStatus.CANDIDATE
     reason: str = ""
 
-    def __post_init__(self) -> None:
+
+class CandidateRow(_CandidateRowFields):
+    """One solution of the Euler number identity: a field (by fundamental
+    discriminant), a surface type, the rational primes under the ramified
+    conjugate pairs, and the subgroup index."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CandidateRow:
+        self = super().__new__(cls, *args, **kwargs)
         product = 1
         for p in self.ram_primes:
             product *= (p - 1) ** 2
         if Fraction(self.e) != self.index * self.B2 / 12 * product:  # kept under python -O
-            raise AssertionError("row violates the exact Euler number identity")
+            raise InvariantError("row violates the exact Euler number identity")
+        return self
 
     @property
     def key(self) -> tuple[int, int, tuple[int, ...], int]:
@@ -122,7 +127,7 @@ def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[Cand
     e_max = max(types)
     cutoff = max(d for d in range(DISCRIMINANT_BOUND + 2) if d**3 <= 225 * (12 * e_max) ** 2)
     if cutoff > DISCRIMINANT_BOUND:
-        raise AssertionError(f"discriminant cutoff {cutoff} exceeds {DISCRIMINANT_BOUND}")
+        raise InvariantError(f"discriminant cutoff {cutoff} exceeds {DISCRIMINANT_BOUND}")
     for disc in fundamental_discriminants(5, cutoff):
         bern = bernoulli2(disc)
         if bern / 12 > e_max:
@@ -148,6 +153,12 @@ def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[Cand
     return rows
 
 
+def _revised(row: CandidateRow, reason: str, status: RowStatus | None = None) -> CandidateRow:
+    """The row with a new reason, and status if given, built and checked
+    again by its constructor."""
+    return CandidateRow(row.D, row.B2, row.e, row.ram_primes, row.index, status or row.status, reason)
+
+
 def prune_by_torsion(rows: list[CandidateRow]) -> list[CandidateRow]:
     """Keep a row Candidate exactly when every certified torsion order of
     the full unit group divides its index; otherwise mark it Pruned with
@@ -165,13 +176,8 @@ def prune_by_torsion(rows: list[CandidateRow]) -> list[CandidateRow]:
         failing = sorted(m for m in orders if row.index % m != 0)
         if failing:
             m = failing[0]
-            out.append(
-                replace(
-                    row,
-                    status=RowStatus.PRUNED,
-                    reason=f"order {m} torsion, {m} does not divide index {row.index}",
-                )
-            )
+            reason = f"order {m} torsion, {m} does not divide index {row.index}"
+            out.append(_revised(row, reason, RowStatus.PRUNED))
         else:
             out.append(row)
     return out
@@ -197,8 +203,7 @@ REFERENCE_ROWS: tuple[tuple[int, int, tuple[int, ...], int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DiffReport:
+class DiffReport(NamedTuple):
     """Surviving rows classified against the embedded reference table.
     Extras carry the caveat that only necessary conditions are checked."""
 
@@ -217,12 +222,12 @@ def compare_to_reference(rows: list[CandidateRow]) -> DiffReport:
     candidates = [r for r in rows if r.status is RowStatus.CANDIDATE]
     found = {r.key for r in candidates}
     matched = tuple(
-        replace(r, reason="matches the reference classification")
+        _revised(r, "matches the reference classification")
         for r in candidates
         if r.key in reference
     )
     extras = tuple(
-        replace(r, reason="beyond the reference classification: passes the documented necessary conditions only")
+        _revised(r, "beyond the reference classification: passes the documented necessary conditions only")
         for r in candidates
         if r.key not in reference
     )
@@ -240,7 +245,7 @@ def run_pipeline(
     report = compare_to_reference(pruned)
     annotated_reason = {r.key: r.reason for r in report.matched + report.extras}
     rows = [
-        replace(r, reason=annotated_reason[r.key]) if r.status is RowStatus.CANDIDATE else r
+        _revised(r, annotated_reason[r.key]) if r.status is RowStatus.CANDIDATE else r
         for r in pruned
     ]
     return rows, report

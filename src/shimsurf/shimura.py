@@ -24,10 +24,9 @@ report must enclose the exact value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import factorize, recognize_rational
 from .geometry import SurfaceInvariants, shimura_surface_invariants
@@ -63,8 +62,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A boolean verdict carrying its justification."""
 
     ok: bool
@@ -101,11 +99,7 @@ def subgroup_index(kind: SubgroupKind, s: int) -> int:
     raise ValueError(f"unknown subgroup kind {kind!r}")  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
-    """A quaternion algebra over a totally real field, determined by its
-    finite ramification; unramified at exactly two infinite places."""
-
+class _QuaternionAlgebraFields(NamedTuple):
     base: BaseField
     ram: tuple[Place, ...]
     # Only meaningful over a quartic base, where the conjugacy of the two
@@ -113,7 +107,15 @@ class QuaternionAlgebra:
     # checked without archimedean embeddings and is taken on assertion.
     infinite_conjugate_asserted: bool = False
 
-    def __post_init__(self) -> None:
+
+class QuaternionAlgebra(_QuaternionAlgebraFields):
+    """A quaternion algebra over a totally real field, determined by its
+    finite ramification; unramified at exactly two infinite places."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> QuaternionAlgebra:
+        self = super().__new__(cls, *args, **kwargs)
         degree = self.base.degree
         for r in self.ram:
             if r.field != self.base:
@@ -132,6 +134,7 @@ class QuaternionAlgebra:
                 raise ValueError("quartic base algebras are supported only with empty finite ramification")
         else:
             raise ValueError(f"unsupported base field degree {degree}")
+        return self
 
     @property
     def degree(self) -> int:
@@ -282,8 +285,7 @@ def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class EulerEstimate:
+class EulerEstimate(NamedTuple):
     """A floating Euler number together with its rational recognition."""
 
     value: float
@@ -330,18 +332,23 @@ def euler_number_general(
     return EulerEstimate(value=value, recognized=recognized, tolerance=tol, max_den=max_den, note=note)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class _SubgroupSpecFields(NamedTuple):
+    kind: SubgroupKind
+    level: Place | None = None
+
+
+class SubgroupSpec(_SubgroupSpecFields):
     """Which congruence subgroup to take: the full projectivized unit
     group, or the Borel / unipotent / principal subgroup at a level
     prime coprime to the ramification of the algebra."""
 
-    kind: SubgroupKind
-    level: Place | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> SubgroupSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if (self.kind is SubgroupKind.FULL) != (self.level is None):
             raise ValueError("a level prime is required exactly for the non-full subgroup kinds")
+        return self
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind is SubgroupKind.FULL:
@@ -349,8 +356,7 @@ class SubgroupSpec:
         return f"{self.kind.value}:{self.level.p}"
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Everything the pipeline certifies about one subgroup: the three
     involution-side checks, the index and Euler number, the torsion
     verdict, the obstructions to admissibility (one short phrase per

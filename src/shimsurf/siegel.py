@@ -48,13 +48,12 @@ take a defining polynomial of any degree.  No float is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
-from .exact import factorize
+from .exact import InvariantError, factorize
 from .polymod import pdivmod, poly, poly_factor_mod_p
 
 __all__ = ["TotallyRealField", "PrimeIdeal", "kummer_dedekind_primes", "valuation", "zeta_minus1"]
@@ -92,8 +91,7 @@ def mul_mod(a: Element, b: Element, f: Sequence[int]) -> list[int]:
     return c[:n]
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """The prime (p, g(alpha)) of Z[alpha] for an irreducible factor g of f
     mod p of multiplicity e; tau is the lift of f/g, so that tau/p has
     valuation -1 here and is integral at every other prime."""
@@ -181,8 +179,7 @@ class _SiegelSum:
     Hankel form sum_(i,j) x_i y_j h_k[i + j] of x = beta^(k - k//2) and
     y = beta^(k//2), with h_k[t] = Tr(gamma^k alpha^t)."""
 
-    def __init__(self, field: TotallyRealField) -> None:
-        f, disc = field.polynomial, field.disc
+    def __init__(self, f: tuple[int, ...], disc: int) -> None:
         n = len(f) - 1
         self.f, self.n, self.disc = f, n, disc
         derivative = [i * c for i, c in enumerate(f)][1:]
@@ -269,7 +266,7 @@ class _SiegelSum:
                     continue
             norm, rest = divmod(e, scale)
             if rest:
-                raise AssertionError(f"the norm of {beta} is not an integer")
+                raise InvariantError(f"the norm of {beta} is not an integer")
             content = gcd(*beta)
             value = known.get((norm, content))
             total += self._sigma1(beta, norm, content) if value is None else value
@@ -330,7 +327,7 @@ class _SiegelSum:
                 v = [valuation(f, q, beta1) for q in primes[:-1]]
                 v.append((k - sum(fd * x for (fd, _), x in zip(shape, v))) // shape[-1][0])
             if min(v) < 0 or sum(fd * x for (fd, _), x in zip(shape, v)) != k:
-                raise AssertionError(f"the valuations of {beta} over {p} do not add up to its norm")
+                raise InvariantError(f"the valuations of {beta} over {p} do not add up to its norm")
             for (fd, e), x in zip(shape, v):
                 q = p**fd
                 total *= (q ** (a * e + x + 1) - 1) // (q - 1)
@@ -339,19 +336,26 @@ class _SiegelSum:
         return total
 
 
-@lru_cache(maxsize=None)
 def zeta_minus1(field: TotallyRealField) -> Fraction:
     """zeta_K(-1) of a totally real field of degree 2 or 4, exactly.
 
-    Raises AssertionError, also under ``python -O``, unless
+    Raises InvariantError, also under ``python -O``, unless
     s(2) = sigma_{2n-1}(2) s(1)."""
     n = field.degree
     if n not in (2, 4):
         raise ValueError(f"Siegel's formula is implemented for degree 2 and 4, not {n}")
-    kernel = _SiegelSum(field)
-    s1, s2 = kernel.s(1), kernel.s(2)
+    s1, s2 = _siegel_sums(field.polynomial, field.disc)
     if s2 != (1 + 2 ** (2 * n - 1)) * s1:
-        raise AssertionError(
+        raise InvariantError(
             f"Siegel's identity s(2) = {1 + 2 ** (2 * n - 1)} s(1) fails for {field}: s(1) = {s1}, s(2) = {s2}"
         )
     return Fraction(s1, 60 if n == 2 else 30)
+
+
+@lru_cache(maxsize=None)
+def _siegel_sums(f: tuple[int, ...], disc: int) -> tuple[int, int]:
+    """s(1) and s(2), kept per defining polynomial and discriminant, all
+    the kernel reads: one field declared with different subfields is
+    summed once."""
+    kernel = _SiegelSum(f, disc)
+    return kernel.s(1), kernel.s(2)

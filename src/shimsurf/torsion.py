@@ -47,9 +47,8 @@ criteria decide the unipotent subgroup, which contains the principal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import factorize, kronecker
 from .quadfield import QuadField, QuadPrime, Splitting, fundamental_discriminant
@@ -72,8 +71,7 @@ class Verdict(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TorsionOrder:
+class TorsionOrder(NamedTuple):
     """A candidate order m of torsion, realized through roots of unity of
     order n."""
 
@@ -150,8 +148,7 @@ def _prime_divisors(orders: Iterable[int]) -> set[int]:
     return {p for m in orders for p, _ in factorize(m)}
 
 
-@dataclass(frozen=True)
-class TorsionVerdict:
+class TorsionVerdict(NamedTuple):
     verdict: Verdict
     order: int | None
     reason: str

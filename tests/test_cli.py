@@ -3,8 +3,8 @@
 Every invocation runs in-process through ``run(argv)``; stdout/stderr are
 captured with capsys.  The golden set pins exit codes for well-formed and
 malformed calls, the headline report lines, CSV round-tripping, and the
-agreement of numeric facts between text and CSV modes.  One check runs
-quadratic commands in a fresh interpreter, to see which modules they load.
+agreement of numeric facts between text and CSV modes.  Two checks run
+commands in a fresh interpreter, to see which modules they load.
 """
 
 import ast
@@ -87,6 +87,27 @@ def test_quadratic_commands_leave_the_siegel_kernel_unloaded(argv):
         [sys.executable, "-c", _LOADS_SIEGEL, *argv], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.stdout == "0 False\n", proc.stderr
+
+
+_LOADS_DATACLASSES = """
+import contextlib, io, sys
+import shimsurf, shimsurf.cli
+print("dataclasses" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = shimsurf.cli.run(["quartic", "--poly", "1,-1,-3,1,1", "--subfield", "5", "--subgroup", "borel:11"])
+print(code, "shimsurf.siegel" in sys.modules, "dataclasses" in sys.modules)
+"""
+
+
+def test_package_import_leaves_dataclasses_unloaded():
+    # The records are NamedTuples, so neither importing the package nor a
+    # quartic run (which loads the Siegel kernel) pays for dataclasses and
+    # what it imports.  -S keeps a site hook from loading it first.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADS_DATACLASSES], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout == "False\n0 True False\n", proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +516,7 @@ def test_help_exits_zero(capsys):
 
 def test_package_has_no_assert_statement():
     # python -O strips assert statements, so every invariant check raises
-    # AssertionError explicitly, which run() maps to exit code 1.
+    # InvariantError explicitly, which run() maps to exit code 1.
     package = Path(__file__).resolve().parents[1] / "src" / "shimsurf"
     found = [
         f"{path.name}:{node.lineno}"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimsurf import search
+from shimsurf import InvariantError, search
 from shimsurf.quadfield import bernoulli2, fundamental_discriminants
 from shimsurf.search import (
     DEFAULT_TYPES,
@@ -124,7 +124,7 @@ def test_enumeration_validates_types():
 
 
 def test_row_constructor_enforces_identity():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         CandidateRow(D=17, B2=Fraction(8), e=12, ram_primes=(2,), index=17)
 
 
@@ -136,7 +136,7 @@ def test_row_identity_is_checked_under_optimize():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
-    assert "AssertionError: row violates the exact Euler number identity" in proc.stderr
+    assert "InvariantError: row violates the exact Euler number identity" in proc.stderr
 
 
 def test_discriminant_bound_is_safe():
@@ -165,7 +165,7 @@ def test_bernoulli_lower_bound_and_cutoff(monkeypatch):
         monkeypatch.setattr(search, "DISCRIMINANT_BOUND", cutoff)
         assert enumerate_candidates(e_values) == [r for r in full if r.e in e_values]
         monkeypatch.setattr(search, "DISCRIMINANT_BOUND", cutoff - 1)
-        with pytest.raises(AssertionError, match=f"cutoff {cutoff} exceeds {cutoff - 1}"):
+        with pytest.raises(InvariantError, match=f"cutoff {cutoff} exceeds {cutoff - 1}"):
             enumerate_candidates(e_values)
 
 

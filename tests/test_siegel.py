@@ -26,7 +26,15 @@ from shimsurf.quartic import (
     quartic_new,
     zeta2_euler_product,
 )
-from shimsurf.siegel import _det, _SiegelSum, kummer_dedekind_primes, mul_mod, valuation, zeta_minus1
+from shimsurf.siegel import (
+    _det,
+    _siegel_sums,
+    _SiegelSum,
+    kummer_dedekind_primes,
+    mul_mod,
+    valuation,
+    zeta_minus1,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,7 +92,7 @@ def test_weight_eight_identity_on_a_coefficient_box():
     # presented by different polynomials must give one value.
     values: dict[int, set[int]] = {}
     for K in _accepted_quartics(4):
-        kernel = _SiegelSum(K)
+        kernel = _SiegelSum(K.polynomial, K.disc)
         s1, s2 = kernel.s(1), kernel.s(2)
         assert s1 > 0 and s2 == 129 * s1, (K.coeffs, s1, s2)
         values.setdefault(K.disc, set()).add(s1)
@@ -115,7 +123,7 @@ class _RecordingSum(_SiegelSum):
     """The kernel, recording (beta, norm, content, sigma_1) at every point."""
 
     def __init__(self, field):
-        super().__init__(field)
+        super().__init__(field.polynomial, field.disc)
         self.known = _NeverAnswers()
         self.points = []
 
@@ -245,3 +253,13 @@ def test_identity_mismatch_raises_under_optimize(argv):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert "internal invariant violation: Siegel's identity s(2) =" in proc.stderr
+
+
+def test_one_polynomial_is_summed_once():
+    # x^4 - 4x^3 + 2x^2 + 4x - 2 declared with each of its three certified
+    # subfields is one field to the kernel: one sum, then two cache hits.
+    _siegel_sums.cache_clear()
+    values = [quartic_new((1, -4, 2, 4, -2), d).zeta_minus1() for d in (2, 3, 6)]
+    assert values == [Fraction(1)] * 3
+    info = _siegel_sums.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
