@@ -27,134 +27,108 @@ The layers, bottom up:
 - :mod:`shimsurf.cli` — the command-line frontend.
 
 Records are immutable, hashable ``NamedTuple``s that compare by value as
-tuples, so ``QuadField(5, 5) == (5, 5)``.  A violated internal invariant
-raises :class:`InvariantError`, a subclass of AssertionError that also
-fires under ``python -O``.
+tuples, so ``QuadField(5, 5) == (5, 5)``.  The checked ones check every
+construction path, ``_make`` and ``_replace`` included.  A violated
+internal invariant raises :class:`InvariantError`, a subclass of
+AssertionError that also fires under ``python -O``.
+
+``import shimsurf`` loads no submodule.  Each exported name is imported
+from its home module on first access and then bound here, so a caller
+loads only the layers it uses: ``from shimsurf import quad_field`` loads
+``exact`` and ``quadfield``, and nothing of ``quartic`` or ``siegel``.
 """
 
-from .exact import InvariantError, is_prime, kronecker, recognize_rational
-from .geometry import (
-    CurveResult,
-    QuotientInvariants,
-    SurfaceInvariants,
-    fixed_curve_numbers,
-    quotient_invariants,
-    quotient_invariants_from_pg,
-    quotient_table,
-    shimura_curve_genus,
-    shimura_surface_invariants,
-)
-from .quadfield import (
-    QuadField,
-    QuadPrime,
-    Splitting,
-    bernoulli2,
-    field_from_disc,
-    fundamental_discriminants,
-    primes_above,
-    quad_field,
-    splitting_type,
-)
-from .quartic import (
-    QuarticField,
-    QuarticPrime,
-    choose_level_prime,
-    quartic_new,
-    quartic_splitting,
-    zeta2_euler_product,
-)
-from .search import (
-    CandidateRow,
-    DiffReport,
-    RowStatus,
-    compare_to_reference,
-    enumerate_candidates,
-    prune_by_torsion,
-    run_pipeline,
-)
-from .shimura import (
-    AdmissibilityReport,
-    EulerEstimate,
-    QuaternionAlgebra,
-    SubgroupKind,
-    SubgroupSpec,
-    admissibility_report,
-    euler_number_general,
-    euler_number_quadratic,
-    invariant_order_exists,
-    involution_exists,
-    level_invariance_ok,
-    quadratic_algebra,
-    quartic_algebra,
-    subgroup_index,
-)
-from .torsion import (
-    TorsionVerdict,
-    Verdict,
-    borel_torsion_verdict,
-    full_torsion_verdict,
-    possible_torsion_orders,
-    principal_torsion_verdict,
-    unipotent_torsion_verdict,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "AdmissibilityReport",
-    "CandidateRow",
-    "CurveResult",
-    "DiffReport",
-    "EulerEstimate",
-    "InvariantError",
-    "QuadField",
-    "QuadPrime",
-    "QuarticField",
-    "QuarticPrime",
-    "QuaternionAlgebra",
-    "QuotientInvariants",
-    "RowStatus",
-    "Splitting",
-    "SubgroupKind",
-    "SubgroupSpec",
-    "SurfaceInvariants",
-    "TorsionVerdict",
-    "Verdict",
-    "admissibility_report",
-    "bernoulli2",
-    "borel_torsion_verdict",
-    "choose_level_prime",
-    "compare_to_reference",
-    "enumerate_candidates",
-    "euler_number_general",
-    "euler_number_quadratic",
-    "field_from_disc",
-    "fixed_curve_numbers",
-    "full_torsion_verdict",
-    "fundamental_discriminants",
-    "invariant_order_exists",
-    "involution_exists",
-    "is_prime",
-    "kronecker",
-    "level_invariance_ok",
-    "possible_torsion_orders",
-    "primes_above",
-    "principal_torsion_verdict",
-    "prune_by_torsion",
-    "quad_field",
-    "quadratic_algebra",
-    "quartic_algebra",
-    "quartic_new",
-    "quartic_splitting",
-    "quotient_invariants",
-    "quotient_invariants_from_pg",
-    "quotient_table",
-    "recognize_rational",
-    "run_pipeline",
-    "shimura_curve_genus",
-    "shimura_surface_invariants",
-    "splitting_type",
-    "subgroup_index",
-    "unipotent_torsion_verdict",
-    "__version__",
-]
+# Each exported name, grouped by its home module.
+_EXPORTS = {
+    "exact": ("InvariantError", "is_prime", "kronecker", "recognize_rational"),
+    "geometry": (
+        "CurveResult",
+        "QuotientInvariants",
+        "SurfaceInvariants",
+        "fixed_curve_numbers",
+        "quotient_invariants",
+        "quotient_invariants_from_pg",
+        "quotient_table",
+        "shimura_curve_genus",
+        "shimura_surface_invariants",
+    ),
+    "quadfield": (
+        "QuadField",
+        "QuadPrime",
+        "Splitting",
+        "bernoulli2",
+        "field_from_disc",
+        "fundamental_discriminants",
+        "primes_above",
+        "quad_field",
+        "splitting_type",
+    ),
+    "quartic": (
+        "QuarticField",
+        "QuarticPrime",
+        "choose_level_prime",
+        "quartic_new",
+        "quartic_splitting",
+        "zeta2_euler_product",
+    ),
+    "search": (
+        "CandidateRow",
+        "DiffReport",
+        "RowStatus",
+        "compare_to_reference",
+        "enumerate_candidates",
+        "prune_by_torsion",
+        "run_pipeline",
+    ),
+    "shimura": (
+        "AdmissibilityReport",
+        "EulerEstimate",
+        "QuaternionAlgebra",
+        "SubgroupKind",
+        "SubgroupSpec",
+        "admissibility_report",
+        "euler_number_general",
+        "euler_number_quadratic",
+        "invariant_order_exists",
+        "involution_exists",
+        "level_invariance_ok",
+        "quadratic_algebra",
+        "quartic_algebra",
+        "subgroup_index",
+    ),
+    "torsion": (
+        "TorsionVerdict",
+        "Verdict",
+        "borel_torsion_verdict",
+        "full_torsion_verdict",
+        "possible_torsion_orders",
+        "principal_torsion_verdict",
+        "unipotent_torsion_verdict",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import an exported name from its home module and bind it here, so
+    that later lookups never reach this function.  A home module's own
+    name, as in ``shimsurf.search.DEFAULT_TYPES``, imports that module."""
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(_import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

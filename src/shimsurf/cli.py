@@ -14,6 +14,11 @@ lines; ``--format csv`` prints comma-separated rows with a header, stable
 column order, and ``\\n`` line endings, so emitted CSV re-serializes
 byte-identically.  Exit codes: 0 on success, 2 on invalid input (with a
 diagnostic on standard error), 1 on an internal invariant violation.
+
+Only what ``search`` calls is imported with this module; every other
+subcommand imports its own layers when it runs, so ``bernoulli``,
+``search``, ``surface``, ``quotient`` and ``curve`` never load the quartic
+layers (``quartic``, ``polymod``, ``siegel``).
 """
 
 from __future__ import annotations
@@ -21,28 +26,16 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .exact import InvariantError, is_prime
-from .geometry import (
-    GENERAL_TYPE_MAX_E,
-    QuotientInvariants,
-    quotient_invariants,
-    quotient_table,
-    shimura_curve_genus,
-)
 from .quadfield import QuadPrime, field_from_disc, primes_above, quad_field
-from .quartic import choose_level_prime, quartic_new
 from .search import DEFAULT_TYPES, RowStatus, run_pipeline
-from .shimura import (
-    AdmissibilityReport,
-    SubgroupKind,
-    SubgroupSpec,
-    admissibility_report,
-    quadratic_algebra,
-    quartic_algebra,
-)
-from .torsion import Place
+
+if TYPE_CHECKING:
+    from .geometry import QuotientInvariants
+    from .shimura import AdmissibilityReport, SubgroupSpec
+    from .torsion import Place
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +60,8 @@ def _parse_primes(text: str, flag: str) -> list[int]:
 def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec:
     """``full`` or ``<kind>:<rational prime>`` for borel/unipotent/principal;
     ``level_of`` picks the level prime of the base over the rational one."""
+    from .shimura import SubgroupKind, SubgroupSpec
+
     kind_name, _, level_text = text.partition(":")
     try:
         kind = SubgroupKind(kind_name)
@@ -110,6 +105,8 @@ def _check_line(label: str, check) -> str:
 
 
 def _subgroup_line(spec: SubgroupSpec) -> str:
+    from .shimura import SubgroupKind
+
     if spec.kind is SubgroupKind.FULL:
         return "subgroup = full unit group"
     q = spec.level
@@ -122,6 +119,8 @@ def _subgroup_line(spec: SubgroupSpec) -> str:
 
 def _report_tail_lines(report: AdmissibilityReport, with_quotients: bool) -> list[str]:
     """Torsion, surface invariants, and the final verdict line."""
+    from .geometry import GENERAL_TYPE_MAX_E, quotient_table
+
     lines = [f"torsion = {report.torsion.verdict.value} ({report.torsion.reason})"]
     if report.admissible_type is not None:
         s = report.surface
@@ -189,6 +188,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
+    from .shimura import admissibility_report, quadratic_algebra
+
     field = quad_field(args.d)
     algebra = quadratic_algebra(field, _parse_primes(args.ram, "--ram"))
     spec = _parse_subgroup(args.subgroup, lambda p: primes_above(field, p)[0])
@@ -239,6 +240,8 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
+    from .geometry import quotient_invariants, quotient_table
+
     if args.g is not None:
         table = [(args.g, quotient_invariants(args.e, args.g))]
     else:
@@ -260,6 +263,8 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .geometry import shimura_curve_genus
+
     primes = _parse_primes(args.ram, "--ram")
     result = shimura_curve_genus(primes, args.index)
     print(f"chi = {result.chi}")
@@ -269,6 +274,9 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_quartic(args: argparse.Namespace) -> int:
+    from .quartic import choose_level_prime, quartic_new
+    from .shimura import admissibility_report, quartic_algebra
+
     coeffs = _parse_int_list(args.poly, "--poly")
     if len(coeffs) != 5:
         raise ValueError("--poly takes five comma-separated coefficients c4,c3,c2,c1,c0")

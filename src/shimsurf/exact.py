@@ -24,6 +24,20 @@ class InvariantError(AssertionError):
     callers catching that still see it."""
 
 
+class CheckedRecord:
+    """Base of the ``NamedTuple`` records that check their values in
+    ``__new__``.  Its ``_make``, which ``_replace`` calls, builds through
+    the class, so that no construction path skips the check.  List it
+    before the record's NamedTuple of fields, whose own ``_make`` does
+    skip it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Least strong pseudoprime to the bases _SMALL_PRIMES (Sorenson, Webster 2017)
 PRIME_PROOF_BOUND = 318665857834031151167461

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact import InvariantError, is_prime
+from .exact import CheckedRecord, InvariantError, is_prime
 
 __all__ = [
     "GENERAL_TYPE_MAX_E",
@@ -43,7 +43,7 @@ class _SurfaceInvariantsFields(NamedTuple):
     q: int = 0
 
 
-class SurfaceInvariants(_SurfaceInvariantsFields):
+class SurfaceInvariants(CheckedRecord, _SurfaceInvariantsFields):
     """Chern and Hodge numbers of a smooth compact bidisc quotient."""
 
     __slots__ = ()
@@ -65,7 +65,7 @@ class _QuotientInvariantsFields(NamedTuple):
     general_type: bool | None = None
 
 
-class QuotientInvariants(_QuotientInvariantsFields):
+class QuotientInvariants(CheckedRecord, _QuotientInvariantsFields):
     """Invariants of the quotient of the surface by the involution.
 
     ``general_type`` is decided for every e <= GENERAL_TYPE_MAX_E; None
@@ -87,7 +87,7 @@ class _CurveDataFields(NamedTuple):
     KC: int
 
 
-class CurveData(_CurveDataFields):
+class CurveData(CheckedRecord, _CurveDataFields):
     """Intersection numbers of the curve fixed by the involution."""
 
     __slots__ = ()

@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .exact import InvariantError, factorize, is_prime, is_squarefree, kronecker, square_part
+from .exact import CheckedRecord, InvariantError, factorize, is_prime, is_squarefree, kronecker, square_part
 
 
 class Splitting(Enum):
@@ -135,7 +135,7 @@ class _QuadPrimeFields(NamedTuple):
     tag: int = 0
 
 
-class QuadPrime(_QuadPrimeFields):
+class QuadPrime(CheckedRecord, _QuadPrimeFields):
     """A prime of a real quadratic field, lying over the rational prime p.
 
     Over a split p there are two primes, distinguished by tag 0 / tag 1

@@ -42,7 +42,7 @@ from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
-from .exact import InvariantError, primes_up_to
+from .exact import CheckedRecord, InvariantError, primes_up_to
 from .quadfield import (
     Splitting,
     bernoulli2,
@@ -94,7 +94,7 @@ class _CandidateRowFields(NamedTuple):
     reason: str = ""
 
 
-class CandidateRow(_CandidateRowFields):
+class CandidateRow(CheckedRecord, _CandidateRowFields):
     """One solution of the Euler number identity: a field (by fundamental
     discriminant), a surface type, the rational primes under the ramified
     conjugate pairs, and the subgroup index."""
@@ -153,12 +153,6 @@ def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[Cand
     return rows
 
 
-def _revised(row: CandidateRow, reason: str, status: RowStatus | None = None) -> CandidateRow:
-    """The row with a new reason, and status if given, built and checked
-    again by its constructor."""
-    return CandidateRow(row.D, row.B2, row.e, row.ram_primes, row.index, status or row.status, reason)
-
-
 def prune_by_torsion(rows: list[CandidateRow]) -> list[CandidateRow]:
     """Keep a row Candidate exactly when every certified torsion order of
     the full unit group divides its index; otherwise mark it Pruned with
@@ -177,7 +171,7 @@ def prune_by_torsion(rows: list[CandidateRow]) -> list[CandidateRow]:
         if failing:
             m = failing[0]
             reason = f"order {m} torsion, {m} does not divide index {row.index}"
-            out.append(_revised(row, reason, RowStatus.PRUNED))
+            out.append(row._replace(status=RowStatus.PRUNED, reason=reason))
         else:
             out.append(row)
     return out
@@ -222,12 +216,12 @@ def compare_to_reference(rows: list[CandidateRow]) -> DiffReport:
     candidates = [r for r in rows if r.status is RowStatus.CANDIDATE]
     found = {r.key for r in candidates}
     matched = tuple(
-        _revised(r, "matches the reference classification")
+        r._replace(reason="matches the reference classification")
         for r in candidates
         if r.key in reference
     )
     extras = tuple(
-        _revised(r, "beyond the reference classification: passes the documented necessary conditions only")
+        r._replace(reason="beyond the reference classification: passes the documented necessary conditions only")
         for r in candidates
         if r.key not in reference
     )
@@ -245,7 +239,7 @@ def run_pipeline(
     report = compare_to_reference(pruned)
     annotated_reason = {r.key: r.reason for r in report.matched + report.extras}
     rows = [
-        _revised(r, annotated_reason[r.key]) if r.status is RowStatus.CANDIDATE else r
+        r._replace(reason=annotated_reason[r.key]) if r.status is RowStatus.CANDIDATE else r
         for r in pruned
     ]
     return rows, report

@@ -26,15 +26,12 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import factorize, recognize_rational
+from .exact import CheckedRecord, factorize, recognize_rational
 from .geometry import SurfaceInvariants, shimura_surface_invariants
 from .quadfield import QuadField, QuadPrime, Splitting, primes_above
-from .quartic import QuarticField
 from .torsion import (
-    BaseField,
-    Place,
     TorsionVerdict,
     Verdict,
     borel_torsion_verdict,
@@ -42,6 +39,10 @@ from .torsion import (
     principal_torsion_verdict,
     unipotent_torsion_verdict,
 )
+
+if TYPE_CHECKING:
+    from .quartic import QuarticField
+    from .torsion import BaseField, Place
 
 __all__ = [
     "Check",
@@ -108,7 +109,7 @@ class _QuaternionAlgebraFields(NamedTuple):
     infinite_conjugate_asserted: bool = False
 
 
-class QuaternionAlgebra(_QuaternionAlgebraFields):
+class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     """A quaternion algebra over a totally real field, determined by its
     finite ramification; unramified at exactly two infinite places."""
 
@@ -337,7 +338,7 @@ class _SubgroupSpecFields(NamedTuple):
     level: Place | None = None
 
 
-class SubgroupSpec(_SubgroupSpecFields):
+class SubgroupSpec(CheckedRecord, _SubgroupSpecFields):
     """Which congruence subgroup to take: the full projectivized unit
     group, or the Borel / unipotent / principal subgroup at a level
     prime coprime to the ramification of the algebra."""

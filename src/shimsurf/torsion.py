@@ -48,14 +48,19 @@ criteria decide the unipotent subgroup, which contains the principal one.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import factorize, kronecker
-from .quadfield import QuadField, QuadPrime, Splitting, fundamental_discriminant
-from .quartic import QuarticField, QuarticPrime
+from .quadfield import Splitting, fundamental_discriminant
 
-BaseField = QuadField | QuarticField
-Place = QuadPrime | QuarticPrime
+if TYPE_CHECKING:
+    # Type names only: every function dispatches on ``field.degree``, so
+    # the quadratic paths never load the quartic layer.
+    from .quadfield import QuadField, QuadPrime
+    from .quartic import QuarticField, QuarticPrime
+
+    BaseField = QuadField | QuarticField
+    Place = QuadPrime | QuarticPrime
 
 
 class Undecidable(Exception):

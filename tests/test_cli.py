@@ -3,7 +3,7 @@
 Every invocation runs in-process through ``run(argv)``; stdout/stderr are
 captured with capsys.  The golden set pins exit codes for well-formed and
 malformed calls, the headline report lines, CSV round-tripping, and the
-agreement of numeric facts between text and CSV modes.  Two checks run
+agreement of numeric facts between text and CSV modes.  A few checks run
 commands in a fresh interpreter, to see which modules they load.
 """
 
@@ -61,32 +61,50 @@ def test_bernoulli_rejects_non_squarefree(capsys):
     assert code == 2 and out == "" and "squarefree" in err
 
 
-_LOADS_SIEGEL = """
+_SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+_LOADS_QUARTIC_LAYERS = """
 import contextlib, io, sys
 from shimsurf.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
-print(code, "shimsurf.siegel" in sys.modules)
+print(code, *(f"shimsurf.{m}" in sys.modules for m in ("quartic", "polymod", "siegel")))
 """
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, loaded",
     [
-        ["bernoulli", "--d", "33"],
-        ["search", "--format", "csv"],
-        ["surface", "--d", "33", "--ram", "2", "--subgroup", "borel:11", "--format", "csv"],
+        (["bernoulli", "--d", "33"], False),
+        (["search", "--format", "csv"], False),
+        (["surface", "--d", "33", "--ram", "2", "--subgroup", "borel:11", "--format", "csv"], False),
+        (["quotient", "--e", "24"], False),
+        (["curve", "--ram", "2,5", "--index", "12"], False),
+        (["quartic", "--poly", "1,-1,-3,1,1", "--subfield", "5", "--subgroup", "borel:11"], True),
     ],
-    ids=["bernoulli", "search", "surface"],
+    ids=["bernoulli", "search", "surface", "quotient", "curve", "quartic"],
 )
-def test_quadratic_commands_leave_the_siegel_kernel_unloaded(argv):
-    # Cohen's closed sum gives every quadratic B_2, so a fresh process
-    # never compiles the lattice kernel.
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+def test_only_quartic_loads_the_quartic_layers(argv, loaded):
+    # Cohen's closed sum gives every quadratic B_2, the CLI imports each
+    # subcommand's layers when it runs, and torsion and shimura import the
+    # quartic types for annotations only: so a fresh process compiles
+    # quartic, polymod and the Siegel kernel only for a quartic query.
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADS_SIEGEL, *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", _LOADS_QUARTIC_LAYERS, *argv], capture_output=True, text=True, env=_SRC_ENV, timeout=60
     )
-    assert proc.stdout == "0 False\n", proc.stderr
+    assert proc.stdout == f"0 {loaded} {loaded} {loaded}\n", proc.stderr
+
+
+def test_package_import_loads_no_submodule():
+    # The exports resolve on first access; a name loads its home module.
+    script = (
+        "import sys, shimsurf; print(sorted(m for m in sys.modules if m.startswith('shimsurf.')));"
+        "shimsurf.quad_field; print(sorted(m for m in sys.modules if m.startswith('shimsurf.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=_SRC_ENV, timeout=60
+    )
+    assert proc.stdout == "[]\n['shimsurf.exact', 'shimsurf.quadfield']\n", proc.stderr
 
 
 _LOADS_DATACLASSES = """
@@ -103,9 +121,8 @@ def test_package_import_leaves_dataclasses_unloaded():
     # The records are NamedTuples, so neither importing the package nor a
     # quartic run (which loads the Siegel kernel) pays for dataclasses and
     # what it imports.  -S keeps a site hook from loading it first.
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _LOADS_DATACLASSES], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-S", "-c", _LOADS_DATACLASSES], capture_output=True, text=True, env=_SRC_ENV, timeout=60
     )
     assert proc.stdout == "False\n0 True False\n", proc.stderr
 

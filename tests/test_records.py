@@ -1,8 +1,9 @@
 """The package's records: immutable NamedTuples that compare by value as
 tuples, and the seven that check themselves refuse a bad value through
-every construction path the package takes, the rebuilt records of
-``QuadPrime.conjugate`` and of the search's status and reason updates
-among them."""
+every construction path: the constructor, ``_make`` and ``_replace``, and
+so the rebuilt records of ``QuadPrime.conjugate`` and of the search's
+status and reason updates.  A bad record can be built only around the
+check, by ``tuple.__new__``."""
 
 from fractions import Fraction
 
@@ -104,37 +105,60 @@ _BAD_VALUES = [
 ]
 
 
+def _unchecked(cls, *args):
+    """A record of ``cls`` built around its check, defaults filled in."""
+    return tuple.__new__(cls, (*args, *(cls._field_defaults[f] for f in cls._fields[len(args) :])))
+
+
 @pytest.mark.parametrize("cls, args, exc, match", _BAD_VALUES)
 def test_validated_records_refuse_bad_values(cls, args, exc, match):
+    bad = _unchecked(cls, *args)
     with pytest.raises(exc, match=match):
         cls(*args)
     with pytest.raises(exc, match=match):
         cls(**dict(zip(cls._fields, args)))
+    with pytest.raises(exc, match=match):
+        cls._make(bad)
+    with pytest.raises(exc, match=match):
+        bad._replace()
+
+
+def test_replace_refuses_a_bad_value():
+    row = enumerate_candidates((12,))[0]
+    with pytest.raises(InvariantError, match="exact Euler number identity"):
+        row._replace(B2=2 * row.B2)
+    with pytest.raises(ValueError, match="tag 2 invalid"):
+        primes_above(quad_field(33), 2)[0]._replace(tag=2)
+    assert row._replace(reason="x") == (*row[:-1], "x")
 
 
 def test_conjugate_builds_through_the_constructor():
     field = quad_field(33)
     assert [q.conjugate() for q in primes_above(field, 2)] == primes_above(field, 2)[::-1]
-    # _make skips the check, so the bad tag reaches conjugate(), whose
+    # The bad tag, built around the check, reaches conjugate(), whose
     # rebuilt prime must refuse tag 1 - 2 = -1.
-    bad = QuadPrime._make((field, 2, Splitting.SPLIT, 2))
+    bad = _unchecked(QuadPrime, field, 2, Splitting.SPLIT, 2)
     with pytest.raises(ValueError, match="tag -1 invalid"):
         bad.conjugate()
 
 
 def test_search_updates_build_through_the_constructor(monkeypatch):
     # Each rebuilt row is checked again: a row whose B2 breaks the identity
-    # (built by _replace, which skips the check) is refused by the prune,
-    # the diff and the final annotation alike.
+    # (built around the check) is refused by the prune, the diff and the
+    # final annotation alike.
     rows = enumerate_candidates((12,))
     statuses = [r.status for r in prune_by_torsion(rows)]
     pruned = rows[statuses.index(RowStatus.PRUNED)]
     kept = rows[statuses.index(RowStatus.CANDIDATE)]
+
+    def doubled(row):
+        return _unchecked(CandidateRow, row.D, 2 * row.B2, *row[2:])
+
     with pytest.raises(InvariantError, match="exact Euler number identity"):
-        prune_by_torsion([pruned._replace(B2=2 * pruned.B2)])
+        prune_by_torsion([doubled(pruned)])
     with pytest.raises(InvariantError, match="exact Euler number identity"):
-        compare_to_reference([kept._replace(B2=2 * kept.B2)])
-    monkeypatch.setattr(search, "prune_by_torsion", lambda rows: [kept._replace(B2=2 * kept.B2)])
+        compare_to_reference([doubled(kept)])
+    monkeypatch.setattr(search, "prune_by_torsion", lambda rows: [doubled(kept)])
     monkeypatch.setattr(search, "compare_to_reference", lambda rows: DiffReport((kept,), (), ()))
     with pytest.raises(InvariantError, match="exact Euler number identity"):
         run_pipeline((12,))
