@@ -53,6 +53,11 @@ class QuadField(NamedTuple):
 
     degree = 2
 
+    @property
+    def subfield_radicands(self) -> tuple[int, ...]:
+        """The radicands of the real quadratic subfields: the field's own."""
+        return (self.d,)
+
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
 
@@ -112,8 +117,7 @@ def field_from_disc(disc: int) -> QuadField:
     """The real quadratic field with the given fundamental discriminant."""
     if disc <= 1 or not is_fundamental_discriminant(disc):
         raise ValueError(f"{disc} is not a real-quadratic fundamental discriminant")
-    d = disc if disc % 4 == 1 else disc // 4
-    return quad_field(d)
+    return QuadField(disc if disc % 4 == 1 else disc // 4, disc)
 
 
 def splitting_type(field: QuadField, p: int) -> Splitting:
@@ -176,7 +180,7 @@ class QuadPrime(CheckedRecord, _QuadPrimeFields):
         return self
 
     def is_conjugation_stable(self) -> bool:
-        return self.conjugate() == self
+        return self.splitting is not Splitting.SPLIT
 
     def __str__(self) -> str:
         suffix = f"#{self.tag}" if self.splitting is Splitting.SPLIT else ""

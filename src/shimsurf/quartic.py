@@ -3,8 +3,8 @@ certification from the resolvent cubic (irreducibility, the
 discriminant, the real-root count and the quadratic subfields)
 and from Dedekind's criterion (the equation order Z[x]/(f) is maximal),
 prime splitting read off the defining polynomial modulo p, the
-nonsplit-over-the-subfield test for level primes, and a truncated Euler
-product for the Dedekind zeta value at 2.
+conjugation stability of each place over the declared subfield, and a
+truncated Euler product for the Dedekind zeta value at 2.
 
 ``quartic_splitting`` answers every splitting question from the degrees
 and multiplicities of the irreducible factors of the defining polynomial
@@ -36,7 +36,6 @@ __all__ = [
     "quartic_splitting",
     "primes_above_quartic",
     "choose_level_prime",
-    "subfield_prime_nonsplit",
     "zeta2_euler_product",
 ]
 
@@ -253,8 +252,11 @@ class QuarticPrime(NamedTuple):
 
     def is_conjugation_stable(self) -> bool:
         """Stable under the nontrivial automorphism over the declared
-        quadratic subfield; decided for all primes over p at once."""
-        return subfield_prime_nonsplit(self.field, self.p)
+        quadratic subfield k: exactly when it is the only prime of K over
+        the prime of k below it, that is when its local degree f e over
+        that prime is 2, so f e = 2 if p splits in k and f e = 4 if not."""
+        local = 2 if splitting_type(self.field.subfield, self.p) is Splitting.SPLIT else 4
+        return self.residue_degree * self.ramification_index == local
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"prime over {self.p} with f={self.residue_degree}, e={self.ramification_index}"
@@ -293,18 +295,6 @@ def choose_level_prime(K: QuarticField, p: int) -> QuarticPrime:
     """The prime over p of smallest norm (smallest residue degree,
     then smallest ramification exponent)."""
     return min(primes_above_quartic(K, p), key=lambda q: (q.residue_degree, q.ramification_index))
-
-
-def subfield_prime_nonsplit(K: QuarticField, p: int) -> bool:
-    """True when no prime of the declared quadratic subfield over p splits
-    into two distinct primes of K: as K is quadratic over the subfield,
-    that holds exactly when both fields have the same number of primes
-    over p."""
-    g_upper = len(quartic_splitting(K, p))
-    g_lower = 2 if splitting_type(K.subfield, p) is Splitting.SPLIT else 1
-    if not g_lower <= g_upper <= 2 * g_lower:
-        raise InvariantError(f"{g_upper} primes over {p} cannot lie over {g_lower} of the subfield")
-    return g_upper == g_lower
 
 
 def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:

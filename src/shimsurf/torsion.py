@@ -37,12 +37,15 @@ For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
 upper-triangular (Borel) inside the full group.  The Borel subgroup has
 torsion iff some candidate extension both embeds in the algebra and has
-q split in it.  Prime-order torsion in the principal or unipotent
-subgroup must have order equal to the residue characteristic of q, which
-certifies freeness whenever that characteristic is not an available
-order; 2- and 3-torsion in the principal subgroup are certified present
-when the corresponding extension embeds and q splits in it.  The same
-criteria decide the unipotent subgroup, which contains the principal one.
+q split in it, which one scan over the embedding candidates decides.
+Prime-order torsion in the principal subgroup must have order p, the
+residue characteristic of q, so its verdict takes the first rule that
+applies: (A) FREE when p divides no candidate order; (B) FREE when p
+divides no candidate order whose extension embeds; (C) TORSION of order
+p = 2 or 3 when that extension embeds and q splits in it; (D) FREE when
+the Borel scan is free; otherwise UNKNOWN.  The unipotent subgroup,
+which contains the principal one, inherits its torsion, and the same
+rules certify it free.
 """
 
 from __future__ import annotations
@@ -50,12 +53,12 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .exact import factorize, kronecker
+from .exact import kronecker
 from .quadfield import Splitting, fundamental_discriminant
 
 if TYPE_CHECKING:
-    # Type names only: every function dispatches on ``field.degree``, so
-    # the quadratic paths never load the quartic layer.
+    # Type names only: every function reads the field through its
+    # attributes, so the quadratic paths never load the quartic layer.
     from .quadfield import QuadField, QuadPrime
     from .quartic import QuarticField, QuarticPrime
 
@@ -93,13 +96,7 @@ _SUBFIELD_ORDER = {2: TorsionOrder(4, 8), 5: TorsionOrder(5, 5), 3: TorsionOrder
 def possible_torsion_orders(field: BaseField) -> tuple[TorsionOrder, ...]:
     """Candidate torsion orders for the given totally real base field,
     in increasing order of m."""
-    degree = field.degree
-    if degree == 2:
-        radicands: tuple[int, ...] = (field.d,)
-    elif degree == 4:
-        radicands = field.subfield_radicands
-    else:
-        raise TypeError(f"unsupported base field {field!r}")
+    radicands = field.subfield_radicands
     return _ALWAYS_ORDERS + tuple(c for d, c in _SUBFIELD_ORDER.items() if d in radicands)
 
 
@@ -149,10 +146,6 @@ def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[i
     return frozenset(c.m for c in possible_torsion_orders(field) if _embeds(ram, c.n))
 
 
-def _prime_divisors(orders: Iterable[int]) -> set[int]:
-    return {p for m in orders for p, _ in factorize(m)}
-
-
 class TorsionVerdict(NamedTuple):
     verdict: Verdict
     order: int | None
@@ -161,6 +154,10 @@ class TorsionVerdict(NamedTuple):
     @property
     def is_free(self) -> bool:
         return self.verdict is Verdict.FREE
+
+
+def _split_reason(m: int) -> str:
+    return f"order {m}: its cyclotomic extension embeds and the level prime splits in it"
 
 
 def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdict:
@@ -174,28 +171,16 @@ def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdi
     return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
 
 
-def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
-    """Torsion verdict for the upper-triangular (Borel) subgroup at level q.
-
-    Torsion is present iff some candidate extension embeds in the algebra
-    and has q split in it; scanned in increasing order of m.
-    """
-    _require_admitted(field, ram)
+def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
+    """The Borel verdict at q from the candidates whose extension embeds,
+    in increasing order of m: TORSION at the first one q splits in."""
     unknown: list[str] = []
-    for cand in possible_torsion_orders(field):
-        if not _embeds(ram, cand.n):
-            continue  # order m impossible everywhere
+    for cand in embedding:
         try:
-            split = cyclotomic_splitting(q, cand.n) is Splitting.SPLIT
+            if cyclotomic_splitting(q, cand.n) is Splitting.SPLIT:
+                return TorsionVerdict(Verdict.TORSION, cand.m, _split_reason(cand.m))
         except Undecidable as exc:
             unknown.append(str(exc))
-            continue
-        if split:
-            return TorsionVerdict(
-                Verdict.TORSION,
-                cand.m,
-                f"order {cand.m}: its cyclotomic extension embeds and the level prime splits in it",
-            )
     if unknown:
         return TorsionVerdict(Verdict.UNKNOWN, None, "; ".join(unknown))
     return TorsionVerdict(
@@ -205,37 +190,47 @@ def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> T
     )
 
 
+def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
+    """Torsion verdict for the upper-triangular (Borel) subgroup at level q.
+
+    Torsion is present iff some candidate extension embeds in the algebra
+    and has q split in it; scanned in increasing order of m.
+    """
+    _require_admitted(field, ram)
+    return _borel_scan((c for c in possible_torsion_orders(field) if _embeds(ram, c.n)), q)
+
+
 def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
-    """Torsion verdict for the principal congruence subgroup at level q."""
+    """Torsion verdict for the principal congruence subgroup at level q,
+    by rules A to D of the module docstring."""
     _require_admitted(field, ram)
     p = q.p
-    if p not in _prime_divisors(c.m for c in possible_torsion_orders(field)):
+    candidates = possible_torsion_orders(field)
+    if all(c.m % p for c in candidates):
         return TorsionVerdict(
             Verdict.FREE,
             None,
             f"prime-order torsion at level q would have order {p}, "
             "which is not available over this base field",
         )
-    achievable = gamma1_torsion_orders(field, ram)
-    if p not in _prime_divisors(achievable):
+    embedding = [c for c in candidates if _embeds(ram, c.n)]
+    if all(c.m % p for c in embedding):
         return TorsionVerdict(
             Verdict.FREE,
             None,
             f"order-{p} torsion is already absent from the full unit group",
         )
-    if p in (2, 3) and p in achievable:
+    if p in (2, 3) and any(c.m == p for c in embedding):
         try:
             if cyclotomic_splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
                 return TorsionVerdict(
                     Verdict.TORSION,
                     p,
-                    f"order {p}: its cyclotomic extension embeds and the level prime splits in it, "
-                    "which realizes the torsion inside the principal subgroup",
+                    _split_reason(p) + ", which realizes the torsion inside the principal subgroup",
                 )
         except Undecidable:
             pass
-    borel = borel_torsion_verdict(field, ram, q)
-    if borel.is_free:
+    if _borel_scan(embedding, q).is_free:
         return TorsionVerdict(
             Verdict.FREE,
             None,

@@ -22,7 +22,6 @@ from shimsurf.quartic import (
     primes_above_quartic,
     quartic_new,
     quartic_splitting,
-    subfield_prime_nonsplit,
     zeta2_euler_product,
 )
 
@@ -81,9 +80,21 @@ def test_primes_above_and_level_choice(K):
 
 
 def test_conjugation_stability(K):
-    assert subfield_prime_nonsplit(K, 29)
-    assert subfield_prime_nonsplit(K, 2)
-    assert not subfield_prime_nonsplit(K, 11)
+    # Each place decides for itself: it is stable exactly when it is the
+    # only place of K over the prime of Q(sqrt(5)) below it.  2 is inert
+    # in Q(sqrt(5)) and its one place has f e = 4; 29 splits there and
+    # each of its two places has f e = 2; 11 splits there too, but only
+    # one of its primes splits further in K, so the two degree-one places
+    # are swapped by conjugation and the degree-two place is fixed.
+    def stability(p):
+        return [
+            ((q.residue_degree, q.ramification_index), q.is_conjugation_stable())
+            for q in primes_above_quartic(K, p)
+        ]
+
+    assert stability(2) == [((4, 1), True)]
+    assert stability(11) == [((1, 1), False), ((1, 1), False), ((2, 1), True)]
+    assert stability(29) == [((1, 2), True), ((2, 1), True)]
 
 
 def test_constructor_validation():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shimsurf.exact import factorize, primes_up_to
 from shimsurf.quadfield import bernoulli2, quad_field, primes_above
-from shimsurf.quartic import choose_level_prime, quartic_new
+from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.shimura import (
     QuaternionAlgebra,
     SubgroupKind,
@@ -125,6 +125,22 @@ def test_level_invariance():
     assert level_invariance_ok(algebra, q7).ok
     q17, _ = primes_above(field, 17)  # split: swapped with its conjugate
     assert not level_invariance_ok(algebra, q17).ok
+
+
+def test_quartic_level_invariance_is_decided_per_place():
+    # Over the field of discriminant 725, 11 splits in Q(sqrt 5) and only
+    # one of the two primes over it splits again: the two degree-one
+    # places over 11 are swapped by conjugation, the degree-two place is
+    # fixed, and its torsion-free subgroups are admissible.
+    K = quartic_new((1, -1, -3, 1, 1), 5)
+    algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
+    swapped, _, fixed = primes_above_quartic(K, 11)
+    assert not level_invariance_ok(algebra, swapped).ok
+    assert level_invariance_ok(algebra, fixed).ok
+    unipotent = admissibility_report(algebra, SubgroupSpec(SubgroupKind.UNIPOTENT, fixed))
+    principal = admissibility_report(algebra, SubgroupSpec(SubgroupKind.PRINCIPAL, fixed))
+    assert (unipotent.obstructions, unipotent.admissible_type) == ((), 488)
+    assert (principal.obstructions, principal.admissible_type) == ((), 59048)
 
 
 def test_euler_numbers_quadratic_frozen():

@@ -273,6 +273,92 @@ def test_verdicts_expose_reasons():
         assert isinstance(verdict.reason, str) and verdict.reason
 
 
+_SPLITS = "its cyclotomic extension embeds and the level prime splits in it"
+_REALIZED = f"{_SPLITS}, which realizes the torsion inside the principal subgroup"
+
+
+@pytest.mark.parametrize(
+    "verdict, d, ram_p, level_p, expected",
+    [
+        pytest.param(
+            full_torsion_verdict, 5, 11, None,
+            (Verdict.TORSION, 2, "cyclotomic extension for order 2 embeds in the algebra"),
+            id="full-torsion",
+        ),
+        pytest.param(
+            full_torsion_verdict, 3, 13, None,
+            (Verdict.FREE, None, "no candidate cyclotomic extension embeds"),
+            id="full-free",
+        ),
+        pytest.param(
+            borel_torsion_verdict, 5, 11, 3, (Verdict.TORSION, 2, f"order 2: {_SPLITS}"), id="borel-torsion"
+        ),
+        pytest.param(
+            borel_torsion_verdict, 5, 11, 59,
+            (Verdict.FREE, None, "no embedding cyclotomic extension has the level prime split in it"),
+            id="borel-free",
+        ),
+        pytest.param(
+            principal_torsion_verdict, 5, 11, 7,
+            (
+                Verdict.FREE,
+                None,
+                "prime-order torsion at level q would have order 7, which is not available over this base field",
+            ),
+            id="principal-rule-a",
+        ),
+        pytest.param(
+            principal_torsion_verdict, 5, 29, 2,
+            (Verdict.FREE, None, "order-2 torsion is already absent from the full unit group"),
+            id="principal-rule-b",
+        ),
+        pytest.param(
+            principal_torsion_verdict, 7, 3, 2, (Verdict.TORSION, 2, f"order 2: {_REALIZED}"), id="principal-torsion-2"
+        ),
+        pytest.param(
+            principal_torsion_verdict, 6, 5, 3, (Verdict.TORSION, 3, f"order 3: {_REALIZED}"), id="principal-torsion-3"
+        ),
+        pytest.param(
+            principal_torsion_verdict, 5, 19, 2,
+            (Verdict.FREE, None, "contained in the torsion-free upper-triangular subgroup at the same level"),
+            id="principal-borel-free",
+        ),
+        pytest.param(
+            principal_torsion_verdict, 5, 11, 2,
+            (Verdict.UNKNOWN, None, "no implemented criterion settles this level"),
+            id="principal-unknown",
+        ),
+        pytest.param(
+            unipotent_torsion_verdict, 6, 5, 3,
+            (
+                Verdict.TORSION,
+                3,
+                f"inherited from the principal congruence subgroup it contains: order 3: {_REALIZED}",
+            ),
+            id="unipotent-inherited",
+        ),
+    ],
+)
+def test_every_verdict_exit_is_pinned(verdict, d, ram_p, level_p, expected):
+    # The CLI prints every reason, so each exit of each verdict is pinned
+    # whole: verdict, order and reason.
+    field, ram = _field_and_ram(d, ram_p)
+    args = (field, ram) if level_p is None else (field, ram, primes_above(field, level_p)[0])
+    assert tuple(verdict(*args)) == expected
+
+
+def test_borel_unknown_exit_is_pinned():
+    # The one place over 2 on the field of discriminant 2048 divides both
+    # n = 4 and n = 8, and no rule covers q | n on a quartic base.
+    K = quartic_new((1, -4, -2, 4, -1), 2)
+    (q,) = primes_above_quartic(K, 2)
+    assert tuple(borel_torsion_verdict(K, (), q)) == (
+        Verdict.UNKNOWN,
+        None,
+        "no criterion for zeta_4 over a quartic field at p=2; no criterion for zeta_8 over a quartic field at p=2",
+    )
+
+
 def test_quartic_base_with_finite_ramification_is_refused():
     # No algebra over a quartic base ramifies at a finite place, so every
     # entry point refuses one, with the algebra layer's message.
