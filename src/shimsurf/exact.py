@@ -27,15 +27,21 @@ class InvariantError(AssertionError):
 class CheckedRecord:
     """Base of the ``NamedTuple`` records that check their values in
     ``__new__``.  Its ``_make``, which ``_replace`` calls, builds through
-    the class, so that no construction path skips the check.  List it
+    the class, so that public construction always checks.  List it
     before the record's NamedTuple of fields, whose own ``_make`` does
-    skip it."""
+    skip it.  Only a module's own constructors that derive the fields
+    themselves, like ``primes_above``, build their records through
+    ``_trusted``, without the check."""
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    @classmethod
+    def _trusted(cls, *fields):
+        return tuple.__new__(cls, fields)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

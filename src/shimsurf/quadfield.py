@@ -188,11 +188,13 @@ class QuadPrime(CheckedRecord, _QuadPrimeFields):
 
 
 def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
-    """All primes of the field over the rational prime p (one or two)."""
+    """All primes of the field over the rational prime p (one or two),
+    built without the constructor's check, which would derive the same
+    splitting again."""
     kind = splitting_type(field, p)
     if kind is Splitting.SPLIT:
-        return [QuadPrime(field, p, kind, 0), QuadPrime(field, p, kind, 1)]
-    return [QuadPrime(field, p, kind, 0)]
+        return [QuadPrime._trusted(field, p, kind, 0), QuadPrime._trusted(field, p, kind, 1)]
+    return [QuadPrime._trusted(field, p, kind, 0)]
 
 
 @lru_cache(maxsize=1 << 14)

@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import InvariantError, factorize, primes_up_to, square_part
+from .exact import CheckedRecord, InvariantError, factorize, primes_up_to, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, squarefree_decomposition
 from .quadfield import QuadField, Splitting, quad_field, splitting_type
 
@@ -237,14 +237,29 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
     )
 
 
-class QuarticPrime(NamedTuple):
-    """A prime of a quartic field over the rational prime p, recorded by
-    its residue degree and ramification exponent."""
-
+class _QuarticPrimeFields(NamedTuple):
     field: QuarticField
     p: int
     residue_degree: int
     ramification_index: int
+
+
+class QuarticPrime(CheckedRecord, _QuarticPrimeFields):
+    """A prime of a quartic field over the rational prime p, recorded by
+    its residue degree and ramification exponent, which must be the shape
+    of some prime over p."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> QuarticPrime:
+        self = super().__new__(cls, *args, **kwargs)
+        shapes = quartic_splitting(self.field, self.p)  # rejects a non-prime p
+        if (self.residue_degree, self.ramification_index) not in shapes:
+            raise ValueError(
+                f"no prime over {self.p} has f={self.residue_degree}, e={self.ramification_index}; "
+                f"the shapes (f, e) over {self.p} are {shapes}"
+            )
+        return self
 
     @property
     def norm(self) -> int:
@@ -285,10 +300,9 @@ def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
 
 
 def primes_above_quartic(K: QuarticField, p: int) -> list[QuarticPrime]:
-    return [
-        QuarticPrime(field=K, p=p, residue_degree=f, ramification_index=e)
-        for f, e in quartic_splitting(K, p)
-    ]
+    """All primes of the field over p, one per shape (built without the
+    constructor's check, which would read the same shapes again)."""
+    return [QuarticPrime._trusted(K, p, f, e) for f, e in quartic_splitting(K, p)]
 
 
 def choose_level_prime(K: QuarticField, p: int) -> QuarticPrime:

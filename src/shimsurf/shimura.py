@@ -88,6 +88,11 @@ def subgroup_index(kind: SubgroupKind, s: int) -> int:
     the given kind at a level prime of norm s (a prime power)."""
     if s < 2 or len(factorize(s)) != 1:
         raise ValueError(f"the residue field size must be a prime power, got {s}")
+    return _index(kind, s)
+
+
+def _index(kind: SubgroupKind, s: int) -> int:
+    """``subgroup_index`` for the norm s of a place, a prime power."""
     t = math.gcd(s - 1, 2)
     if kind is SubgroupKind.FULL:
         return 1
@@ -236,7 +241,11 @@ def invariant_order_exists(A: QuaternionAlgebra) -> Check:
     d_base >= 5 over d_Q = 1), which the conductor-discriminant relation
     d_base = d_fixed^2 detects; a quartic algebra ramifies exactly at its
     two excluded infinite places, so there the count is 2."""
-    inv = involution_exists(A)
+    return _invariant_order(A, involution_exists(A))
+
+
+def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
+    """``invariant_order_exists`` given the algebra's involution check."""
     if not inv:
         return Check(False, "no involution of second kind: " + inv.reason)
     if not (A.degree == 4 and A.base.disc == A.base.subfield.disc**2):
@@ -278,12 +287,13 @@ def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     rational prime under the ramification."""
     if A.degree != 2:
         raise TypeError("exact Euler numbers via Bernoulli values need a quadratic base")
-    if index < 1:
+    if not isinstance(index, int) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index}")
-    value = Fraction(index) * A.base.bernoulli2() / 12
+    b2 = A.base.bernoulli2()
+    numerator = index * b2.numerator
     for p in A.ram_rational_primes:
-        value *= (p - 1) ** 2
-    return value
+        numerator *= (p - 1) ** 2
+    return Fraction(numerator, 12 * b2.denominator)
 
 
 class EulerEstimate(NamedTuple):
@@ -403,7 +413,7 @@ def admissibility_report(
                 f"zeta_k(2) = {zeta2} (error bound {zeta2_error}) does not enclose the exact {exact}"
             )
     inv = involution_exists(A)
-    order_ok = invariant_order_exists(A)
+    order_ok = _invariant_order(A, inv)
     if spec.kind is SubgroupKind.FULL:
         index = 1
         level_ok = Check(True, "the full unit group needs no level prime")
@@ -416,7 +426,7 @@ def admissibility_report(
                 f"the level prime lies over {q.p}, which meets the ramification of "
                 "the algebra; congruence subgroups need an unramified level"
             )
-        index = subgroup_index(spec.kind, q.norm)
+        index = _index(spec.kind, q.norm)
         torsion = _TORSION_DISPATCH[spec.kind](A.base, A.ram, q)
 
     if A.degree == 2:
@@ -435,12 +445,12 @@ def admissibility_report(
         obstructions.append(f"torsion of order {torsion.order}")
     elif torsion.verdict is Verdict.UNKNOWN:
         obstructions.append("torsion undecided")
-    if not (euler.denominator == 1 and euler > 0 and euler % 4 == 0):
+    if euler.denominator != 1 or euler.numerator <= 0 or euler.numerator % 4:
         obstructions.append(f"Euler number {euler} is not a positive integer divisible by 4")
     admissible_type: int | None = None
     surface: SurfaceInvariants | None = None
     if not obstructions:
-        admissible_type = int(euler)
+        admissible_type = euler.numerator
         surface = shimura_surface_invariants(admissible_type)
     return AdmissibilityReport(
         algebra=A,

@@ -33,6 +33,12 @@ one, as the algebra layer does).  Only a level prime over 2, 3 or 5 on a
 quartic base, dividing a candidate n, raises Undecidable, and the
 subgroup verdict then degrades to UNKNOWN instead of guessing.
 
+Each verdict validates its places once, on entry: every ramified place
+and the level prime must live over the given base field (ValueError
+otherwise).  Every n the verdicts then ask about is a candidate of that
+field, so their splitting questions skip the candidate check that the
+public ``cyclotomic_splitting`` makes.
+
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
 upper-triangular (Borel) inside the full group.  The Borel subgroup has
@@ -111,9 +117,15 @@ def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     Raises Undecidable when n is not a candidate of the base, and at a q
     dividing n over a quartic base.
     """
+    if all(c.n != n for c in possible_torsion_orders(q.field)):
+        raise Undecidable(f"no criterion for zeta_{n} over {q.field}")
+    return _splitting(q, n)
+
+
+def _splitting(q: Place, n: int) -> Splitting:
+    """``cyclotomic_splitting`` for an n known to be a candidate of q's
+    field, as every n the verdicts ask about is."""
     field = q.field
-    if all(c.n != n for c in possible_torsion_orders(field)):
-        raise Undecidable(f"no criterion for zeta_{n} over {field}")
     p = q.p
     if n % p:
         return Splitting.SPLIT if q.norm % n == 1 else Splitting.INERT
@@ -125,23 +137,30 @@ def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     return _SYMBOL_TO_SPLITTING[kronecker(fundamental_discriminant(field.d * m), p)]
 
 
-def _require_admitted(field: BaseField, ram: Sequence[Place]) -> None:
+def _require_admitted(field: BaseField, ram: Sequence[Place], q: Place | None = None) -> None:
+    """Refuse a quartic base with finite ramification, which no algebra
+    admits, and places that do not live over the base field."""
     if field.degree == 4 and ram:
         raise ValueError("quartic base algebras are supported only with empty finite ramification")
+    for r in ram:
+        if r.field != field:
+            raise ValueError(f"ramified place {r} does not live over the base field")
+    if q is not None and q.field != field:
+        raise ValueError(f"level prime {q} does not live over the base field")
 
 
 def _embeds(ram: Sequence[Place], n: int) -> bool:
     """Whether base(zeta_n) embeds in the algebra: no finite ramified
     prime splits in it (ramified real places never split in a CM
     extension)."""
-    return all(cyclotomic_splitting(r, n) is not Splitting.SPLIT for r in ram)
+    return all(_splitting(r, n) is not Splitting.SPLIT for r in ram)
 
 
 def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
     """Orders of torsion certified in the full projectivized unit group:
     the candidates whose cyclotomic extension embeds in the algebra.
     Raises ValueError on a quartic base with finite ramification, which
-    no algebra admits."""
+    no algebra admits, and on places over another field."""
     _require_admitted(field, ram)
     return frozenset(c.m for c in possible_torsion_orders(field) if _embeds(ram, c.n))
 
@@ -177,7 +196,7 @@ def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     unknown: list[str] = []
     for cand in embedding:
         try:
-            if cyclotomic_splitting(q, cand.n) is Splitting.SPLIT:
+            if _splitting(q, cand.n) is Splitting.SPLIT:
                 return TorsionVerdict(Verdict.TORSION, cand.m, _split_reason(cand.m))
         except Undecidable as exc:
             unknown.append(str(exc))
@@ -196,14 +215,14 @@ def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> T
     Torsion is present iff some candidate extension embeds in the algebra
     and has q split in it; scanned in increasing order of m.
     """
-    _require_admitted(field, ram)
+    _require_admitted(field, ram, q)
     return _borel_scan((c for c in possible_torsion_orders(field) if _embeds(ram, c.n)), q)
 
 
 def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q,
     by rules A to D of the module docstring."""
-    _require_admitted(field, ram)
+    _require_admitted(field, ram, q)
     p = q.p
     candidates = possible_torsion_orders(field)
     if all(c.m % p for c in candidates):
@@ -222,7 +241,7 @@ def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) 
         )
     if p in (2, 3) and any(c.m == p for c in embedding):
         try:
-            if cyclotomic_splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
+            if _splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
                 return TorsionVerdict(
                     Verdict.TORSION,
                     p,

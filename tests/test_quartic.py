@@ -13,6 +13,7 @@ from shimsurf.exact import primes_up_to, square_part
 from shimsurf.polymod import distinct_degree_factors, poly, poly_factor_mod_p
 from shimsurf.quadfield import bernoulli2, quad_field
 from shimsurf.quartic import (
+    QuarticPrime,
     _cubic_discriminant,
     _integer_roots,
     _pair_discriminants,
@@ -24,6 +25,7 @@ from shimsurf.quartic import (
     quartic_splitting,
     zeta2_euler_product,
 )
+from shimsurf.shimura import SubgroupKind, SubgroupSpec, admissibility_report, quartic_algebra
 
 # The totally real quartic field of smallest discriminant (725 = 5^2 * 29),
 # quadratic over Q(sqrt 5).
@@ -130,6 +132,16 @@ def test_constructor_validation():
     for d in (3, 5, 15):
         with pytest.raises(ValueError, match="not maximal at 2 "):
             quartic_new((1, 0, -16, 0, 4), d)
+
+
+def test_quartic_prime_checks_its_shape():
+    # 7 has shape (2, 1)(2, 1) in the golden field; a place of residue
+    # degree 3 over it would give a Borel index of 7^3 + 1 = 344.
+    K = quartic_new(GOLDEN, 5)
+    algebra = quartic_algebra(K, True)
+    with pytest.raises(ValueError, match=r"f=3, e=1; the shapes \(f, e\) over 7 are \[\(2, 1\), \(2, 1\)\]"):
+        admissibility_report(algebra, SubgroupSpec(SubgroupKind.BOREL, QuarticPrime(K, 7, 3, 1)))
+    assert QuarticPrime(K, 7, 2, 1) == primes_above_quartic(K, 7)[0]
 
 
 def test_maximality_matches_conductor_discriminant_formula():

@@ -1,9 +1,10 @@
 """The package's records: immutable NamedTuples that compare by value as
-tuples, and the seven that check themselves refuse a bad value through
-every construction path: the constructor, ``_make`` and ``_replace``, and
-so the rebuilt records of ``QuadPrime.conjugate`` and of the search's
-status and reason updates.  A bad record can be built only around the
-check, by ``tuple.__new__``."""
+tuples, and the eight that check themselves refuse a bad value through
+every public construction path: the constructor, ``_make`` and
+``_replace``, and so the rebuilt records of ``QuadPrime.conjugate`` and of
+the search's status and reason updates.  A bad record can be built only
+around the check, by ``tuple.__new__``, which ``CheckedRecord._trusted``
+calls for the constructors that derive the fields themselves."""
 
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from shimsurf.geometry import (
 )
 from shimsurf.polymod import poly
 from shimsurf.quadfield import QuadField, QuadPrime, Splitting, primes_above, quad_field
-from shimsurf.quartic import choose_level_prime, quartic_new
+from shimsurf.quartic import QuarticPrime, choose_level_prime, quartic_new
 from shimsurf.search import (
     CandidateRow,
     DiffReport,
@@ -98,6 +99,14 @@ _BAD_VALUES = [
     pytest.param(
         QuadPrime, (quad_field(33), 2, Splitting.SPLIT, 2), ValueError, "tag 2 invalid for a split prime",
         id="prime-tag",
+    ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 3, 1), ValueError, "no prime over 7 has f=3, e=1",
+        id="quartic-prime-shape",
+    ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 9, 1, 1), ValueError, "modulus 9 is not prime",
+        id="quartic-prime-p",
     ),
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),
     pytest.param(QuaternionAlgebra, (quad_field(33), ()), ValueError, "must ramify somewhere finite", id="algebra"),

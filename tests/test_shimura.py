@@ -156,6 +156,10 @@ def test_euler_numbers_quadratic_frozen():
         # linear in the index
         for index in (2, 5, 12):
             assert euler_number_quadratic(algebra, index) == index * expected
+    # An index that is not a positive integer names no subgroup.
+    for index in (0, 2.5, Fraction(5, 2)):
+        with pytest.raises(ValueError, match="index must be a positive integer"):
+            euler_number_quadratic(algebra, index)
 
 
 def test_general_formula_consistent_with_quadratic_at_degree_two():

@@ -376,3 +376,17 @@ def test_quartic_base_with_finite_ramification_is_refused():
         with pytest.raises(ValueError, match="empty finite ramification"):
             call()
     assert sorted(gamma1_torsion_orders(K, ())) == [2, 3, 5]
+
+
+def test_verdicts_refuse_places_over_another_field():
+    # Places over Q(sqrt 13) handed with the base Q(sqrt 5): the candidate
+    # n = 5 of Q(sqrt 5) is no candidate of Q(sqrt 13), so an unchecked
+    # cascade would raise Undecidable or decide for the wrong field.
+    K5, K13 = quad_field(5), quad_field(13)
+    over3 = primes_above(K13, 3)
+    with pytest.raises(ValueError, match=r"ramified place prime\(3#0 in Q\(sqrt\(13\)\)\) does not live over"):
+        full_torsion_verdict(K5, over3)
+    with pytest.raises(ValueError, match="ramified place .* does not live over the base field"):
+        borel_torsion_verdict(K5, over3, primes_above(K5, 11)[0])
+    with pytest.raises(ValueError, match=r"level prime prime\(3#0 in Q\(sqrt\(13\)\)\) does not live over"):
+        principal_torsion_verdict(K5, primes_above(K5, 11), over3[0])
