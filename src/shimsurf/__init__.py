@@ -27,10 +27,12 @@ The layers, bottom up:
 - :mod:`shimsurf.cli` — the command-line frontend.
 
 Records are immutable, hashable ``NamedTuple``s that compare by value as
-tuples, so ``QuadField(5, 5) == (5, 5)``.  The checked ones check every
-construction path, ``_make`` and ``_replace`` included.  A violated
-internal invariant raises :class:`InvariantError`, a subclass of
-AssertionError that also fires under ``python -O``.
+tuples, so ``QuadField(5, 5) == (5, 5)``.  Public construction of a
+checked one, ``_make`` and ``_replace`` included, always runs its
+``_check``; only ``primes_above`` and ``primes_above_quartic`` build
+places through ``_trusted``, without it.  A violated internal invariant
+raises :class:`InvariantError`, a subclass of AssertionError that also
+fires under ``python -O``.
 
 ``import shimsurf`` loads no submodule.  Each exported name is imported
 from its home module on first access and then bound here, so a caller

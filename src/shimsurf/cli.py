@@ -29,13 +29,12 @@ import sys
 from typing import TYPE_CHECKING, Callable
 
 from .exact import InvariantError, is_prime
-from .quadfield import QuadPrime, field_from_disc, primes_above, quad_field
+from .quadfield import Place, QuadPrime, field_from_disc, primes_above, quad_field
 from .search import DEFAULT_TYPES, RowStatus, run_pipeline
 
 if TYPE_CHECKING:
     from .geometry import QuotientInvariants
     from .shimura import AdmissibilityReport, SubgroupSpec
-    from .torsion import Place
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,21 @@ class InvariantError(AssertionError):
 
 
 class CheckedRecord:
-    """Base of the ``NamedTuple`` records that check their values in
-    ``__new__``.  Its ``_make``, which ``_replace`` calls, builds through
-    the class, so that public construction always checks.  List it
+    """Base of the ``NamedTuple`` records that check their values: its
+    ``__new__`` builds the tuple and calls the record's ``_check()``, which
+    raises on a bad value.  Its ``_make``, which ``_replace`` calls, builds
+    through the class, so that public construction always checks.  List it
     before the record's NamedTuple of fields, whose own ``_make`` does
     skip it.  Only a module's own constructors that derive the fields
     themselves, like ``primes_above``, build their records through
     ``_trusted``, without the check."""
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
 
     @classmethod
     def _make(cls, iterable):

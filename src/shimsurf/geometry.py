@@ -48,13 +48,11 @@ class SurfaceInvariants(CheckedRecord, _SurfaceInvariantsFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> SurfaceInvariants:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if (self.c1sq, 4 * self.chi, self.pg, self.q) != (2 * self.e, self.e, self.chi - 1, 0):
             raise InvariantError(
                 f"inconsistent surface invariants {self}: need c1^2 = 2e = 8 chi, p_g = chi - 1 and q = 0"
             )
-        return self
 
 
 class _QuotientInvariantsFields(NamedTuple):
@@ -74,11 +72,9 @@ class QuotientInvariants(CheckedRecord, _QuotientInvariantsFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> QuotientInvariants:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.Ksq + self.c2 != 12 * (1 + self.pg) or self.q != 0:
             raise InvariantError(f"Noether identity violated or q != 0: {self}")
-        return self
 
 
 class _CurveDataFields(NamedTuple):
@@ -92,16 +88,14 @@ class CurveData(CheckedRecord, _CurveDataFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> CurveData:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if (self.Csq, self.KC) != (2 - 2 * self.g, 4 * (self.g - 1)):
             raise InvariantError(f"inconsistent fixed-curve numbers {self}: need C^2 = 2 - 2g, K.C = 4(g - 1)")
-        return self
 
 
 def shimura_surface_invariants(e: int) -> SurfaceInvariants:
     """Invariants of a smooth compact quotient with Euler number e."""
-    if e <= 0 or e % 4 != 0:
+    if not isinstance(e, int) or e <= 0 or e % 4 != 0:
         raise ValueError(
             f"Euler number must be a positive multiple of 4, got {e} "
             "(the holomorphic Euler characteristic e/4 must be a positive integer)"
@@ -117,9 +111,9 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
     The genus is constrained to 2 <= g <= (e - 4)/4 and to the parity
     class making the geometric genus (e - 4 - 4g)/8 an integer.
     """
-    if e <= 0 or e % 4 != 0:
+    if not isinstance(e, int) or e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
-    if not 2 <= g <= (e - 4) // 4:
+    if not isinstance(g, int) or not 2 <= g <= (e - 4) // 4:
         raise ValueError(f"genus bound violated: need 2 <= g <= (e - 4)/4 = {(e - 4) / 4}, got {g}")
     if (e - 4 - 4 * g) % 8 != 0:
         raise ValueError(
@@ -135,7 +129,7 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
 def quotient_table(e: int) -> list[tuple[int, QuotientInvariants]]:
     """All admissible fixed-curve genera for the given Euler number,
     ascending, with the corresponding quotient invariants."""
-    if e <= 0 or e % 4 != 0:
+    if not isinstance(e, int) or e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
     rows = []
     for g in range(2, (e - 4) // 4 + 1):
@@ -194,7 +188,7 @@ def shimura_curve_genus(ram_primes: Iterable[int], index: int) -> CurveResult:
         raise ValueError(
             f"ramification set must consist of an even number >= 2 of distinct primes, got {given}"
         )
-    if index < 1:
+    if not isinstance(index, int) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index}")
     chi = -Fraction(index, 6)
     for p in primes:

@@ -132,6 +132,18 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
     return Splitting.RAMIFIED
 
 
+class Place(CheckedRecord):
+    """Base of the checked place records, ``QuadPrime`` and
+    ``QuarticPrime``: a prime of a base field over the rational prime
+    ``p``, with its ``residue_degree``."""
+
+    __slots__ = ()
+
+    @property
+    def norm(self) -> int:
+        return self.p**self.residue_degree
+
+
 class _QuadPrimeFields(NamedTuple):
     field: QuadField
     p: int
@@ -139,7 +151,7 @@ class _QuadPrimeFields(NamedTuple):
     tag: int = 0
 
 
-class QuadPrime(CheckedRecord, _QuadPrimeFields):
+class QuadPrime(Place, _QuadPrimeFields):
     """A prime of a real quadratic field, lying over the rational prime p.
 
     Over a split p there are two primes, distinguished by tag 0 / tag 1
@@ -149,8 +161,7 @@ class QuadPrime(CheckedRecord, _QuadPrimeFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> QuadPrime:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if splitting_type(self.field, self.p) is not self.splitting:
             raise ValueError(
                 f"{self.p} is {splitting_type(self.field, self.p).value} "
@@ -159,7 +170,6 @@ class QuadPrime(CheckedRecord, _QuadPrimeFields):
         allowed = (0, 1) if self.splitting is Splitting.SPLIT else (0,)
         if self.tag not in allowed:
             raise ValueError(f"tag {self.tag} invalid for a {self.splitting.value} prime")
-        return self
 
     @property
     def residue_degree(self) -> int:
@@ -168,10 +178,6 @@ class QuadPrime(CheckedRecord, _QuadPrimeFields):
     @property
     def ramification_index(self) -> int:
         return 2 if self.splitting is Splitting.RAMIFIED else 1
-
-    @property
-    def norm(self) -> int:
-        return self.p**self.residue_degree
 
     def conjugate(self) -> "QuadPrime":
         """The image under the nontrivial automorphism of the field."""

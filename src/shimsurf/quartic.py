@@ -25,9 +25,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import CheckedRecord, InvariantError, factorize, primes_up_to, square_part
+from .exact import InvariantError, factorize, primes_up_to, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, squarefree_decomposition
-from .quadfield import QuadField, Splitting, quad_field, splitting_type
+from .quadfield import Place, QuadField, Splitting, quad_field, splitting_type
 
 __all__ = [
     "QuarticField",
@@ -244,26 +244,20 @@ class _QuarticPrimeFields(NamedTuple):
     ramification_index: int
 
 
-class QuarticPrime(CheckedRecord, _QuarticPrimeFields):
+class QuarticPrime(Place, _QuarticPrimeFields):
     """A prime of a quartic field over the rational prime p, recorded by
     its residue degree and ramification exponent, which must be the shape
     of some prime over p."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> QuarticPrime:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         shapes = quartic_splitting(self.field, self.p)  # rejects a non-prime p
         if (self.residue_degree, self.ramification_index) not in shapes:
             raise ValueError(
                 f"no prime over {self.p} has f={self.residue_degree}, e={self.ramification_index}; "
                 f"the shapes (f, e) over {self.p} are {shapes}"
             )
-        return self
-
-    @property
-    def norm(self) -> int:
-        return self.p**self.residue_degree
 
     def is_conjugation_stable(self) -> bool:
         """Stable under the nontrivial automorphism over the declared

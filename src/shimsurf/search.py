@@ -101,14 +101,12 @@ class CandidateRow(CheckedRecord, _CandidateRowFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> CandidateRow:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         product = 1
         for p in self.ram_primes:
             product *= (p - 1) ** 2
         if Fraction(self.e) != self.index * self.B2 / 12 * product:  # kept under python -O
             raise InvariantError("row violates the exact Euler number identity")
-        return self
 
     @property
     def key(self) -> tuple[int, int, tuple[int, ...], int]:

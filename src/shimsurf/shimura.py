@@ -16,9 +16,8 @@ Siegel's formula, read only through the base field's ``zeta_minus1()``:
 a quadratic field answers with B_2/24 from Cohen's closed sum
 (``quadfield.bernoulli2``), a quartic one hands its defining polynomial
 to the lattice kernel (``siegel.zeta_minus1``).  The volume formula
-with a floating zeta_k(2) stays as an independent cross-check
-(``euler_number_general``), and a zeta_k(2) estimate handed to the
-report must enclose the exact value.
+with a floating zeta_k(2) stays as the tests' independent cross-check
+(``euler_number_general``); no float enters a report.
 """
 
 from __future__ import annotations
@@ -30,10 +29,11 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import CheckedRecord, factorize, recognize_rational
 from .geometry import SurfaceInvariants, shimura_surface_invariants
-from .quadfield import QuadField, QuadPrime, Splitting, primes_above
+from .quadfield import Place, QuadField, QuadPrime, Splitting, primes_above
 from .torsion import (
     TorsionVerdict,
     Verdict,
+    _require_admitted,
     borel_torsion_verdict,
     full_torsion_verdict,
     principal_torsion_verdict,
@@ -42,7 +42,7 @@ from .torsion import (
 
 if TYPE_CHECKING:
     from .quartic import QuarticField
-    from .torsion import BaseField, Place
+    from .torsion import BaseField
 
 __all__ = [
     "Check",
@@ -120,27 +120,19 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> QuaternionAlgebra:
-        self = super().__new__(cls, *args, **kwargs)
-        degree = self.base.degree
-        for r in self.ram:
-            if r.field != self.base:
-                raise ValueError(f"ramified place {r} does not live over the base field")
+    def _check(self) -> None:
+        _require_admitted(self.base, self.ram)
         if len(set(self.ram)) != len(self.ram):
             raise ValueError("duplicate ramified place")
-        if degree == 2:
-            if not self.ram:
-                raise ValueError(
-                    "a surface algebra over a quadratic field must ramify somewhere "
-                    "finite, otherwise it is a matrix algebra and the quotient is "
-                    "non-compact"
-                )
-        elif degree == 4:
-            if self.ram:
-                raise ValueError("quartic base algebras are supported only with empty finite ramification")
-        else:
+        degree = self.base.degree
+        if degree == 2 and not self.ram:
+            raise ValueError(
+                "a surface algebra over a quadratic field must ramify somewhere "
+                "finite, otherwise it is a matrix algebra and the quotient is "
+                "non-compact"
+            )
+        if degree not in (2, 4):
             raise ValueError(f"unsupported base field degree {degree}")
-        return self
 
     @property
     def degree(self) -> int:
@@ -167,8 +159,6 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
     """The algebra over the quadratic field ramified at the conjugate pair
     of places over each given rational prime; every prime must split."""
     primes = sorted(set(rational_primes))
-    if not primes:
-        raise ValueError("at least one ramified rational prime is required")
     ram: list[QuadPrime] = []
     for p in primes:
         above = primes_above(field, p)
@@ -265,8 +255,7 @@ def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
 def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
     """Whether the congruence subgroups at the level prime q are preserved
     by the involution, i.e. whether conjugation maps q to itself."""
-    if q.field != A.base:
-        raise ValueError(f"level prime {q} does not live over the base field")
+    _require_admitted(A.base, (), q)
     if q.is_conjugation_stable():
         detail = (
             f"the level prime is {q.splitting.value} over the fixed field"
@@ -355,11 +344,13 @@ class SubgroupSpec(CheckedRecord, _SubgroupSpecFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> SubgroupSpec:
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
+        if not isinstance(self.kind, SubgroupKind):
+            raise ValueError(f"subgroup kind {self.kind!r} is not a SubgroupKind")
         if (self.kind is SubgroupKind.FULL) != (self.level is None):
             raise ValueError("a level prime is required exactly for the non-full subgroup kinds")
-        return self
+        if self.level is not None and not isinstance(self.level, Place):
+            raise ValueError(f"level prime {self.level!r} is not a Place")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.kind is SubgroupKind.FULL:
@@ -394,24 +385,9 @@ _TORSION_DISPATCH = {
 }
 
 
-def admissibility_report(
-    A: QuaternionAlgebra,
-    spec: SubgroupSpec,
-    zeta2: float | None = None,
-    zeta2_error: float | None = None,
-) -> AdmissibilityReport:
+def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> AdmissibilityReport:
     """Run the full pipeline for one algebra and subgroup.  The Euler
-    number is exact over both bases.  A zeta_k(2) estimate, if supplied
-    with its error bound (as ``zeta2_euler_product`` returns them), must
-    enclose (2 pi^2)^n zeta_k(-1) / d_k^(3/2); ValueError otherwise."""
-    if zeta2 is not None:
-        if zeta2_error is None:
-            raise ValueError("a zeta_k(2) estimate needs its error bound")
-        exact = (2 * math.pi**2) ** A.degree * float(A.base.zeta_minus1()) / A.base.disc**1.5
-        if not zeta2 * (1 - 1e-12) <= exact <= (zeta2 + zeta2_error) * (1 + 1e-12):
-            raise ValueError(
-                f"zeta_k(2) = {zeta2} (error bound {zeta2_error}) does not enclose the exact {exact}"
-            )
+    number is exact over both bases."""
     inv = involution_exists(A)
     order_ok = _invariant_order(A, inv)
     if spec.kind is SubgroupKind.FULL:

@@ -29,15 +29,15 @@ question: how does a place q over p behave in that quadratic extension?
 
 Every ramified place is decided: over a quadratic base both rules cover
 it, and a quartic base has no finite ramification (the verdicts refuse
-one, as the algebra layer does).  Only a level prime over 2, 3 or 5 on a
-quartic base, dividing a candidate n, raises Undecidable, and the
-subgroup verdict then degrades to UNKNOWN instead of guessing.
+one, by the check the algebra layer makes too).  Only a level prime over
+2, 3 or 5 on a quartic base, dividing a candidate n, raises Undecidable,
+and the subgroup verdict then degrades to UNKNOWN instead of guessing.
 
 Each verdict validates its places once, on entry: every ramified place
-and the level prime must live over the given base field (ValueError
-otherwise).  Every n the verdicts then ask about is a candidate of that
-field, so their splitting questions skip the candidate check that the
-public ``cyclotomic_splitting`` makes.
+and the level prime must be a ``Place`` over the given base field
+(ValueError otherwise).  Every n the verdicts then ask about is a
+candidate of that field, so their splitting questions skip the candidate
+check that the public ``cyclotomic_splitting`` makes.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
@@ -60,16 +60,15 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import kronecker
-from .quadfield import Splitting, fundamental_discriminant
+from .quadfield import Place, Splitting, fundamental_discriminant
 
 if TYPE_CHECKING:
     # Type names only: every function reads the field through its
     # attributes, so the quadratic paths never load the quartic layer.
-    from .quadfield import QuadField, QuadPrime
-    from .quartic import QuarticField, QuarticPrime
+    from .quadfield import QuadField
+    from .quartic import QuarticField
 
     BaseField = QuadField | QuarticField
-    Place = QuadPrime | QuarticPrime
 
 
 class Undecidable(Exception):
@@ -138,15 +137,23 @@ def _splitting(q: Place, n: int) -> Splitting:
 
 
 def _require_admitted(field: BaseField, ram: Sequence[Place], q: Place | None = None) -> None:
-    """Refuse a quartic base with finite ramification, which no algebra
-    admits, and places that do not live over the base field."""
-    if field.degree == 4 and ram:
-        raise ValueError("quartic base algebras are supported only with empty finite ramification")
+    """The one home of the admission rules on places, which the algebra
+    layer applies too: every ramified place and the level prime q, if
+    given, is a ``Place`` over the base field, and a quartic base has no
+    finite ramification, which no algebra there admits.  ValueError
+    otherwise."""
     for r in ram:
+        if not isinstance(r, Place):
+            raise ValueError(f"ramified place {r!r} is not a Place")
         if r.field != field:
             raise ValueError(f"ramified place {r} does not live over the base field")
-    if q is not None and q.field != field:
-        raise ValueError(f"level prime {q} does not live over the base field")
+    if q is not None:
+        if not isinstance(q, Place):
+            raise ValueError(f"level prime {q!r} is not a Place")
+        if q.field != field:
+            raise ValueError(f"level prime {q} does not live over the base field")
+    if field.degree == 4 and ram:
+        raise ValueError("quartic base algebras are supported only with empty finite ramification")
 
 
 def _embeds(ram: Sequence[Place], n: int) -> bool:

@@ -196,10 +196,13 @@ def test_criterion_5_admissible_chain_quartic(capsys):
     index = subgroup_index(SubgroupKind.UNIPOTENT, level.norm)
     if index != 420:
         failures.append(f"unipotent index {index} != 420")
+    exact_zeta2 = (2 * math.pi**2) ** 4 * float(K.zeta_minus1()) / K.disc**1.5
+    if not zeta2 * (1 - 1e-12) <= exact_zeta2 <= (zeta2 + zeta2_error) * (1 + 1e-12):
+        failures.append(
+            f"zeta_K(2) = {zeta2} (error bound {zeta2_error}) does not enclose the exact {exact_zeta2}"
+        )
     algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
-    report = admissibility_report(
-        algebra, SubgroupSpec(SubgroupKind.UNIPOTENT, level), zeta2, zeta2_error
-    )
+    report = admissibility_report(algebra, SubgroupSpec(SubgroupKind.UNIPOTENT, level))
     if report.euler != 28:
         failures.append(f"e = {report.euler} != 28")
     if report.torsion.verdict is not Verdict.FREE:

@@ -42,8 +42,8 @@ def test_surface_invariants():
         # Noether: K^2 + c_2 = 12 chi with c_2 = e and q = 0.
         assert s.c1sq + s.e == 12 * s.chi
         assert s.pg == s.chi - 1
-    for bad in (0, -4, 10, 13):
-        with pytest.raises(ValueError):
+    for bad in (0, -4, 10, 13, 24.0, Fraction(24)):
+        with pytest.raises(ValueError, match="positive multiple of 4"):
             shimura_surface_invariants(bad)
 
 
@@ -73,6 +73,12 @@ def test_quotient_validation():
         quotient_invariants(24, 4)
     with pytest.raises(ValueError):
         quotient_invariants(25, 5)
+    with pytest.raises(ValueError, match="genus bound"):
+        quotient_invariants(24, 5.0)
+    with pytest.raises(ValueError, match="positive multiple of 4"):
+        quotient_invariants(24.0, 5)
+    with pytest.raises(ValueError, match="positive multiple of 4"):
+        quotient_table(24.0)
 
 
 def test_boundary_rows_have_pg_zero_and_bounded_ksq():
@@ -139,6 +145,9 @@ def test_curve_validation():
         shimura_curve_genus((2, 4), 1)  # 4 is not prime
     with pytest.raises(ValueError):
         shimura_curve_genus((), 1)
+    for index in (Fraction(5, 2), 2.5, 12.0):
+        with pytest.raises(ValueError, match="index must be a positive integer"):
+            shimura_curve_genus([2, 5], index)
 
 
 @given(st.integers(min_value=1, max_value=60))

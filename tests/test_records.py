@@ -2,15 +2,22 @@
 tuples, and the eight that check themselves refuse a bad value through
 every public construction path: the constructor, ``_make`` and
 ``_replace``, and so the rebuilt records of ``QuadPrime.conjugate`` and of
-the search's status and reason updates.  A bad record can be built only
-around the check, by ``tuple.__new__``, which ``CheckedRecord._trusted``
-calls for the constructors that derive the fields themselves."""
+the search's status and reason updates.  All eight check through one
+hook, ``CheckedRecord.__new__``, which calls the record's ``_check``.  A
+bad record can be built only around the check, by ``tuple.__new__``,
+which ``CheckedRecord._trusted`` calls for the constructors that derive
+the fields themselves."""
 
+import pkgutil
 from fractions import Fraction
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import shimsurf
 from shimsurf import InvariantError, search
+from shimsurf.exact import CheckedRecord
 from shimsurf.geometry import (
     CurveData,
     QuotientInvariants,
@@ -111,7 +118,32 @@ _BAD_VALUES = [
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),
     pytest.param(QuaternionAlgebra, (quad_field(33), ()), ValueError, "must ramify somewhere finite", id="algebra"),
     pytest.param(SubgroupSpec, (SubgroupKind.BOREL,), ValueError, "level prime is required", id="subgroup"),
+    pytest.param(
+        SubgroupSpec, ("borel", primes_above(quad_field(33), 11)[0]), ValueError, "'borel' is not a SubgroupKind",
+        id="subgroup-kind",
+    ),
+    pytest.param(SubgroupSpec, (SubgroupKind.BOREL, 11), ValueError, "level prime 11 is not a Place", id="subgroup-level"),
 ]
+
+
+def test_records_check_through_one_hook():
+    # A __new__ compiled from the package's own source is one written
+    # here; the NamedTuple and Enum machinery supply the others.
+    package = Path(shimsurf.__file__).parent
+    modules = [import_module(f"shimsurf.{m.name}") for m in pkgutil.iter_modules(shimsurf.__path__)]
+    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__}
+    own_new = {
+        c.__qualname__
+        for c in classes
+        if "__new__" in vars(c) and Path(c.__new__.__code__.co_filename).parent == package
+    }
+    assert own_new == {"CheckedRecord"}
+    checked = {c for c in classes if issubclass(c, CheckedRecord) and hasattr(c, "_fields")}
+    assert {c.__name__ for c in checked} == {
+        "QuadPrime", "QuarticPrime", "QuaternionAlgebra", "SubgroupSpec",
+        "CandidateRow", "SurfaceInvariants", "QuotientInvariants", "CurveData",
+    }
+    assert all("_check" in vars(c) for c in checked)
 
 
 def _unchecked(cls, *args):

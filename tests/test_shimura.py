@@ -125,6 +125,8 @@ def test_level_invariance():
     assert level_invariance_ok(algebra, q7).ok
     q17, _ = primes_above(field, 17)  # split: swapped with its conjugate
     assert not level_invariance_ok(algebra, q17).ok
+    with pytest.raises(ValueError, match="level prime 11 is not a Place"):
+        level_invariance_ok(algebra, 11)
 
 
 def test_quartic_level_invariance_is_decided_per_place():
@@ -183,48 +185,22 @@ def test_euler_estimate_refuses_underresolved_input():
     assert estimate.recognized is None or estimate.max_den == 1
 
 
-def test_quartic_report_requires_the_zeta_error_bound():
-    # A zeta_k(2) estimate handed to the report is a cross-check of the
-    # exact Euler number: it needs its error bound, and its window must
-    # hold the exact value.  The true zeta_K(2) of the field of
-    # discriminant 725 scaled by 32/28 (which once came out ADMISSIBLE of
-    # type 32 at unipotent:29) is refused either way.
-    K = quartic_new((1, -1, -3, 1, 1), 5)
-    algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
-    spec = SubgroupSpec(SubgroupKind.UNIPOTENT, choose_level_prime(K, 29))
-    true_zeta2 = 28 * 2**5 * math.pi**8 / (420 * 725**1.5)
-    with pytest.raises(ValueError, match="error bound"):
-        admissibility_report(algebra, spec, zeta2=true_zeta2 * 32 / 28)
-    with pytest.raises(ValueError, match="does not enclose"):
-        admissibility_report(algebra, spec, zeta2=true_zeta2 * 32 / 28, zeta2_error=1e-9)
-    report = admissibility_report(algebra, spec, zeta2=true_zeta2, zeta2_error=1e-9)
-    assert report.admissible_type == 28
-    assert admissibility_report(algebra, spec).euler == 28
-
-
-def test_quadratic_report_checks_the_zeta_enclosure():
-    # Over a quadratic base the window must hold
-    # (2 pi^2)^2 zeta_k(-1) / d^(3/2) = pi^4 B_2 / (6 d^(3/2)), B_2 = 24 here.
-    field = quad_field(33)
-    algebra = quadratic_algebra(field, [2])
-    spec = SubgroupSpec(SubgroupKind.BOREL, primes_above(field, 11)[0])
-    true_zeta2 = math.pi**4 * 24 / (6 * 33**1.5)
-    with pytest.raises(ValueError, match="does not enclose"):
-        admissibility_report(algebra, spec, zeta2=true_zeta2 * 1.01, zeta2_error=1e-9)
-    report = admissibility_report(algebra, spec, zeta2=true_zeta2, zeta2_error=1e-9)
-    assert report == admissibility_report(algebra, spec)
-
-
 def test_algebra_constructor_validation():
     field = quad_field(33)
     q2, q2bar = primes_above(field, 2)
-    with pytest.raises(ValueError):
-        QuaternionAlgebra(field, (q2, q2))  # duplicate place
-    with pytest.raises(ValueError):
-        QuaternionAlgebra(field, ())  # quadratic base needs ramification
+    with pytest.raises(ValueError, match="duplicate ramified place"):
+        QuaternionAlgebra(field, (q2, q2))
+    with pytest.raises(ValueError, match="must ramify somewhere finite"):
+        QuaternionAlgebra(field, ())
+    with pytest.raises(ValueError, match="must ramify somewhere finite"):
+        quadratic_algebra(field, [])  # refused by the algebra's own check
+    with pytest.raises(ValueError, match="ramified place 2 is not a Place"):
+        QuaternionAlgebra(field, (2,))
     K = quartic_new((1, -1, -3, 1, 1), 5)
-    with pytest.raises(ValueError):
-        QuaternionAlgebra(K, (q2,))  # quartic base carries no finite ramification
+    with pytest.raises(ValueError, match="supported only with empty finite ramification"):
+        QuaternionAlgebra(K, (choose_level_prime(K, 11),))
+    with pytest.raises(ValueError, match="does not live over the base field"):
+        QuaternionAlgebra(K, (q2,))
 
 
 def test_admissibility_golden_chain():

@@ -390,3 +390,8 @@ def test_verdicts_refuse_places_over_another_field():
         borel_torsion_verdict(K5, over3, primes_above(K5, 11)[0])
     with pytest.raises(ValueError, match=r"level prime prime\(3#0 in Q\(sqrt\(13\)\)\) does not live over"):
         principal_torsion_verdict(K5, primes_above(K5, 11), over3[0])
+    # A rational prime where a place belongs is refused, not read as one.
+    with pytest.raises(ValueError, match="ramified place 11 is not a Place"):
+        full_torsion_verdict(K13, [11])
+    with pytest.raises(ValueError, match="level prime 11 is not a Place"):
+        borel_torsion_verdict(K13, over3, 11)
