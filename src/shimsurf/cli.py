@@ -61,7 +61,7 @@ def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec
     ``level_of`` picks the level prime of the base over the rational one."""
     from .shimura import SubgroupKind, SubgroupSpec
 
-    kind_name, _, level_text = text.partition(":")
+    kind_name, colon, level_text = text.partition(":")
     try:
         kind = SubgroupKind(kind_name)
     except ValueError:
@@ -70,7 +70,7 @@ def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec
             "unipotent:<p>, or principal:<p>"
         ) from None
     if kind is SubgroupKind.FULL:
-        if level_text:
+        if colon:
             raise ValueError("the full unit group takes no level prime")
         return SubgroupSpec(kind, None)
     if not level_text:
@@ -151,7 +151,7 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    e_values = tuple(_parse_int_list(args.e, "--e")) if args.e else DEFAULT_TYPES
+    e_values = tuple(_parse_int_list(args.e, "--e")) if args.e is not None else DEFAULT_TYPES
     rows, report = run_pipeline(e_values)
     if args.format == "csv":
         writer = _csv_writer()

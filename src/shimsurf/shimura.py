@@ -254,8 +254,10 @@ def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
 
 def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
     """Whether the congruence subgroups at the level prime q are preserved
-    by the involution, i.e. whether conjugation maps q to itself."""
-    _require_admitted(A.base, (), q)
+    by the involution, i.e. whether conjugation maps q to itself.  q must
+    be an unramified level of A, a place over its base field that lies
+    over no rational prime under the ramification (ValueError otherwise)."""
+    _require_admitted(A.base, A.ram, q)
     if q.is_conjugation_stable():
         detail = (
             f"the level prime is {q.splitting.value} over the fixed field"
@@ -340,7 +342,10 @@ class _SubgroupSpecFields(NamedTuple):
 class SubgroupSpec(CheckedRecord, _SubgroupSpecFields):
     """Which congruence subgroup to take: the full projectivized unit
     group, or the Borel / unipotent / principal subgroup at a level
-    prime coprime to the ramification of the algebra."""
+    prime.  The spec knows no algebra, so it checks only that the level
+    is a ``Place``; the level must also be unramified in the algebra,
+    which every use against an algebra checks (``level_invariance_ok``,
+    the torsion verdicts, ``admissibility_report``)."""
 
     __slots__ = ()
 
@@ -397,11 +402,6 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     else:
         q = spec.level
         level_ok = level_invariance_ok(A, q)
-        if q.p in A.ram_rational_primes:
-            raise ValueError(
-                f"the level prime lies over {q.p}, which meets the ramification of "
-                "the algebra; congruence subgroups need an unramified level"
-            )
         index = _index(spec.kind, q.norm)
         torsion = _TORSION_DISPATCH[spec.kind](A.base, A.ram, q)
 

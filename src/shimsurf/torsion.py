@@ -34,10 +34,11 @@ one, by the check the algebra layer makes too).  Only a level prime over
 and the subgroup verdict then degrades to UNKNOWN instead of guessing.
 
 Each verdict validates its places once, on entry: every ramified place
-and the level prime must be a ``Place`` over the given base field
-(ValueError otherwise).  Every n the verdicts then ask about is a
-candidate of that field, so their splitting questions skip the candidate
-check that the public ``cyclotomic_splitting`` makes.
+and the level prime must be a ``Place`` over the given base field, and
+the level must be unramified, lying over no rational prime under the
+ramification (ValueError otherwise).  Every n the verdicts then ask
+about is a candidate of that field, so their splitting questions skip
+the candidate check that the public ``cyclotomic_splitting`` makes.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
@@ -139,9 +140,10 @@ def _splitting(q: Place, n: int) -> Splitting:
 def _require_admitted(field: BaseField, ram: Sequence[Place], q: Place | None = None) -> None:
     """The one home of the admission rules on places, which the algebra
     layer applies too: every ramified place and the level prime q, if
-    given, is a ``Place`` over the base field, and a quartic base has no
-    finite ramification, which no algebra there admits.  ValueError
-    otherwise."""
+    given, is a ``Place`` over the base field, a quartic base has no
+    finite ramification, which no algebra there admits, and the level is
+    unramified: its rational prime lies under no ramified place.
+    ValueError otherwise, with the first rule broken in that order."""
     for r in ram:
         if not isinstance(r, Place):
             raise ValueError(f"ramified place {r!r} is not a Place")
@@ -154,6 +156,11 @@ def _require_admitted(field: BaseField, ram: Sequence[Place], q: Place | None = 
             raise ValueError(f"level prime {q} does not live over the base field")
     if field.degree == 4 and ram:
         raise ValueError("quartic base algebras are supported only with empty finite ramification")
+    if q is not None and any(r.p == q.p for r in ram):
+        raise ValueError(
+            f"the level prime lies over {q.p}, which meets the ramification of "
+            "the algebra; congruence subgroups need an unramified level"
+        )
 
 
 def _embeds(ram: Sequence[Place], n: int) -> bool:

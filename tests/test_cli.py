@@ -213,6 +213,16 @@ def test_surface_rejects_unproven_prime_level(capsys):
     assert code == 2 and out == "" and "not proven" in err
 
 
+def test_surface_rejects_malformed_subgroup_spec(capsys):
+    for spec, message in (
+        ("full:", "the full unit group takes no level prime"),
+        ("full:3", "the full unit group takes no level prime"),
+        ("borel", "needs a level prime"),
+    ):
+        code, out, err = invoke(capsys, "surface", "--d", "33", "--ram", "2", "--subgroup", spec)
+        assert code == 2 and out == "" and message in err, spec
+
+
 def test_surface_rejects_unknown_subgroup(capsys):
     code, _, err = invoke(capsys, "surface", "--d", "33", "--ram", "2", "--subgroup", "parabolic:3")
     assert code == 2 and "unknown subgroup" in err
@@ -356,6 +366,8 @@ def test_search_rejects_bad_types(capsys):
     assert code == 2 and "multiples of 4" in err
     code, _, err = invoke(capsys, "search", "--e", "12,x")
     assert code == 2 and "comma-separated integers" in err
+    code, out, err = invoke(capsys, "search", "--e", "")
+    assert code == 2 and out == "" and "--e expects comma-separated integers, got ''" in err
 
 
 # ---------------------------------------------------------------------------

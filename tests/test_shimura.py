@@ -127,6 +127,8 @@ def test_level_invariance():
     assert not level_invariance_ok(algebra, q17).ok
     with pytest.raises(ValueError, match="level prime 11 is not a Place"):
         level_invariance_ok(algebra, 11)
+    with pytest.raises(ValueError, match="meets the ramification"):
+        level_invariance_ok(algebra, primes_above(field, 2)[0])
 
 
 def test_quartic_level_invariance_is_decided_per_place():

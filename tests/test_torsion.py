@@ -22,6 +22,7 @@ from shimsurf.quadfield import (
     splitting_type,
 )
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
+from shimsurf.shimura import quadratic_algebra
 from shimsurf.torsion import (
     Undecidable,
     Verdict,
@@ -395,3 +396,11 @@ def test_verdicts_refuse_places_over_another_field():
         full_torsion_verdict(K13, [11])
     with pytest.raises(ValueError, match="level prime 11 is not a Place"):
         borel_torsion_verdict(K13, over3, 11)
+    # A level over a rational prime under the ramification is no level of
+    # a congruence subgroup: each level verdict refuses it.
+    K33 = quad_field(33)
+    algebra = quadratic_algebra(K33, [2])
+    q2 = primes_above(K33, 2)[0]
+    for verdict in (borel_torsion_verdict, unipotent_torsion_verdict, principal_torsion_verdict):
+        with pytest.raises(ValueError, match="meets the ramification"):
+            verdict(K33, algebra.ram, q2)
