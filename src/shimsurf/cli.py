@@ -13,24 +13,26 @@ All output is deterministic.  Text mode prints ``key = value`` report
 lines; ``--format csv`` prints comma-separated rows with a header, stable
 column order, and ``\\n`` line endings, so emitted CSV re-serializes
 byte-identically.  Exit codes: 0 on success, 2 on invalid input (with a
-diagnostic on standard error), 1 on an internal invariant violation.
+diagnostic on standard error), 1 on an internal invariant violation, and
+141 (128 + SIGPIPE, as a shell reports a writer the signal ended), with
+nothing on standard error, when standard output closes early, as under
+``| head``.
 
-Only what ``search`` calls is imported with this module; every other
-subcommand imports its own layers when it runs, so ``bernoulli``,
-``search``, ``surface``, ``quotient`` and ``curve`` never load the quartic
-layers (``quartic``, ``polymod``, ``siegel``).
+Each subcommand imports its own layers when it runs: only ``search``
+loads the search layer, and only ``quartic`` the quartic layers
+(``quartic``, ``polymod``, ``siegel``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from typing import TYPE_CHECKING, Callable
 
 from .exact import InvariantError, is_prime
 from .quadfield import Place, QuadPrime, field_from_disc, primes_above, quad_field
-from .search import DEFAULT_TYPES, RowStatus, run_pipeline
 
 if TYPE_CHECKING:
     from .geometry import QuotientInvariants
@@ -151,6 +153,8 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import DEFAULT_TYPES, RowStatus, run_pipeline
+
     e_values = tuple(_parse_int_list(args.e, "--e")) if args.e is not None else DEFAULT_TYPES
     rows, report = run_pipeline(e_values)
     if args.format == "csv":
@@ -395,7 +399,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left.  The interpreter flushes stdout once more at
+        # exit, so point it at the null device, where that cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

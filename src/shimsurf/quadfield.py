@@ -69,14 +69,23 @@ class QuadField(NamedTuple):
         return self.bernoulli2() / 24
 
 
+# Fields kept by each per-field cache below: many more than a sweep or the
+# search touches, at a few hundred bytes per entry.
+_FIELDS_KEPT = 1 << 12
+
+
 def quad_field(d: int) -> QuadField:
-    """The real quadratic field of squarefree radicand d > 1."""
+    """The real quadratic field of squarefree radicand d > 1, the same
+    object on every call (see ``field_from_disc``)."""
+    if not isinstance(d, int):
+        raise ValueError(f"radicand must be an int, got {d!r}")
     if d <= 1:
         raise ValueError(f"radicand must exceed 1, got {d}")
-    if not is_squarefree(d):
+    # d > 1 is squarefree exactly when its discriminant is fundamental
+    field = _field(d if d % 4 == 1 else 4 * d)
+    if field is None:
         raise ValueError(f"radicand must be squarefree, got {d}")
-    disc = d if d % 4 == 1 else 4 * d
-    return QuadField(d, disc)
+    return field
 
 
 def fundamental_discriminant(n: int) -> int:
@@ -114,9 +123,23 @@ def fundamental_discriminants(lo: int, hi: int) -> Iterator[int]:
 
 
 def field_from_disc(disc: int) -> QuadField:
-    """The real quadratic field with the given fundamental discriminant."""
-    if disc <= 1 or not is_fundamental_discriminant(disc):
-        raise ValueError(f"{disc} is not a real-quadratic fundamental discriminant")
+    """The real quadratic field with the given fundamental discriminant.
+
+    Fields are interned: each is validated and built once per process, and
+    every later call, here or through ``quad_field``, returns that object.
+    A non-``int`` is refused before the cache is asked, since 5.0 would
+    otherwise find the field of 5."""
+    if not isinstance(disc, int) or disc <= 1 or (field := _field(disc)) is None:
+        raise ValueError(f"{disc!r} is not a real-quadratic fundamental discriminant")
+    return field
+
+
+@lru_cache(maxsize=_FIELDS_KEPT)
+def _field(disc: int) -> QuadField | None:
+    """The field of the integer disc > 1, or None when disc is not a
+    fundamental discriminant."""
+    if not is_fundamental_discriminant(disc):
+        return None
     return QuadField(disc if disc % 4 == 1 else disc // 4, disc)
 
 
@@ -212,7 +235,7 @@ def _sigma1(n: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELDS_KEPT)
 def bernoulli2(disc: int) -> Fraction:
     """Generalized Bernoulli number B_2 of the quadratic character mod disc:
     24 zeta_k(-1) = 2 s(1)/5 for the field k of discriminant disc.

@@ -128,25 +128,23 @@ def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[Cand
         raise InvariantError(f"discriminant cutoff {cutoff} exceeds {DISCRIMINANT_BOUND}")
     for disc in fundamental_discriminants(5, cutoff):
         bern = bernoulli2(disc)
-        if bern / 12 > e_max:
+        # in integers, with B = num/den: the index is 12 e den / (num prod)
+        num, den = bern.numerator, bern.denominator
+        if num > 12 * e_max * den:
             continue
         field = field_from_disc(disc)
         # any usable prime satisfies (p - 1)^2 <= 12 e_max / B
-        r_max = Fraction(12 * e_max) / bern
-        prime_cap = 1 + isqrt(int(r_max))
+        prime_cap = 1 + isqrt(12 * e_max * den // num)
         split = [p for p in primes_up_to(prime_cap) if splitting_type(field, p) is Splitting.SPLIT]
         for e in types:
-            ratio = Fraction(12 * e) / bern
             for size in range(1, len(split) + 1):
                 for subset in combinations(split, size):
-                    product = 1
+                    product = num
                     for p in subset:
                         product *= (p - 1) ** 2
-                    index = ratio / product
-                    if index >= 1 and index.denominator == 1:
-                        rows.append(
-                            CandidateRow(D=disc, B2=bern, e=e, ram_primes=subset, index=int(index))
-                        )
+                    index, rest = divmod(12 * e * den, product)
+                    if index >= 1 and not rest:
+                        rows.append(CandidateRow(D=disc, B2=bern, e=e, ram_primes=subset, index=index))
     rows.sort(key=lambda r: (r.e, r.D, r.index, r.ram_primes))
     return rows
 

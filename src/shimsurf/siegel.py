@@ -352,7 +352,7 @@ def zeta_minus1(field: TotallyRealField) -> Fraction:
     return Fraction(s1, 60 if n == 2 else 30)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _siegel_sums(f: tuple[int, ...], disc: int) -> tuple[int, int]:
     """s(1) and s(2), kept per defining polynomial and discriminant, all
     the kernel reads: one field declared with different subfields is

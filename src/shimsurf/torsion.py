@@ -58,6 +58,7 @@ rules certify it free.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import kronecker
@@ -102,7 +103,15 @@ _SUBFIELD_ORDER = {2: TorsionOrder(4, 8), 5: TorsionOrder(5, 5), 3: TorsionOrder
 def possible_torsion_orders(field: BaseField) -> tuple[TorsionOrder, ...]:
     """Candidate torsion orders for the given totally real base field,
     in increasing order of m."""
-    radicands = field.subfield_radicands
+    return _orders_for(field.subfield_radicands)
+
+
+@lru_cache(maxsize=1 << 12)
+def _orders_for(radicands: tuple[int, ...]) -> tuple[TorsionOrder, ...]:
+    """The candidates of a base field with these real quadratic subfield
+    radicands, kept per radicand tuple and never per field record: a
+    record compares and hashes as its tuple of values, so a cache keyed on
+    records could answer one record type with another's entry."""
     return _ALWAYS_ORDERS + tuple(c for d, c in _SUBFIELD_ORDER.items() if d in radicands)
 
 

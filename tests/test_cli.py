@@ -95,6 +95,54 @@ def test_only_quartic_loads_the_quartic_layers(argv, loaded):
     assert proc.stdout == f"0 {loaded} {loaded} {loaded}\n", proc.stderr
 
 
+_LOADS_SEARCH_LAYER = """
+import contextlib, io, sys
+from shimsurf.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    code = run(sys.argv[1:])
+print(code, "shimsurf.search" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["bernoulli", "--d", "33"], False),
+        (["search", "--e", "24"], True),
+        (["surface", "--d", "33", "--ram", "2", "--subgroup", "borel:11"], False),
+        (["quotient", "--e", "24"], False),
+        (["curve", "--ram", "2,5", "--index", "12"], False),
+        (["quartic", "--poly", "1,-1,-3,1,1", "--subfield", "5", "--subgroup", "borel:11"], False),
+    ],
+    ids=["bernoulli", "search", "surface", "quotient", "curve", "quartic"],
+)
+def test_only_search_loads_the_search_layer(argv, loaded):
+    # Without bytecode caches a process compiles every module it imports,
+    # so the other subcommands must not import the search layer.
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADS_SEARCH_LAYER, *argv], capture_output=True, text=True, env=_SRC_ENV, timeout=60
+    )
+    assert proc.stdout == f"0 {loaded}\n", proc.stderr
+
+
+def test_a_closed_pipe_ends_the_command_quietly():
+    # About 500 kB of rows overflow the pipe, so the command is still
+    # writing when the reader leaves after the first line, as under
+    # ``shimsurf quotient --e 40000 | head -1``.
+    main = "import sys; from shimsurf.cli import main; sys.argv[0] = 'shimsurf'; main()"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", main, "quotient", "--e", "40000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_SRC_ENV,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"fixed-curve genera and quotient invariants for e = 40000:\n"
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_package_import_loads_no_submodule():
     # The exports resolve on first access; a name loads its home module.
     script = (

@@ -12,6 +12,7 @@ from shimsurf.exact import is_prime, kronecker, primes_up_to
 from shimsurf.quadfield import (
     QuadPrime,
     Splitting,
+    _field,
     bernoulli2,
     field_from_disc,
     fundamental_discriminant,
@@ -21,6 +22,8 @@ from shimsurf.quadfield import (
     quad_field,
     splitting_type,
 )
+from shimsurf.siegel import _siegel_sums
+from shimsurf.torsion import _orders_for
 
 # The exact B_2 values of the fifteen fields entering the bounded search,
 # keyed by fundamental discriminant.
@@ -105,6 +108,34 @@ def test_quad_field_validation():
         quad_field(12)  # not squarefree
     with pytest.raises(ValueError):
         quad_field(1)
+
+
+def test_fields_are_interned():
+    # A field is validated and built once per process: every later call,
+    # through either constructor, returns the same object.
+    assert field_from_disc(5) is field_from_disc(5)
+    assert quad_field(2) is field_from_disc(8)
+    assert quad_field(33) is quad_field(33)
+
+
+@pytest.mark.parametrize("make", [field_from_disc, quad_field])
+@pytest.mark.parametrize("value", [5.0, Fraction(5), "5"], ids=["float", "Fraction", "str"])
+@pytest.mark.parametrize("int_seen_first", [False, True], ids=["unseen", "seen"])
+def test_non_int_arguments_are_refused(make, value, int_seen_first):
+    # 5.0 and Fraction(5) equal 5 and hash alike, so only the check before
+    # the cache keeps them from finding the interned field of 5.
+    _field.cache_clear()
+    if int_seen_first:
+        make(5)
+    with pytest.raises(ValueError):
+        make(value)
+
+
+def test_per_field_caches_are_bounded():
+    # A long-lived library sweep over ever new fields must not grow them
+    # without limit.
+    for cache in (_field, bernoulli2, _orders_for, _siegel_sums):
+        assert cache.cache_info().maxsize is not None, cache
 
 
 def test_splitting_matches_kronecker():

@@ -13,6 +13,7 @@ import pytest
 
 from shimsurf.exact import is_squarefree, kronecker, primes_up_to
 from shimsurf.quadfield import (
+    QuadField,
     Splitting,
     field_from_disc,
     fundamental_discriminant,
@@ -58,6 +59,14 @@ def test_possible_orders_generic_and_special_radicands():
         assert [(c.m, c.n) for c in possible_torsion_orders(K)] == [(2, 4), (3, 3), (4, 8), (6, 12)]
     K = quartic_new((1, -1, -3, 1, 1), 5)
     assert [(c.m, c.n) for c in possible_torsion_orders(K)] == [(2, 4), (3, 3), (5, 5)]
+
+
+def test_candidates_are_kept_per_radicands_not_per_record():
+    # QuadField(5, 5) equals the plain tuple (5, 5) and hashes alike, so a
+    # cache keyed on the record would answer the tuple with its entry.
+    assert possible_torsion_orders(QuadField(5, 5))[-1] == (5, 5)
+    with pytest.raises(AttributeError):
+        possible_torsion_orders((5, 5))
 
 
 def test_gamma1_orders_frozen():
