@@ -3,8 +3,11 @@
 A field is identified by its squarefree radicand d > 1; the fundamental
 discriminant is d when d = 1 (mod 4) and 4d otherwise.  Rational primes
 split, stay inert, or ramify according to the Kronecker symbol of the
-discriminant, and a prime of the field is modelled as the rational prime
-below it plus a tag selecting one of the (at most two) primes above.
+discriminant, read at an odd prime p by Euler's criterion, D^((p-1)/2)
+mod p, and at 2 by the Kronecker rule mod 8.  A prime of the field is
+modelled as the rational prime below it plus a tag selecting one of the
+(at most two) primes above.  A radicand, discriminant or prime that is
+not an ``int`` is refused with ValueError, before any cache is asked.
 
 The generalized second Bernoulli number of the field's quadratic
 character is B_2 = 24 zeta_k(-1) = 2 s(1)/5, by Siegel's formula in
@@ -93,6 +96,8 @@ def fundamental_discriminant(n: int) -> int:
 
     Returns 1 when n is a perfect square (the extension is trivial).
     """
+    if not isinstance(n, int):
+        raise ValueError(f"radicand must be an int, got {n!r}")
     if n == 0:
         raise ValueError("radicand must be nonzero")
     sign = 1 if n > 0 else -1
@@ -105,6 +110,8 @@ def fundamental_discriminant(n: int) -> int:
 
 def is_fundamental_discriminant(disc: int) -> bool:
     """True when disc is the discriminant of a quadratic field (or 1)."""
+    if not isinstance(disc, int):
+        raise ValueError(f"discriminant must be an int, got {disc!r}")
     if disc == 1:
         return True
     if disc % 4 == 1:
@@ -143,16 +150,33 @@ def _field(disc: int) -> QuadField | None:
     return QuadField(disc if disc % 4 == 1 else disc // 4, disc)
 
 
+def _is_field(field: object) -> bool:
+    """Whether field is a real quadratic field: a ``QuadField`` of ints
+    equal to the interned field of its discriminant.  Equal, not the same
+    object, since the cache may have dropped the field a caller holds."""
+    return (
+        isinstance(field, QuadField)
+        and isinstance(field.d, int)
+        and isinstance(field.disc, int)
+        and field.disc > 1
+        and _field(field.disc) == field
+    )
+
+
 def splitting_type(field: QuadField, p: int) -> Splitting:
-    """How the rational prime p behaves in the field."""
+    """How the rational prime p behaves in the field: by the Kronecker
+    symbol (D|p), which at an odd prime is D^((p-1)/2) mod p (Euler's
+    criterion): 1, p - 1 or 0."""
+    if not isinstance(p, int):
+        raise ValueError(f"rational prime must be an int, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    symbol = kronecker(field.disc, p)
+    symbol = kronecker(field.disc, 2) if p == 2 else pow(field.disc, (p - 1) // 2, p)
     if symbol == 1:
         return Splitting.SPLIT
-    if symbol == -1:
-        return Splitting.INERT
-    return Splitting.RAMIFIED
+    if symbol == 0:
+        return Splitting.RAMIFIED
+    return Splitting.INERT
 
 
 class Place(CheckedRecord):

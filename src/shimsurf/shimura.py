@@ -18,6 +18,14 @@ a quadratic field answers with B_2/24 from Cohen's closed sum
 to the lattice kernel (``siegel.zeta_minus1``).  The volume formula
 with a floating zeta_k(2) stays as the tests' independent cross-check
 (``euler_number_general``); no float enters a report.
+
+Each fact is proven once, at the public boundary.  ``quadratic_algebra``
+checks its field and primes and builds the algebra through
+``QuaternionAlgebra._trusted``, since the places it derives are distinct
+conjugate pairs over that field by construction.  ``admissibility_report``
+checks that it got an algebra and a subgroup spec, admits the level once,
+through the torsion verdict it calls, and then reads level invariance and
+the Euler number from unchecked kernels.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import CheckedRecord, factorize, recognize_rational
 from .geometry import SurfaceInvariants, shimura_surface_invariants
-from .quadfield import Place, QuadField, QuadPrime, Splitting, primes_above
+from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, primes_above
 from .torsion import (
     TorsionVerdict,
     Verdict,
@@ -86,8 +94,8 @@ class SubgroupKind(Enum):
 def subgroup_index(kind: SubgroupKind, s: int) -> int:
     """Index in the projectivized unit group of the congruence subgroup of
     the given kind at a level prime of norm s (a prime power)."""
-    if s < 2 or len(factorize(s)) != 1:
-        raise ValueError(f"the residue field size must be a prime power, got {s}")
+    if not isinstance(s, int) or s < 2 or len(factorize(s)) != 1:
+        raise ValueError(f"the residue field size must be a prime power, got {s!r}")
     return _index(kind, s)
 
 
@@ -103,6 +111,13 @@ def _index(kind: SubgroupKind, s: int) -> int:
     if kind is SubgroupKind.PRINCIPAL:
         return s * (s * s - 1) // t
     raise ValueError(f"unknown subgroup kind {kind!r}")  # pragma: no cover
+
+
+_UNRAMIFIED_QUADRATIC = (
+    "a surface algebra over a quadratic field must ramify somewhere "
+    "finite, otherwise it is a matrix algebra and the quotient is "
+    "non-compact"
+)
 
 
 class _QuaternionAlgebraFields(NamedTuple):
@@ -126,11 +141,7 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
             raise ValueError("duplicate ramified place")
         degree = self.base.degree
         if degree == 2 and not self.ram:
-            raise ValueError(
-                "a surface algebra over a quadratic field must ramify somewhere "
-                "finite, otherwise it is a matrix algebra and the quotient is "
-                "non-compact"
-            )
+            raise ValueError(_UNRAMIFIED_QUADRATIC)
         if degree not in (2, 4):
             raise ValueError(f"unsupported base field degree {degree}")
 
@@ -157,10 +168,20 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
 
 def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> QuaternionAlgebra:
     """The algebra over the quadratic field ramified at the conjugate pair
-    of places over each given rational prime; every prime must split."""
-    primes = sorted(set(rational_primes))
-    ram: list[QuadPrime] = []
+    of places over each given rational prime; every prime must split.
+
+    Built without the algebra's check: after the field, each prime (an
+    ``int``, checked before duplicates merge) and its splitting are
+    checked here, the places are distinct conjugate pairs over the field,
+    in (p, tag) order, and there is at least one pair."""
+    if not _is_field(field):
+        raise ValueError(f"{field!r} is not a real quadratic field")
+    primes = list(rational_primes)
     for p in primes:
+        if not isinstance(p, int):
+            raise ValueError(f"ramified prime must be an int, got {p!r}")
+    ram: list[QuadPrime] = []
+    for p in sorted(set(primes)):
         above = primes_above(field, p)
         if len(above) != 2:
             raise ValueError(
@@ -168,8 +189,9 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
                 "consist of conjugate pairs of distinct places"
             )
         ram.extend(above)
-    ram.sort(key=lambda r: (r.p, r.tag))
-    return QuaternionAlgebra(field, tuple(ram))
+    if not ram:
+        raise ValueError(_UNRAMIFIED_QUADRATIC)
+    return QuaternionAlgebra._trusted(field, tuple(ram), False)
 
 
 def quartic_algebra(field: QuarticField, infinite_conjugate_asserted: bool = False) -> QuaternionAlgebra:
@@ -258,6 +280,11 @@ def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
     be an unramified level of A, a place over its base field that lies
     over no rational prime under the ramification (ValueError otherwise)."""
     _require_admitted(A.base, A.ram, q)
+    return _level_invariance(q)
+
+
+def _level_invariance(q: Place) -> Check:
+    """``level_invariance_ok`` for a level already admitted."""
     if q.is_conjugation_stable():
         detail = (
             f"the level prime is {q.splitting.value} over the fixed field"
@@ -280,6 +307,12 @@ def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
         raise TypeError("exact Euler numbers via Bernoulli values need a quadratic base")
     if not isinstance(index, int) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index}")
+    return _euler_quadratic(A, index)
+
+
+def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
+    """``euler_number_quadratic`` for a quadratic algebra and a positive
+    integer index: one integer numerator, then one Fraction."""
     b2 = A.base.bernoulli2()
     numerator = index * b2.numerator
     for p in A.ram_rational_primes:
@@ -392,7 +425,15 @@ _TORSION_DISPATCH = {
 
 def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> AdmissibilityReport:
     """Run the full pipeline for one algebra and subgroup.  The Euler
-    number is exact over both bases."""
+    number is exact over both bases.
+
+    The level is admitted once, by the public torsion verdict, which is
+    the home of that check and runs before anything else reads the level
+    (ValueError, with the message ``level_invariance_ok`` gives)."""
+    if not isinstance(A, QuaternionAlgebra):
+        raise ValueError(f"{A!r} is not a QuaternionAlgebra")
+    if not isinstance(spec, SubgroupSpec):
+        raise ValueError(f"{spec!r} is not a SubgroupSpec")
     inv = involution_exists(A)
     order_ok = _invariant_order(A, inv)
     if spec.kind is SubgroupKind.FULL:
@@ -401,12 +442,12 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
         torsion = full_torsion_verdict(A.base, A.ram)
     else:
         q = spec.level
-        level_ok = level_invariance_ok(A, q)
-        index = _index(spec.kind, q.norm)
         torsion = _TORSION_DISPATCH[spec.kind](A.base, A.ram, q)
+        level_ok = _level_invariance(q)
+        index = _index(spec.kind, q.norm)
 
     if A.degree == 2:
-        euler = euler_number_quadratic(A, index)
+        euler = _euler_quadratic(A, index)
     else:  # index * 2^(3-4) * zeta_K(-1); a quartic algebra has no finite ramification
         euler = index * A.base.zeta_minus1() / 2
 

@@ -118,12 +118,13 @@ def test_fields_are_interned():
     assert quad_field(33) is quad_field(33)
 
 
-@pytest.mark.parametrize("make", [field_from_disc, quad_field])
+@pytest.mark.parametrize("make", [field_from_disc, quad_field, is_fundamental_discriminant, fundamental_discriminant])
 @pytest.mark.parametrize("value", [5.0, Fraction(5), "5"], ids=["float", "Fraction", "str"])
 @pytest.mark.parametrize("int_seen_first", [False, True], ids=["unseen", "seen"])
 def test_non_int_arguments_are_refused(make, value, int_seen_first):
     # 5.0 and Fraction(5) equal 5 and hash alike, so only the check before
-    # the cache keeps them from finding the interned field of 5.
+    # the cache keeps them from finding the interned field of 5 (and the
+    # discriminant helpers would answer for 5).
     _field.cache_clear()
     if int_seen_first:
         make(5)
@@ -139,13 +140,26 @@ def test_per_field_caches_are_bounded():
 
 
 def test_splitting_matches_kronecker():
-    for d in (2, 3, 5, 6, 7, 13, 17, 33):
-        field = quad_field(d)
-        for p in primes_up_to(60):
-            kind = splitting_type(field, p)
-            symbol = kronecker(field.disc, p)
-            expected = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}[symbol]
-            assert kind is expected, (d, p)
+    # splitting_type reads Euler's criterion D^((p-1)/2) mod p at odd p.
+    expected = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}
+    primes = primes_up_to(199)
+    for disc in fundamental_discriminants(5, 2000):
+        field = field_from_disc(disc)
+        for p in primes:
+            assert splitting_type(field, p) is expected[kronecker(disc, p)], (disc, p)
+
+
+@pytest.mark.parametrize("value", [7.0, Fraction(7)], ids=["float", "Fraction"])
+def test_non_int_primes_are_refused(value):
+    # 7.0 and Fraction(7) pass is_prime, and Euler's criterion would raise
+    # TypeError from pow; both are refused first.
+    field = quad_field(33)
+    with pytest.raises(ValueError, match="rational prime must be an int"):
+        splitting_type(field, value)
+    with pytest.raises(ValueError, match="rational prime must be an int"):
+        primes_above(field, value)
+    with pytest.raises(ValueError, match="rational prime must be an int"):
+        QuadPrime(field, value, Splitting.INERT)
 
 
 def test_primes_above_norms_and_conjugation():

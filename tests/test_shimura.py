@@ -2,6 +2,7 @@
 subgroup indices, Euler numbers, and admissibility reports."""
 
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shimsurf.exact import factorize, primes_up_to
-from shimsurf.quadfield import bernoulli2, quad_field, primes_above
+from shimsurf.quadfield import QuadField, _field, bernoulli2, primes_above, quad_field
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.shimura import (
     QuaternionAlgebra,
@@ -59,7 +60,7 @@ def test_subgroup_index_identities_all_prime_powers():
 
 
 def test_subgroup_index_rejects_non_prime_powers():
-    for bad in (1, 6, 10, 12, 100):
+    for bad in (1, 6, 10, 12, 100, 7.0, Fraction(7)):
         with pytest.raises(ValueError):
             subgroup_index(SubgroupKind.BOREL, bad)
 
@@ -195,7 +196,7 @@ def test_algebra_constructor_validation():
     with pytest.raises(ValueError, match="must ramify somewhere finite"):
         QuaternionAlgebra(field, ())
     with pytest.raises(ValueError, match="must ramify somewhere finite"):
-        quadratic_algebra(field, [])  # refused by the algebra's own check
+        quadratic_algebra(field, [])  # refused before the unchecked construction
     with pytest.raises(ValueError, match="ramified place 2 is not a Place"):
         QuaternionAlgebra(field, (2,))
     K = quartic_new((1, -1, -3, 1, 1), 5)
@@ -203,6 +204,70 @@ def test_algebra_constructor_validation():
         QuaternionAlgebra(K, (choose_level_prime(K, 11),))
     with pytest.raises(ValueError, match="does not live over the base field"):
         QuaternionAlgebra(K, (q2,))
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [[2.0], [2, 2.0], [2.0, 2], [Fraction(2)]],
+    ids=["float", "int-then-float", "float-then-int", "Fraction"],
+)
+def test_quadratic_algebra_refuses_non_int_primes(primes):
+    # Checked before duplicates merge, so [2, 2.0] cannot collapse to [2].
+    with pytest.raises(ValueError, match="ramified prime must be an int"):
+        quadratic_algebra(quad_field(33), primes)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QuadField(6, 6), QuadField(33, 132), QuadField(5.0, 5), (33, 33), 33],
+    ids=["non-fundamental", "wrong-disc", "float-radicand", "tuple", "int"],
+)
+def test_quadratic_algebra_refuses_a_non_field(field):
+    with pytest.raises(ValueError, match="is not a real quadratic field"):
+        quadratic_algebra(field, [5])
+
+
+def test_quadratic_algebra_accepts_any_field_equal_to_the_interned_one():
+    # A field the interning cache has dropped, or one built directly,
+    # still names a valid field and is accepted.
+    held = quad_field(33)
+    _field.cache_clear()
+    assert quad_field(33) is not held
+    for field in (held, QuadField(33, 33)):
+        assert quadratic_algebra(field, [2]) == quadratic_algebra(quad_field(33), [2])
+
+
+def test_admissibility_report_refuses_non_records():
+    field = quad_field(33)
+    algebra = quadratic_algebra(field, [2])
+    (q11,) = primes_above(field, 11)
+    spec = SubgroupSpec(SubgroupKind.BOREL, q11)
+    with pytest.raises(ValueError, match="is not a QuaternionAlgebra"):
+        admissibility_report(tuple(algebra), spec)
+    with pytest.raises(ValueError, match="is not a SubgroupSpec"):
+        admissibility_report(algebra, (SubgroupKind.BOREL, q11))
+
+
+@pytest.mark.parametrize("kind", [SubgroupKind.BOREL, SubgroupKind.UNIPOTENT, SubgroupKind.PRINCIPAL])
+def test_admissibility_refusal_messages(kind):
+    # The report admits the level once, through its torsion verdict, with
+    # the messages that level_invariance_ok gives.
+    field = quad_field(33)
+    algebra = quadratic_algebra(field, [2])
+    expected = {
+        primes_above(field, 2)[1]: (
+            "the level prime lies over 2, which meets the ramification of the "
+            "algebra; congruence subgroups need an unramified level"
+        ),
+        primes_above(quad_field(5), 11)[0]: (
+            "level prime prime(11#0 in Q(sqrt(5))) does not live over the base field"
+        ),
+    }
+    for q, message in expected.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            level_invariance_ok(algebra, q)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            admissibility_report(algebra, SubgroupSpec(kind, q))
 
 
 def test_admissibility_golden_chain():

@@ -1,15 +1,18 @@
 """The constructors that build records without their check, because they
 derive the fields themselves, agree with the checked public paths, and
 the Euler number built from one integer numerator agrees with the
-Fraction formula.  That the public constructors and
-``cyclotomic_splitting`` still refuse bad input is tested with their
-modules and in test_records."""
+Fraction formula.  The report, which admits its level once and then
+reads unchecked kernels, agrees with the checked public functions.  That
+the public constructors and ``cyclotomic_splitting`` still refuse bad
+input is tested with their modules and in test_records."""
 
 import importlib.util
 import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from shimsurf.exact import primes_up_to
 from shimsurf.quadfield import (
@@ -21,7 +24,17 @@ from shimsurf.quadfield import (
     splitting_type,
 )
 from shimsurf.quartic import QuarticPrime, primes_above_quartic, quartic_new, quartic_splitting
-from shimsurf.shimura import SubgroupKind, euler_number_quadratic, quadratic_algebra, subgroup_index
+from shimsurf import shimura, torsion
+from shimsurf.shimura import (
+    QuaternionAlgebra,
+    SubgroupKind,
+    SubgroupSpec,
+    admissibility_report,
+    euler_number_quadratic,
+    level_invariance_ok,
+    quadratic_algebra,
+    subgroup_index,
+)
 
 
 def _benchmark_inputs():
@@ -65,3 +78,69 @@ def test_euler_number_equals_the_fraction_formula_on_the_sweep():
         index = 1 if query.level is None else subgroup_index(kind, primes_above(A.base, query.level)[0].norm)
         expected = Fraction(index) * A.base.bernoulli2() / 12 * math.prod((p - 1) ** 2 for p in query.ram)
         assert euler_number_quadratic(A, index) == expected, query
+
+
+def test_quadratic_algebra_equals_the_checked_constructor():
+    for disc in fundamental_discriminants(5, 400):
+        field = field_from_disc(disc)
+        split = [p for p in primes_up_to(59) if splitting_type(field, p) is Splitting.SPLIT]
+        for primes in itertools.chain(itertools.combinations(split, 1), itertools.combinations(split, 2)):
+            ram = tuple(q for p in primes for q in primes_above(field, p))
+            A = quadratic_algebra(field, primes[::-1])
+            assert A == QuaternionAlgebra(field, ram), (disc, primes)
+            assert type(A) is QuaternionAlgebra
+
+
+def _sweep_reports(count):
+    """(algebra, spec, report) for the first count valid seed-1 sweep
+    queries."""
+    valid = (q for q in INPUTS.sweep_queries(1) if q.valid)
+    for query in itertools.islice(valid, count):
+        A = quadratic_algebra(field_from_disc(query.disc), query.ram)
+        level = None if query.level is None else primes_above(A.base, query.level)[0]
+        spec = SubgroupSpec(SubgroupKind(query.kind), level)
+        yield A, spec, admissibility_report(A, spec)
+
+
+def test_report_equals_the_checked_functions_on_the_sweep():
+    public = {
+        SubgroupKind.BOREL: torsion.borel_torsion_verdict,
+        SubgroupKind.UNIPOTENT: torsion.unipotent_torsion_verdict,
+        SubgroupKind.PRINCIPAL: torsion.principal_torsion_verdict,
+    }
+    for A, spec, report in _sweep_reports(2000):
+        assert report.euler == euler_number_quadratic(A, report.index), spec
+        if spec.level is None:
+            assert report.torsion == torsion.full_torsion_verdict(A.base, A.ram)
+        else:
+            assert report.level_invariance_ok == level_invariance_ok(A, spec.level), spec
+            assert report.torsion == public[spec.kind](A.base, A.ram, spec.level), spec
+
+
+def _counting(counts, name, fn):
+    def counted(*args):
+        counts[name] += 1
+        return fn(*args)
+
+    return counted
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Call counts of every torsion verdict binding the report can reach
+    and of the admission rule, at both of its homes' bindings."""
+    counts = {"verdict": 0, "admission": 0}
+    for name in ("full_torsion_verdict", "borel_torsion_verdict", "unipotent_torsion_verdict", "principal_torsion_verdict"):
+        monkeypatch.setattr(shimura, name, _counting(counts, "verdict", getattr(shimura, name)))
+    for kind, fn in list(shimura._TORSION_DISPATCH.items()):
+        monkeypatch.setitem(shimura._TORSION_DISPATCH, kind, _counting(counts, "verdict", fn))
+    for module in (shimura, torsion):
+        monkeypatch.setattr(module, "_require_admitted", _counting(counts, "admission", module._require_admitted))
+    return counts
+
+
+def test_each_report_calls_one_verdict_and_admits_once(calls):
+    # One verdict per report keeps the traced run's torsion.verdicts
+    # meaningful; the verdict is the only place the level is admitted.
+    reports = list(_sweep_reports(1000))
+    assert calls == {"verdict": len(reports), "admission": len(reports)}
