@@ -4,7 +4,7 @@ the second kind over totally real fields.
 The layers, bottom up:
 
 - :mod:`shimsurf.exact` — integer/rational kernel (Kronecker symbols,
-  deterministic primality and factorization, rational recognition);
+  deterministic primality and factorization, a prime sieve);
 - :mod:`shimsurf.polymod` — dense polynomial arithmetic and factorization
   over prime fields;
 - :mod:`shimsurf.siegel` — exact zeta_K(-1) of totally real fields of
@@ -15,12 +15,12 @@ The layers, bottom up:
   conjugation, exact generalized Bernoulli values B_2 = 24 zeta_k(-1)
   from Cohen's closed divisor sum;
 - :mod:`shimsurf.quartic` — totally real quartic fields with a quadratic
-  subfield: discriminants, splitting read off the defining polynomial
-  mod p, and the zeta_K(2) Euler product kept as a cross-check;
+  subfield: discriminants, maximality of the equation order, and
+  splitting read off the defining polynomial mod p;
 - :mod:`shimsurf.torsion` — certified torsion-freeness of congruence
   subgroups via cyclotomic splitting;
 - :mod:`shimsurf.shimura` — quaternion algebras, involutions of second
-  kind, subgroup indices, Euler numbers, admissibility reports;
+  kind, subgroup indices, exact Euler numbers, admissibility reports;
 - :mod:`shimsurf.geometry` — Chern invariants of the surfaces, their
   involution quotients, and quotient curves;
 - :mod:`shimsurf.search` — the bounded classification search;
@@ -44,7 +44,7 @@ from importlib import import_module as _import_module
 
 # Each exported name, grouped by its home module.
 _EXPORTS = {
-    "exact": ("InvariantError", "is_prime", "kronecker", "recognize_rational"),
+    "exact": ("InvariantError", "is_prime", "kronecker"),
     "geometry": (
         "CurveResult",
         "QuotientInvariants",
@@ -73,7 +73,6 @@ _EXPORTS = {
         "choose_level_prime",
         "quartic_new",
         "quartic_splitting",
-        "zeta2_euler_product",
     ),
     "search": (
         "CandidateRow",
@@ -86,12 +85,10 @@ _EXPORTS = {
     ),
     "shimura": (
         "AdmissibilityReport",
-        "EulerEstimate",
         "QuaternionAlgebra",
         "SubgroupKind",
         "SubgroupSpec",
         "admissibility_report",
-        "euler_number_general",
         "euler_number_quadratic",
         "invariant_order_exists",
         "involution_exists",

@@ -3,16 +3,15 @@
 Everything in this module is pure and deterministic: Kronecker symbols
 with the standard conventions at 2 and -1, integer factorization (trial
 division, Miller-Rabin, perfect powers by integer roots, Brent's rho),
-square-part decomposition, and recovery of a rational from a
-floating-point approximation by a bounded-denominator sweep.
+square-part decomposition and a prime sieve.
 
-Rationals are `fractions.Fraction` throughout the package.  Python
-integers are unbounded, so no overflow handling is required anywhere.
+Rationals are `fractions.Fraction` throughout the package, and no float
+enters it.  Python integers are unbounded, so no overflow handling is
+required anywhere.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -224,29 +223,3 @@ def primes_up_to(n: int) -> list[int]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i in range(2, n + 1) if sieve[i]]
 
-
-def recognize_rational(x: float, max_den: int, tol: float) -> Fraction | None:
-    """Recover x as a fraction with denominator <= max_den.
-
-    Returns the unique fraction r with |x - r| <= tol, provided no other
-    fraction with denominator <= max_den lies within 2*tol of x; returns
-    None otherwise.  The margin guards against fabricating a wrong value
-    from an under-resolved estimate.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    xf = Fraction(x)
-    wide = Fraction(tol) * 2
-    candidates: set[Fraction] = set()
-    for q in range(1, max_den + 1):
-        mid = round(x * q)
-        for num in (mid - 1, mid, mid + 1):
-            r = Fraction(num, q)
-            if abs(xf - r) <= wide:
-                candidates.add(r)
-    if len(candidates) != 1:
-        return None
-    (r,) = candidates
-    return r if abs(xf - r) <= Fraction(tol) else None

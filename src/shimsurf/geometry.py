@@ -114,10 +114,10 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
     if not isinstance(e, int) or e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
     if not isinstance(g, int) or not 2 <= g <= (e - 4) // 4:
-        raise ValueError(f"genus bound violated: need 2 <= g <= (e - 4)/4 = {(e - 4) / 4}, got {g}")
+        raise ValueError(f"genus bound violated: need 2 <= g <= (e - 4)/4 = {Fraction(e - 4, 4)}, got {g}")
     if (e - 4 - 4 * g) % 8 != 0:
         raise ValueError(
-            f"non-integral geometric genus: (e - 4 - 4g)/8 = {(e - 4 - 4 * g) / 8} for e={e}, g={g}"
+            f"non-integral geometric genus: (e - 4 - 4g)/8 = {Fraction(e - 4 - 4 * g, 8)} for e={e}, g={g}"
         )
     ksq = e + 5 * (1 - g)
     c2 = e // 2 + 1 - g

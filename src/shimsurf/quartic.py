@@ -2,9 +2,8 @@
 certification from the resolvent cubic (irreducibility, the
 discriminant, the real-root count and the quadratic subfields)
 and from Dedekind's criterion (the equation order Z[x]/(f) is maximal),
-prime splitting read off the defining polynomial modulo p, the
-conjugation stability of each place over the declared subfield, and a
-truncated Euler product for the Dedekind zeta value at 2.
+prime splitting read off the defining polynomial modulo p, and the
+conjugation stability of each place over the declared subfield.
 
 ``quartic_splitting`` answers every splitting question from the degrees
 and multiplicities of the irreducible factors of the defining polynomial
@@ -12,11 +11,11 @@ mod p, at every prime since the equation order is maximal.
 ``QuarticField.zeta_minus1`` hands only that polynomial to
 ``siegel.zeta_minus1``, which reads the same shapes from the
 Kummer-Dedekind factors and gives zeta_K(-1), and so every Euler number,
-exactly.  The Euler product is not used for any reported number: it
-stays as the tests' independent check of that value through the
-functional equation zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), with
-a proven error bound.  It also accepts real quadratic fields, where
-splitting comes from the field character instead.
+exactly.  The truncated Euler product for zeta_K(2), which checks that
+value through the functional equation
+zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), lives in the tests
+(``tests/float_reference.py``), since no reported number may come from
+floating point.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import InvariantError, factorize, primes_up_to, square_part
+from .exact import InvariantError, factorize, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, squarefree_decomposition
 from .quadfield import Place, QuadField, Splitting, quad_field, splitting_type
 
@@ -36,7 +35,6 @@ __all__ = [
     "quartic_splitting",
     "primes_above_quartic",
     "choose_level_prime",
-    "zeta2_euler_product",
 ]
 
 
@@ -304,38 +302,3 @@ def choose_level_prime(K: QuarticField, p: int) -> QuarticPrime:
     then smallest ramification exponent)."""
     return min(primes_above_quartic(K, p), key=lambda q: (q.residue_degree, q.ramification_index))
 
-
-def zeta2_euler_product(field, prime_bound: int) -> tuple[float, float]:
-    """Truncated Euler product for the Dedekind zeta value at 2, with an
-    absolute error bound.
-
-    Returns (estimate, error_bound) where the true value lies in
-    [estimate, estimate * (1 + error_bound/estimate)]: each omitted local
-    factor exceeds 1, and the tail over primes beyond the bound is
-    controlled by exp(n * sum 1/(p^2 - 1)) - 1 <= expm1(n/(bound - 1)).
-    Accepts quartic fields, whose local factors come from the residue
-    degrees that ``quartic_splitting`` reads, and real quadratic fields
-    (character splitting).
-    """
-    if prime_bound < 100:
-        raise ValueError(f"prime bound must be at least 100, got {prime_bound}")
-    degree = field.degree
-    if degree not in (2, 4):
-        raise TypeError(f"unsupported base field {field!r}")
-    estimate = 1.0
-    relative_error = math.expm1(degree / (prime_bound - 1))
-    for p in primes_up_to(prime_bound):
-        if degree == 2:
-            kind = splitting_type(field, p)
-            if kind is Splitting.SPLIT:
-                local = 1.0 / (1.0 - p**-2.0) ** 2
-            elif kind is Splitting.INERT:
-                local = 1.0 / (1.0 - p**-4.0)
-            else:
-                local = 1.0 / (1.0 - p**-2.0)
-        else:
-            local = 1.0
-            for f, _ in quartic_splitting(field, p):
-                local /= 1.0 - float(p) ** (-2.0 * f)
-        estimate *= local
-    return estimate, estimate * relative_error

@@ -12,12 +12,14 @@ at exactly two infinite places.
 
 Euler numbers are exact rationals for both degrees,
 index * 2^(3-n) * zeta_k(-1) * prod (N - 1)^2, with zeta_k(-1) from
-Siegel's formula, read only through the base field's ``zeta_minus1()``:
-a quadratic field answers with B_2/24 from Cohen's closed sum
-(``quadfield.bernoulli2``), a quartic one hands its defining polynomial
-to the lattice kernel (``siegel.zeta_minus1``).  The volume formula
-with a floating zeta_k(2) stays as the tests' independent cross-check
-(``euler_number_general``); no float enters a report.
+Siegel's formula.  A quadratic base is read through its
+``bernoulli2()``, B_2 = 24 zeta_k(-1) from Cohen's closed sum
+(``quadfield.bernoulli2``), so the Euler number is index * B_2/12 *
+prod (p - 1)^2; a quartic base is read through its ``zeta_minus1()``,
+which hands its defining polynomial to the lattice kernel
+(``siegel.zeta_minus1``).  This is the package's only way to an Euler
+number; the float volume formula the tests check it against lives in
+``tests/float_reference.py``.
 
 Each fact is proven once, at the public boundary.  ``quadratic_algebra``
 checks its field and primes and builds the algebra through
@@ -33,9 +35,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .exact import CheckedRecord, factorize, recognize_rational
+from .exact import CheckedRecord, factorize
 from .geometry import SurfaceInvariants, shimura_surface_invariants
 from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, primes_above
 from .torsion import (
@@ -64,8 +66,6 @@ __all__ = [
     "invariant_order_exists",
     "level_invariance_ok",
     "euler_number_quadratic",
-    "EulerEstimate",
-    "euler_number_general",
     "AdmissibilityReport",
     "admissibility_report",
 ]
@@ -136,10 +136,12 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        degree = self.base.degree
+        if degree == 2 and not _is_field(self.base):
+            raise ValueError(f"{self.base!r} is not a real quadratic field")
         _require_admitted(self.base, self.ram)
         if len(set(self.ram)) != len(self.ram):
             raise ValueError("duplicate ramified place")
-        degree = self.base.degree
         if degree == 2 and not self.ram:
             raise ValueError(_UNRAMIFIED_QUADRATIC)
         if degree not in (2, 4):
@@ -318,53 +320,6 @@ def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     for p in A.ram_rational_primes:
         numerator *= (p - 1) ** 2
     return Fraction(numerator, 12 * b2.denominator)
-
-
-class EulerEstimate(NamedTuple):
-    """A floating Euler number together with its rational recognition."""
-
-    value: float
-    recognized: Fraction | None
-    tolerance: float
-    max_den: int
-    note: str
-
-
-def euler_number_general(
-    d_k: int,
-    n: int,
-    zeta2: float,
-    ram_norms: Sequence[int],
-    index: int,
-    zeta2_error: float,
-) -> EulerEstimate:
-    """Euler number from the volume formula in arbitrary degree n:
-
-        index * d_k^(3/2) * zeta_k(2) / (2^(2n-3) pi^(2n)) * prod (N - 1)^2
-
-    with one norm per conjugation orbit of finite ramified places.  The
-    zeta estimate's relative error (zeta2_error is an upper bound for the
-    absolute error of zeta2) is propagated into a recognition tolerance,
-    and the denominator cap is shrunk until at most one rational fits the
-    error window, so a reported rational is unambiguous."""
-    if n < 2:
-        raise ValueError(f"the volume formula needs degree >= 2, got {n}")
-    if not zeta2 > 1.0:
-        raise ValueError(f"zeta_k(2) must exceed 1, got {zeta2}")
-    if index < 1 or d_k < 1 or zeta2_error < 0:
-        raise ValueError("index and discriminant must be positive, error nonnegative")
-    value = index * d_k**1.5 * zeta2 / (2 ** (2 * n - 3) * math.pi ** (2 * n))
-    for norm in ram_norms:
-        value *= (norm - 1) ** 2
-    tol = value * (zeta2_error / zeta2) + 1e-12 * (1.0 + abs(value))
-    cap = int(math.isqrt(int(1.0 / (4.0 * tol)))) if 4.0 * tol < 1.0 else 1
-    max_den = max(1, min(10_000, cap))
-    recognized = recognize_rational(value, max_den=max_den, tol=tol)
-    if recognized is None:
-        note = f"no rational with denominator <= {max_den} fits within {tol:.3e}"
-    else:
-        note = f"unique rational within {tol:.3e} at denominators <= {max_den}"
-    return EulerEstimate(value=value, recognized=recognized, tolerance=tol, max_den=max_den, note=note)
 
 
 class _SubgroupSpecFields(NamedTuple):

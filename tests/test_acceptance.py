@@ -31,19 +31,20 @@ from shimsurf.quadfield import (
     primes_above,
     quad_field,
 )
-from shimsurf.quartic import choose_level_prime, quartic_new, quartic_splitting, zeta2_euler_product
+from shimsurf.quartic import choose_level_prime, quartic_new, quartic_splitting
 from shimsurf.search import REFERENCE_ROWS, enumerate_candidates, run_pipeline
 from shimsurf.shimura import (
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
-    euler_number_general,
     euler_number_quadratic,
     quadratic_algebra,
     quartic_algebra,
     subgroup_index,
 )
 from shimsurf.torsion import Verdict, borel_torsion_verdict, cyclotomic_splitting
+
+from float_reference import euler_number_general, zeta2_euler_product
 
 BERNOULLI_TABLE = {
     137: Fraction(192), 113: Fraction(144), 109: Fraction(108), 105: Fraction(144),

@@ -328,6 +328,16 @@ def test_quotient_invalid_genus(capsys):
     assert code == 2 and "non-integral geometric genus" in err
 
 
+def test_quotient_refusals_print_exact_values(capsys):
+    # The bounds a refusal quotes are exact rationals: 5 and 1/2, not 5.0 and 0.5.
+    assert invoke(capsys, "quotient", "--e", "24", "--g", "1") == (
+        2, "", "error: genus bound violated: need 2 <= g <= (e - 4)/4 = 5, got 1\n"
+    )
+    assert invoke(capsys, "quotient", "--e", "24", "--g", "4") == (
+        2, "", "error: non-integral geometric genus: (e - 4 - 4g)/8 = 1/2 for e=24, g=4\n"
+    )
+
+
 def test_quotient_csv(capsys):
     code, out, _ = invoke(capsys, "quotient", "--e", "24", "--format", "csv")
     assert code == 0

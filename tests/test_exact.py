@@ -1,5 +1,6 @@
 """Kernel arithmetic: Kronecker symbols, primality, factorization, square
-parts, modular square roots, and guarded rational recognition."""
+parts and modular square roots; and the guarded rational recognition of
+the tests' float reference."""
 
 from fractions import Fraction
 from math import isqrt
@@ -15,9 +16,10 @@ from shimsurf.exact import (
     is_squarefree,
     kronecker,
     primes_up_to,
-    recognize_rational,
     square_part,
 )
+
+from float_reference import recognize_rational
 
 PRIMES_200 = primes_up_to(200)
 

@@ -1,7 +1,10 @@
 """The package namespace: every export resolves on first access to the
-object its home module defines, and nothing else resolves."""
+object its home module defines, and nothing else resolves; and no module
+of the package computes in floating point."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +41,43 @@ def test_home_modules_resolve_from_the_package():
     assert exact.is_prime is shimsurf.is_prime
     for module in set(shimsurf._HOME.values()):
         assert getattr(shimsurf, module) is importlib.import_module(f"shimsurf.{module}")
+
+
+# The integer functions of math; every other one works in floating point.
+_EXACT_MATH = frozenset({"gcd", "isqrt"})
+
+
+def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each float literal, use of the name ``float`` and
+    non-integer ``math`` function in a parsed module."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            hits.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            hits.append((node.lineno, "float"))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "math":
+            if node.attr not in _EXACT_MATH:
+                hits.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            hits.extend((node.lineno, f"math.{a.name}") for a in node.names if a.name not in _EXACT_MATH)
+    return hits
+
+
+def test_the_package_holds_no_float():
+    # Every reported number is exact; a float may appear only in the
+    # tests' own reference (float_reference.py).
+    package = Path(shimsurf.__file__).parent
+    hits = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _float_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    }
+    assert hits == {}
+
+
+def test_the_float_guard_sees_each_kind_of_use():
+    source = "import math\nfrom math import pi, gcd\nx: float = 0.5 + math.sqrt(2) + math.isqrt(9)\n"
+    assert sorted(_float_uses(ast.parse(source))) == [
+        (2, "math.pi"), (3, "0.5"), (3, "float"), (3, "math.sqrt"),
+    ]

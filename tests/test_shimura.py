@@ -18,7 +18,6 @@ from shimsurf.shimura import (
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
-    euler_number_general,
     euler_number_quadratic,
     invariant_order_exists,
     involution_exists,
@@ -28,6 +27,8 @@ from shimsurf.shimura import (
     subgroup_index,
 )
 from shimsurf.torsion import Verdict
+
+from float_reference import euler_number_general
 
 PRIME_POWERS_1000 = sorted(
     s for s in range(2, 1001) if len(factorize(s)) == 1

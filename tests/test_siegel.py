@@ -24,7 +24,6 @@ from shimsurf.quartic import (
     _pair_discriminants,
     _resolvent_cubic,
     quartic_new,
-    zeta2_euler_product,
 )
 from shimsurf.siegel import (
     _det,
@@ -35,6 +34,8 @@ from shimsurf.siegel import (
     valuation,
     zeta_minus1,
 )
+
+from float_reference import zeta2_euler_product
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
