@@ -8,16 +8,16 @@ The layers, bottom up:
 - :mod:`shimsurf.polymod` — dense polynomial arithmetic and factorization
   over prime fields;
 - :mod:`shimsurf.siegel` — exact zeta_K(-1) of totally real fields of
-  degree 2 and 4 by Siegel's formula, with Kummer-Dedekind primes and
-  valuations in a maximal equation order; it runs for quartic fields,
+  degree 2 and 4 by Siegel's formula, with valuations at Kummer-Dedekind
+  primes of a maximal equation order; it runs for quartic fields,
   and its degree-2 instance is the tests' reference for ``quadfield``;
 - :mod:`shimsurf.quadfield` — real quadratic fields: splitting of primes,
   conjugation, exact generalized Bernoulli values B_2 = 24 zeta_k(-1)
   from Cohen's closed divisor sum;
 - :mod:`shimsurf.quartic` — totally real quartic fields with a quadratic
   subfield: discriminants, maximality of the equation order, and
-  splitting read off the defining polynomial mod p;
-- :mod:`shimsurf.torsion` — certified torsion-freeness of congruence
+  the prime ideals read off the defining polynomial mod p;
+- :mod:`shimsurf.torsion` — torsion verdicts for congruence
   subgroups via cyclotomic splitting;
 - :mod:`shimsurf.shimura` — quaternion algebras, involutions of second
   kind, subgroup indices, exact Euler numbers, admissibility reports;

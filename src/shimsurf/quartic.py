@@ -1,21 +1,22 @@
-"""Totally real quartic fields through a monic defining polynomial:
+"""Totally real quartic fields through a monic defining polynomial f:
 certification from the resolvent cubic (irreducibility, the
 discriminant, the real-root count and the quadratic subfields)
 and from Dedekind's criterion (the equation order Z[x]/(f) is maximal),
-prime splitting read off the defining polynomial modulo p, and the
-conjugation stability of each place over the declared subfield.
+the primes of the field, and the conjugation stability of each place
+over the declared subfield.
 
-``quartic_splitting`` answers every splitting question from the degrees
-and multiplicities of the irreducible factors of the defining polynomial
-mod p, at every prime since the equation order is maximal.
-``QuarticField.zeta_minus1`` hands only that polynomial to
-``siegel.zeta_minus1``, which reads the same shapes from the
-Kummer-Dedekind factors and gives zeta_K(-1), and so every Euler number,
-exactly.  The truncated Euler product for zeta_K(2), which checks that
-value through the functional equation
-zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), lives in the tests
-(``tests/float_reference.py``), since no reported number may come from
-floating point.
+The order being maximal, the primes over p are the ideals (p, g(alpha))
+for the irreducible factors g of f mod p, of residue degree deg g and
+ramification index the multiplicity of g (Kummer-Dedekind; Cohen, A
+Course in Computational Algebraic Number Theory, Thm 4.8.13), and a
+``QuarticPrime`` records its g.  ``quartic_splitting`` reads only their
+shapes, without splitting factors of equal degree.
+``QuarticField.zeta_minus1`` hands f to ``siegel.zeta_minus1``, which
+gives zeta_K(-1), and so every Euler number, exactly.  The truncated
+Euler product for zeta_K(2), which checks that value through the
+functional equation zeta_K(2) = (2 pi^2)^4 zeta_K(-1) / d_K^(3/2), lives
+in the tests (``tests/float_reference.py``), since no reported number
+may come from floating point.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .exact import InvariantError, factorize, square_part
-from .polymod import distinct_degree_factors, is_p_maximal, poly, squarefree_decomposition
+from .polymod import distinct_degree_factors, is_p_maximal, poly, poly_factor_mod_p, squarefree_decomposition
 from .quadfield import Place, QuadField, Splitting, quad_field, splitting_type
 
 __all__ = [
@@ -43,6 +44,20 @@ def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     for c in coeffs:
         acc = acc * x + c
     return acc
+
+
+def _polynomial_str(coeffs: Sequence[int]) -> str:
+    """A polynomial in x from its ascending coefficients, leading term
+    first, e.g. ``x^4 - x^3 - 3*x^2 + x + 1``."""
+    terms: list[str] = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        if c := coeffs[k]:
+            power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+            magnitude = "" if abs(c) == 1 and power else str(abs(c))
+            body = f"{magnitude}*{power}" if magnitude and power else magnitude or power
+            sign = ("" if c > 0 else "-") if not terms else ("+ " if c > 0 else "- ")
+            terms.append(sign + body)
+    return " ".join(terms)
 
 
 def _root_floors(coeffs: Sequence[int]) -> set[int]:
@@ -163,21 +178,7 @@ class QuarticField(NamedTuple):
 
     def __str__(self) -> str:
         """The defining polynomial, e.g. ``x^4 - x^3 - 3*x^2 + x + 1``."""
-        terms: list[str] = []
-        for k, c in zip(range(4, -1, -1), self.coeffs):
-            if c == 0:
-                continue
-            magnitude = abs(c)
-            if k == 0:
-                body = str(magnitude)
-            else:
-                power = "x" if k == 1 else f"x^{k}"
-                body = power if magnitude == 1 else f"{magnitude}*{power}"
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms)
+        return _polynomial_str(self.polynomial)
 
 
 def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
@@ -197,7 +198,9 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
     root r of that pairing is an integer, and t1 + t2 or t1 t2 (not both
     rational, f being irreducible) generates the subfield.
     """
-    coeffs = tuple(int(c) for c in coeffs)
+    coeffs = tuple(coeffs)
+    if not all(isinstance(c, int) for c in coeffs):
+        raise ValueError(f"coefficients must be ints, got {coeffs}")
     if len(coeffs) != 5 or coeffs[0] != 1:
         raise ValueError(f"need five coefficients of a monic quartic, got {coeffs}")
     cubic = _resolvent_cubic(coeffs)
@@ -240,21 +243,28 @@ class _QuarticPrimeFields(NamedTuple):
     p: int
     residue_degree: int
     ramification_index: int
+    generator: tuple[int, ...]
 
 
 class QuarticPrime(Place, _QuarticPrimeFields):
-    """A prime of a quartic field over the rational prime p, recorded by
-    its residue degree and ramification exponent, which must be the shape
-    of some prime over p."""
+    """The prime (p, g(alpha)) of a quartic field, for g, its generator, a
+    monic irreducible factor of f mod p (ascending coefficients mod p):
+    one of the primes that ``primes_above_quartic`` gives over p."""
 
     __slots__ = ()
 
     def _check(self) -> None:
-        shapes = quartic_splitting(self.field, self.p)  # rejects a non-prime p
+        places = primes_above_quartic(self.field, self.p)  # rejects a non-prime p
+        shapes = [(q.residue_degree, q.ramification_index) for q in places]
         if (self.residue_degree, self.ramification_index) not in shapes:
             raise ValueError(
                 f"no prime over {self.p} has f={self.residue_degree}, e={self.ramification_index}; "
                 f"the shapes (f, e) over {self.p} are {shapes}"
+            )
+        if self not in places:
+            raise ValueError(
+                f"no prime over {self.p} has the generator {self.generator!r}; "
+                f"the generators over {self.p} are {[q.generator for q in places]}"
             )
 
     def is_conjugation_stable(self) -> bool:
@@ -265,19 +275,18 @@ class QuarticPrime(Place, _QuarticPrimeFields):
         local = 2 if splitting_type(self.field.subfield, self.p) is Splitting.SPLIT else 4
         return self.residue_degree * self.ramification_index == local
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"prime over {self.p} with f={self.residue_degree}, e={self.ramification_index}"
+    def __str__(self) -> str:
+        g = _polynomial_str(self.generator)
+        return f"prime ({self.p}, {g}) with f={self.residue_degree}, e={self.ramification_index}"
 
 
 def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
     """Shape of p in the field: a sorted list of (residue degree f_i,
-    ramification exponent e_i) with sum f_i e_i = 4.
-
-    The equation order being maximal, by Dedekind's theorem these are the
-    (degree, multiplicity) pairs of the irreducible factors of f mod p:
-    the squarefree decomposition gives
-    the multiplicities, the distinct-degree split of each part the
-    degrees.  When p does not divide disc(f), f is squarefree mod p."""
+    ramification exponent e_i) with sum f_i e_i = 4, the shapes of
+    ``primes_above_quartic`` without splitting factors of equal degree:
+    the squarefree decomposition of f mod p gives the multiplicities, the
+    distinct-degree split of each part the degrees.  When p does not
+    divide disc(f), f is squarefree mod p."""
     f = poly(p, K.coeffs[::-1])  # rejects a non-prime p
     parts = [(f, 1)] if K.disc % p else squarefree_decomposition(f)
     shapes = sorted(
@@ -292,13 +301,17 @@ def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
 
 
 def primes_above_quartic(K: QuarticField, p: int) -> list[QuarticPrime]:
-    """All primes of the field over p, one per shape (built without the
-    constructor's check, which would read the same shapes again)."""
-    return [QuarticPrime._trusted(K, p, f, e) for f, e in quartic_splitting(K, p)]
+    """All primes of the field over p, one per factor (g, e) of f mod p,
+    sorted by (f, e, generator), so in the order of ``quartic_splitting``;
+    built without the constructor's check, which would factor again."""
+    places = [
+        QuarticPrime._trusted(K, p, g.degree, e, g.coeffs)
+        for g, e in poly_factor_mod_p(poly(p, K.polynomial))  # rejects a non-prime p
+    ]
+    return sorted(places, key=lambda q: (q.residue_degree, q.ramification_index, q.generator))
 
 
 def choose_level_prime(K: QuarticField, p: int) -> QuarticPrime:
-    """The prime over p of smallest norm (smallest residue degree,
-    then smallest ramification exponent)."""
-    return min(primes_above_quartic(K, p), key=lambda q: (q.residue_degree, q.ramification_index))
-
+    """The prime over p of smallest norm, the first of ``primes_above_quartic``
+    (least residue degree, then ramification index, then generator)."""
+    return primes_above_quartic(K, p)[0]

@@ -13,8 +13,9 @@ subgroup's index must be divisible by every such order.  The survivors
 are diffed against the embedded fourteen-row classification table.
 
 The necessary conditions implemented here are not complete: a handful of
-rows (at discriminants 21, 33, 41, 57, 65) pass all of them yet admit no
-torsion-free group; they are reported as extras rather than suppressed.
+rows (at discriminants 21, 33, 41, 57, 65) pass all of them yet are absent
+from the reference classification, by finer arguments that nothing here
+proves; they are reported as extras rather than suppressed.
 
 Two sharper criteria have been tried and must not be retried:
 

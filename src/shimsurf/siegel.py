@@ -37,13 +37,15 @@ p dividing its norm N(nu) |disc f|, and needs the exponent of each prime
 of K over p.  The primes over p are (p, g(alpha)) for the irreducible
 factors g of f mod p, of residue degree deg g and ramification index the
 multiplicity of g (Kummer-Dedekind; Cohen, A Course in Computational
-Algebraic Number Theory, Thm 4.8.13), so the field hands over only its
-polynomial.  Those shapes, the content of beta and the norm settle the
-exponents, except where two or more primes over p could share them in
-more than one way.  There a valuation is read off by multiplying with the
-lift tau of f/g, for which tau/p has valuation -1 at (p, g(alpha)) and
-is integral at every other prime (Cohen, Alg. 4.8.17).  These helpers
-take a defining polynomial of any degree.  No float is used anywhere.
+Algebraic Number Theory, Thm 4.8.13; ``quartic.QuarticPrime`` is that
+ideal as a place), so the field hands over only its polynomial.  Those
+shapes, the content of beta and the norm settle the exponents, except
+where two or more primes over p could share them in more than one way.
+There a valuation is read off by multiplying with the lift tau of f/g,
+for which tau/p has valuation -1 at (p, g(alpha)) and is integral at
+every other prime (Cohen, Alg. 4.8.17).  The kernel keeps (deg g, e, tau)
+per p, and ``mul_mod`` and ``valuation`` take a defining polynomial of
+any degree.  No float is used anywhere.
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .exact import InvariantError, factorize
 from .polymod import pdivmod, poly, poly_factor_mod_p
 
-__all__ = ["TotallyRealField", "PrimeIdeal", "kummer_dedekind_primes", "valuation", "zeta_minus1"]
+__all__ = ["TotallyRealField", "valuation", "zeta_minus1"]
 
 Element = Sequence[int]
 
@@ -64,8 +66,7 @@ Element = Sequence[int]
 class TotallyRealField(Protocol):
     """What the kernel reads of a field: its degree and discriminant and a
     monic defining polynomial (ascending coefficients) whose equation
-    order is the maximal order.  The primes over each p come from the
-    Kummer-Dedekind factors of that polynomial."""
+    order is the maximal order."""
 
     degree: int
     disc: int
@@ -91,37 +92,14 @@ def mul_mod(a: Element, b: Element, f: Sequence[int]) -> list[int]:
     return c[:n]
 
 
-class PrimeIdeal(NamedTuple):
-    """The prime (p, g(alpha)) of Z[alpha] for an irreducible factor g of f
-    mod p of multiplicity e; tau is the lift of f/g, so that tau/p has
-    valuation -1 here and is integral at every other prime."""
-
-    p: int
-    residue_degree: int
-    ramification_index: int
-    tau: tuple[int, ...]
-
-
-def kummer_dedekind_primes(f: Sequence[int], p: int) -> list[PrimeIdeal]:
-    """The primes over p of Z[x]/(f), for f monic (ascending coefficients)
-    and the order maximal at p."""
-    fp = poly(p, f)
-    n = len(f) - 1
-    out = []
-    for g, e in poly_factor_mod_p(fp):
-        tau = pdivmod(fp, g)[0].coeffs
-        out.append(PrimeIdeal(p, g.degree, e, tau + (0,) * (n - len(tau))))
-    return out
-
-
-def valuation(f: Sequence[int], prime: PrimeIdeal, beta: Element) -> int:
-    """The valuation of a nonzero beta in Z[x]/(f) at the prime: the
-    largest k with beta (tau/p)^k integral."""
+def valuation(f: Sequence[int], p: int, tau: Element, beta: Element) -> int:
+    """The valuation of a nonzero beta in Z[x]/(f) at (p, g(x)), for tau
+    the lift of f/g mod p: the largest k with beta (tau/p)^k integral."""
     k = 0
-    x = mul_mod(beta, prime.tau, f)
-    while not any(c % prime.p for c in x):
+    x = mul_mod(beta, tau, f)
+    while not any(c % p for c in x):
         k += 1
-        x = mul_mod([c // prime.p for c in x], prime.tau, f)
+        x = mul_mod([c // p for c in x], tau, f)
     return k
 
 
@@ -220,7 +198,7 @@ class _SiegelSum:
                 [[(W[0][0] * W[i][j] - W[i][0] * W[0][j]) // d_k for j in range(1, size)] for i in range(1, size)],
                 W[0][0],
             ))
-        self.primes: dict[int, list[PrimeIdeal]] = {}
+        self.primes: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # p -> [(deg g, e, tau)]
         self.known: dict[tuple[int, int], int] = {}
 
     def s(self, m: int) -> int:
@@ -304,10 +282,11 @@ class _SiegelSum:
             if k == 1:  # one prime of norm p divides (beta), once
                 total *= p + 1
                 continue
-            primes = self.primes.get(p)
-            if primes is None:
-                primes = self.primes[p] = kummer_dedekind_primes(f, p)
-            shape = [(q.residue_degree, q.ramification_index) for q in primes]
+            if p not in self.primes:
+                fp = poly(p, f)
+                self.primes[p] = [(g.degree, e, pdivmod(fp, g)[0].coeffs) for g, e in poly_factor_mod_p(fp)]
+            primes = self.primes[p]
+            shape = [(fd, e) for fd, e, _ in primes]
             a = 0
             while content % p ** (a + 1) == 0:
                 a += 1
@@ -324,7 +303,7 @@ class _SiegelSum:
             else:
                 known = False
                 beta1 = [c // p**a for c in beta]
-                v = [valuation(f, q, beta1) for q in primes[:-1]]
+                v = [valuation(f, p, tau, beta1) for _, _, tau in primes[:-1]]
                 v.append((k - sum(fd * x for (fd, _), x in zip(shape, v))) // shape[-1][0])
             if min(v) < 0 or sum(fd * x for (fd, _), x in zip(shape, v)) != k:
                 raise InvariantError(f"the valuations of {beta} over {p} do not add up to its norm")

@@ -11,7 +11,7 @@ need not be: a torsion element has a power of prime order in the same
 subgroup, and an odd prime order l needs Q(cos(2 pi/l)), of degree
 (l - 1)/2, inside the base, so the only prime orders are 2, 3 and 5, the
 last one only when sqrt(5) lies in the base.  So a subgroup with no
-candidate torsion is torsion-free, and FREE is a proof.
+candidate torsion is torsion-free.
 
 The embedding of base(zeta_n) into the algebra exists exactly when no
 ramified place splits in base(zeta_n)/base, so everything reduces to one
@@ -42,17 +42,20 @@ the candidate check that the public ``cyclotomic_splitting`` makes.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
-upper-triangular (Borel) inside the full group.  The Borel subgroup has
-torsion iff some candidate extension both embeds in the algebra and has
-q split in it, which one scan over the embedding candidates decides.
-Prime-order torsion in the principal subgroup must have order p, the
-residue characteristic of q, so its verdict takes the first rule that
-applies: (A) FREE when p divides no candidate order; (B) FREE when p
-divides no candidate order whose extension embeds; (C) TORSION of order
-p = 2 or 3 when that extension embeds and q splits in it; (D) FREE when
-the Borel scan is free; otherwise UNKNOWN.  The unipotent subgroup,
-which contains the principal one, inherits its torsion, and the same
-rules certify it free.
+upper-triangular (Borel) inside the full group.  The Borel verdict is
+TORSION at the least m whose candidate extension embeds in the algebra
+and has q split in it, and FREE when there is none.  That FREE is no
+proof when q lies over p and an order-p candidate embeds: the Borel index
+N(q) + 1 is prime to p, so an element of order p fixes a coset whatever
+the splitting (over Q, the elliptic points of Gamma_0(2) and Gamma_0(3)).
+Prime-order torsion in the principal subgroup must have order p, so its
+verdict takes the first rule that applies: (A) FREE when p divides no
+candidate order; (B) FREE when p divides no candidate order whose
+extension embeds; (C) TORSION of order p = 2 or 3 when that extension
+embeds and q splits in it; (D) FREE when the Borel scan is free, which
+rests on that scan and is no proof in the same case; otherwise UNKNOWN.
+The unipotent subgroup, which contains the principal one, inherits its
+torsion and its FREE verdicts.
 """
 
 from __future__ import annotations
@@ -235,8 +238,9 @@ def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
 def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the upper-triangular (Borel) subgroup at level q.
 
-    Torsion is present iff some candidate extension embeds in the algebra
-    and has q split in it; scanned in increasing order of m.
+    TORSION when some candidate extension embeds in the algebra and has q
+    split in it, scanned in increasing order of m; FREE is no proof at a q
+    over p where an order-p candidate embeds (see the module docstring).
     """
     _require_admitted(field, ram, q)
     return _borel_scan((c for c in possible_torsion_orders(field) if _embeds(ram, c.n)), q)

@@ -266,6 +266,7 @@ def test_surface_rejects_malformed_subgroup_spec(capsys):
         ("full:", "the full unit group takes no level prime"),
         ("full:3", "the full unit group takes no level prime"),
         ("borel", "needs a level prime"),
+        ("borel:²", "the level must be a rational prime"),
     ):
         code, out, err = invoke(capsys, "surface", "--d", "33", "--ram", "2", "--subgroup", spec)
         assert code == 2 and out == "" and message in err, spec

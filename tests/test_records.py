@@ -46,7 +46,6 @@ from shimsurf.shimura import (
     admissibility_report,
     quadratic_algebra,
 )
-from shimsurf.siegel import kummer_dedekind_primes
 from shimsurf.torsion import possible_torsion_orders
 
 
@@ -75,13 +74,12 @@ def _one_of_each():
         report,
         enumerate_candidates((12,))[0],
         compare_to_reference([]),
-        kummer_dedekind_primes((-1, -1, 1), 5)[0],
     ]
 
 
 def test_every_public_record_is_immutable():
     records = _one_of_each()
-    assert len({type(r) for r in records}) == 18
+    assert len({type(r) for r in records}) == 17
     for record in records:
         assert isinstance(record, tuple) and hash(record) == hash(tuple(record))
         for name in record._fields:
@@ -106,11 +104,15 @@ _BAD_VALUES = [
         id="prime-tag",
     ),
     pytest.param(
-        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 3, 1), ValueError, "no prime over 7 has f=3, e=1",
-        id="quartic-prime-shape",
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 3, 1, (1, 0, 0, 1)), ValueError,
+        "no prime over 7 has f=3, e=1", id="quartic-prime-shape",
     ),
     pytest.param(
-        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 9, 1, 1), ValueError, "modulus 9 is not prime",
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 2, 1, (1, 0, 1)), ValueError,
+        r"no prime over 7 has the generator \(1, 0, 1\)", id="quartic-prime-generator",
+    ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 9, 1, 1, (0, 1)), ValueError, "modulus 9 is not prime",
         id="quartic-prime-p",
     ),
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),

@@ -1,7 +1,7 @@
 """Exact zeta_K(-1) by Siegel's formula: the pinned values of the
 benchmark fields, the float Euler product as an independent oracle, the
 weight-8 identity s(2) = 129 s(1) over a box of defining polynomials, the
-Kummer-Dedekind valuation helpers, the shape shortcuts of sigma_1 against
+Kummer-Dedekind valuations, the shape shortcuts of sigma_1 against
 the valuations at every prime, the degree-2 kernel as the reference
 for Cohen's closed sum in ``quadfield``, and the identity check surviving
 ``python -O``."""
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from shimsurf.exact import factorize, square_part
+from shimsurf.polymod import pdivmod, poly, poly_factor_mod_p
 from shimsurf.quadfield import bernoulli2, fundamental_discriminants, quad_field
 from shimsurf.quartic import (
     _integer_roots,
@@ -29,7 +30,6 @@ from shimsurf.siegel import (
     _det,
     _siegel_sums,
     _SiegelSum,
-    kummer_dedekind_primes,
     mul_mod,
     valuation,
     zeta_minus1,
@@ -101,14 +101,21 @@ def test_weight_eight_identity_on_a_coefficient_box():
     assert all(len(v) == 1 for v in values.values()), values
 
 
+def _primes_over(f, p):
+    """(residue degree, ramification index, tau) of each prime (p, g(x)) of
+    Z[x]/(f), for the factors g of f mod p and tau the lift of f/g."""
+    fp = poly(p, f)
+    return [(g.degree, e, pdivmod(fp, g)[0].coeffs) for g, e in poly_factor_mod_p(fp)]
+
+
 def _sigma1_reference(f, beta, norm):
     """sigma_1 of the ideal (beta) of the given norm, from the valuation of
     beta at every Kummer-Dedekind prime over every p dividing the norm."""
     total = 1
     for p, _ in factorize(norm):
-        for q in kummer_dedekind_primes(f, p):
-            size = p**q.residue_degree
-            total *= (size ** (valuation(f, q, beta) + 1) - 1) // (size - 1)
+        for degree, _, tau in _primes_over(f, p):
+            size = p**degree
+            total *= (size ** (valuation(f, p, tau, beta) + 1) - 1) // (size - 1)
     return total
 
 
@@ -170,11 +177,11 @@ def test_valuations_add_up_to_the_norm(coeffs):
             continue
         for p, k in factorize(_norm(coeffs, beta)):
             if p not in primes_over:
-                primes_over[p] = kummer_dedekind_primes(coeffs, p)
-                assert sum(q.residue_degree * q.ramification_index for q in primes_over[p]) == n
-                for q in primes_over[p]:
-                    assert valuation(coeffs, q, [p] + [0] * (n - 1)) == q.ramification_index
-            assert sum(q.residue_degree * valuation(coeffs, q, beta) for q in primes_over[p]) == k, (beta, p)
+                primes_over[p] = _primes_over(coeffs, p)
+                assert sum(degree * e for degree, e, _ in primes_over[p]) == n
+                for _, e, tau in primes_over[p]:
+                    assert valuation(coeffs, p, tau, [p] + [0] * (n - 1)) == e
+            assert sum(degree * valuation(coeffs, p, tau, beta) for degree, _, tau in primes_over[p]) == k, (beta, p)
     assert any(len(primes) > 1 for primes in primes_over.values())
 
 

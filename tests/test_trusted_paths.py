@@ -23,7 +23,7 @@ from shimsurf.quadfield import (
     primes_above,
     splitting_type,
 )
-from shimsurf.quartic import QuarticPrime, primes_above_quartic, quartic_new, quartic_splitting
+from shimsurf.quartic import QuarticPrime, primes_above_quartic, quartic_new
 from shimsurf import shimura, torsion
 from shimsurf.shimura import (
     QuaternionAlgebra,
@@ -66,7 +66,7 @@ def test_primes_above_quartic_equals_the_checked_constructor():
         K = quartic_new([int(c) for c in coeffs.split(",")], sub)
         for p in primes_up_to(199):
             above = primes_above_quartic(K, p)
-            assert above == [QuarticPrime(K, p, f, e) for f, e in quartic_splitting(K, p)]
+            assert above == [QuarticPrime(*q) for q in above]
             assert all(type(q) is QuarticPrime for q in above)
 
 
