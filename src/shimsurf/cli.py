@@ -19,14 +19,15 @@ nothing on standard error, when standard output closes early, as under
 ``| head``.
 
 Each subcommand imports its own layers when it runs: only ``search``
-loads the search layer, and only ``quartic`` the quartic layers
-(``quartic``, ``polymod``, ``siegel``).
+loads the search layer, only ``quartic`` the quartic layers
+(``quartic``, ``polymod``, ``siegel``), a ``surface`` or ``quartic``
+report loads ``geometry`` only when it is admissible, and ``csv`` is
+loaded only for ``--format csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from typing import TYPE_CHECKING, Callable
@@ -35,6 +36,8 @@ from .exact import InvariantError, is_prime
 from .quadfield import Place, QuadPrime, field_from_disc, primes_above, quad_field
 
 if TYPE_CHECKING:
+    import csv
+
     from .geometry import QuotientInvariants
     from .shimura import AdmissibilityReport, SubgroupSpec
 
@@ -84,6 +87,8 @@ def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec
 
 
 def _csv_writer() -> csv.writer:
+    import csv  # only --format csv needs it
+
     return csv.writer(sys.stdout, lineterminator="\n")
 
 
@@ -120,13 +125,13 @@ def _subgroup_line(spec: SubgroupSpec) -> str:
 
 def _report_tail_lines(report: AdmissibilityReport, with_quotients: bool) -> list[str]:
     """Torsion, surface invariants, and the final verdict line."""
-    from .geometry import GENERAL_TYPE_MAX_E, quotient_table
-
     lines = [f"torsion = {report.torsion.verdict.value} ({report.torsion.reason})"]
     if report.admissible_type is not None:
         s = report.surface
         lines.append(f"surface: c₁² = {s.c1sq}, c₂ = {s.e}, χ = {s.chi}, p_g = {s.pg}, q = {s.q}")
         if with_quotients:
+            from .geometry import GENERAL_TYPE_MAX_E, quotient_table
+
             if s.e > GENERAL_TYPE_MAX_E:
                 lines.append(
                     f"quotient invariants for e = {s.e}: general type undetermined by the sufficient "

@@ -254,6 +254,14 @@ class QuarticPrime(Place, _QuarticPrimeFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        # A float equal to a place's value would pass the membership test
+        # below and carry into the norm; a non-tuple generator fails it.
+        entries = self.generator if isinstance(self.generator, tuple) else ()
+        if not all(isinstance(v, int) for v in (self.p, self.residue_degree, self.ramification_index, *entries)):
+            raise ValueError(
+                "p, residue_degree, ramification_index and the generator's coefficients must be ints, "
+                f"got {self.p!r}, {self.residue_degree!r}, {self.ramification_index!r}, {self.generator!r}"
+            )
         places = primes_above_quartic(self.field, self.p)  # rejects a non-prime p
         shapes = [(q.residue_degree, q.ramification_index) for q in places]
         if (self.residue_degree, self.ramification_index) not in shapes:

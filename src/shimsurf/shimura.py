@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .exact import CheckedRecord, factorize
-from .geometry import SurfaceInvariants, shimura_surface_invariants
 from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, primes_above
 from .torsion import (
     TorsionVerdict,
@@ -51,6 +50,7 @@ from .torsion import (
 )
 
 if TYPE_CHECKING:
+    from .geometry import SurfaceInvariants
     from .quartic import QuarticField
     from .torsion import BaseField
 
@@ -422,6 +422,8 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     admissible_type: int | None = None
     surface: SurfaceInvariants | None = None
     if not obstructions:
+        from .geometry import shimura_surface_invariants  # only an admissible report has a surface
+
         admissible_type = euler.numerator
         surface = shimura_surface_invariants(admissible_type)
     return AdmissibilityReport(

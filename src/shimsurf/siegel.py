@@ -28,9 +28,20 @@ lemma).  A totally positive nu has Tr(nu^2) < Tr(nu)^2, a positive
 definite quadratic form in beta with a rational Gram matrix; the
 Fincke-Pohst enumeration runs over it in integers, through the Schur
 complements of that matrix scaled to integers (Fincke and Pohst, Math.
-Comp. 44, 1985).  nu is totally positive exactly when every elementary
+Comp. 44, 1985).  Level k fixes rest = (beta_(k+1), ..., beta_(n-1)) and
+needs the constant c_k = rest^T W_k[1:, 1:] rest of its integer form W_k,
+with a_k = W_k[0][0] and lin_k = W_k[0][1:] . rest.  It takes c_k from
+the parent's value q_(k+1) = rest^T W_(k+1) rest, in O(n) steps rather
+than a sum over rest: Bareiss's step W_(k+1) = (a_k W_k[1:, 1:] - w w^T)/d_k,
+w = W_k[0][1:], gives d_k q_(k+1) = a_k c_k - lin_k^2, that is
+c_k = (d_k q_(k+1) + lin_k^2)/a_k (Sylvester's identity), an exact
+division since W_k is an integer matrix; a remainder raises
+InvariantError.  nu is totally positive exactly when every elementary
 symmetric function of its conjugates is positive; they come from the
-power sums by Newton's identities, in integers for X = disc(f) nu.
+power sums by Newton's identities, in integers for X = disc(f) nu.  For
+n = 2 the enumeration alone makes e_1 and e_2 positive; for n = 4 a
+point computes beta^2 mod f once, then e_3 from P_3, and P_4 and e_4 only
+when e_3 > 0, in straight-line integer arithmetic.
 
 sigma_1 of the ideal (beta) = nu d is a product over the rational primes
 p dividing its norm N(nu) |disc f|, and needs the exponent of each prime
@@ -204,28 +215,34 @@ class _SiegelSum:
     def s(self, m: int) -> int:
         """The sum of sigma_1(nu d) over totally positive nu in d^-1 with
         Tr(nu) = m."""
-        n = self.n
+        n, levels = self.n, self.levels
         bound = (self.disc * m) ** 2  # P_1^2
         beta = [0] * n
         beta[n - 1] = m
         total = 0
 
-        def level(k: int) -> None:
+        def level(k: int, lin: int, c: int) -> None:
+            # lin = W_k[0][1:] . rest and c = rest^T W_k[1:, 1:] rest for
+            # the fixed rest = beta[k + 1:]
             nonlocal total
-            W, d_k = self.levels[k]
-            rest = beta[k + 1 :]
-            a = W[0][0]
-            lin = sum(w * x for w, x in zip(W[0][1:], rest))
-            const = sum(W[i + 1][j + 1] * x * y for i, x in enumerate(rest) for j, y in enumerate(rest))
-            const -= d_k * bound
-            if k:
-                for t in _open_range(a, lin, const):
-                    beta[k] = t
-                    level(k - 1)
-            else:
+            W, d_k = levels[k]
+            a, const = W[0][0], c - d_k * bound
+            if not k:
                 total += self._line(beta, m, a, lin, const)
+                return
+            child, d_child = levels[k - 1]
+            a_child, w_t = child[0][0], child[0][1]
+            fixed = sum(w * x for w, x in zip(child[0][2:], beta[k + 1 :]))
+            for t in _open_range(a, lin, const):
+                beta[k] = t
+                lin_child = fixed + w_t * t
+                c_child, r = divmod(d_child * (a * t * t + 2 * lin * t + c) + lin_child * lin_child, a_child)
+                if r:
+                    raise InvariantError(f"Sylvester's identity leaves a remainder at {beta[k:]}")
+                level(k - 1, lin_child, c_child)
 
-        level(n - 2)
+        top = levels[n - 2][0]
+        level(n - 2, top[0][1] * m, top[1][1] * m * m)
         return total
 
     def _line(self, beta: list[int], m: int, a: int, lin: int, const: int) -> int:
@@ -250,22 +267,47 @@ class _SiegelSum:
             total += self._sigma1(beta, norm, content) if value is None else value
         return total
 
-    def _norm_if_positive(self, beta: list[int], m: int, e: int) -> int:
-        """N(X) when X, with e_2(X) = e > 0, is totally positive, else 0:
-        Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) P_i give the
-        elementary symmetric functions of its conjugates."""
-        f, p1 = self.f, self.disc * m
-        P = [0, p1, p1 * p1 - 2 * e]
-        E = [1, p1, e]
-        powers = {1: beta, 2: mul_mod(beta, beta, f)}  # beta^(k//2) for k <= 4
-        for k in range(3, self.n + 1):
-            h, x, y = self.hankel[k], powers[k - k // 2], powers[k // 2]
-            P.append(self.sign**k * sum(a * b * h[i + j] for i, a in enumerate(x) for j, b in enumerate(y)))
-            e = sum((-1) ** (i - 1) * E[k - i] * P[i] for i in range(1, k + 1)) // k
-            if e <= 0:
-                return 0
-            E.append(e)
-        return e
+    def _norm_if_positive(self, beta: list[int], m: int, e2: int) -> int:
+        """N(X) = e_4(X) when X, with e_2(X) = e2 > 0, is totally positive,
+        else 0.  Only degree 4 comes here: for n = 2, e_1 > 0 and e_2 > 0
+        decide.  Newton's identities 3 e_3 = e_2 P_1 - e_1 P_2 + P_3 and
+        4 e_4 = e_3 P_1 - e_2 P_2 + e_1 P_3 - P_4, with e_1 = P_1, give
+        e_3 and then e_4, from P_3, the Hankel form of (x, beta), and P_4,
+        that of (x, x), for x = beta^2 mod f."""
+        b0, b1, b2, b3 = beta
+        f0, f1, f2, f3, _ = self.f
+        # x = beta^2 mod f: the square's coefficients c6, c5, c4 of alpha^6,
+        # alpha^5, alpha^4 fold down in that order, by alpha^4 = -(f0 + f1
+        # alpha + f2 alpha^2 + f3 alpha^3); P_3 = sign^3 (...) = sign (...).
+        c6 = b3 * b3
+        c5 = 2 * b2 * b3 - c6 * f3
+        c4 = 2 * b1 * b3 + b2 * b2 - c6 * f2 - c5 * f3
+        x3 = 2 * (b0 * b3 + b1 * b2) - c6 * f1 - c5 * f2 - c4 * f3
+        x2 = 2 * b0 * b2 + b1 * b1 - c6 * f0 - c5 * f1 - c4 * f2
+        x1 = 2 * b0 * b1 - c5 * f0 - c4 * f1
+        x0 = b0 * b0 - c4 * f0
+        h0, h1, h2, h3, h4, h5, h6 = self.hankel[3]
+        p1 = self.disc * m
+        p2 = p1 * p1 - 2 * e2
+        p3 = self.sign * (
+            x0 * (b0 * h0 + b1 * h1 + b2 * h2 + b3 * h3)
+            + x1 * (b0 * h1 + b1 * h2 + b2 * h3 + b3 * h4)
+            + x2 * (b0 * h2 + b1 * h3 + b2 * h4 + b3 * h5)
+            + x3 * (b0 * h3 + b1 * h4 + b2 * h5 + b3 * h6)
+        )
+        e3 = (e2 * p1 - p1 * p2 + p3) // 3
+        if e3 <= 0:
+            return 0
+        h0, h1, h2, h3, h4, h5, h6 = self.hankel[4]
+        p4 = (
+            x0 * x0 * h0
+            + x1 * x1 * h2
+            + x2 * x2 * h4
+            + x3 * x3 * h6
+            + 2 * (x0 * (x1 * h1 + x2 * h2 + x3 * h3) + x1 * (x2 * h3 + x3 * h4) + x2 * x3 * h5)
+        )
+        e4 = (e3 * p1 - e2 * p2 + p1 * p3 - p4) // 4
+        return e4 if e4 > 0 else 0
 
     def _sigma1(self, beta: list[int], norm: int, content: int) -> int:
         """sigma_1 of the ideal (beta), of the given norm and content.

@@ -125,6 +125,52 @@ def test_only_search_loads_the_search_layer(argv, loaded):
     assert proc.stdout == f"0 {loaded}\n", proc.stderr
 
 
+_LOADS_GEOMETRY_AND_CSV = """
+import contextlib, io, sys
+from shimsurf.cli import run
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = run(sys.argv[1:])
+print(code, "shimsurf.geometry" in sys.modules, "csv" in sys.modules, out.getvalue().splitlines()[-1])
+"""
+
+
+@pytest.mark.parametrize(
+    "command, geometry, csv_loaded, last",
+    [
+        (
+            "quartic --poly 1,-5,3,5,1 --subfield 5 --subgroup borel:11 --infinite-conjugate-assert",
+            False,
+            False,
+            "NOT ADMISSIBLE (level not invariant under conjugation; torsion of order 5; "
+            "Euler number 28/5 is not a positive integer divisible by 4)",
+        ),
+        (
+            "quartic --poly 1,-1,-3,1,1 --subfield 5 --subgroup unipotent:29 --infinite-conjugate-assert",
+            True,
+            False,
+            "ADMISSIBLE of type 28; p_g(X) = 6",
+        ),
+        ("surface --d 17 --ram 2 --subgroup borel:17", False, False, "NOT ADMISSIBLE (torsion of order 2)"),
+        ("search", False, False, "reference classification: 14 matched, 0 missing, 6 beyond"),
+        ("search --format csv", False, True, '113,113,144,1,36,2,3,Pruned,"order 2 torsion, 2 does not divide index 3"'),
+    ],
+    ids=["quartic-not-admissible", "quartic-admissible", "surface-not-admissible", "search-text", "search-csv"],
+)
+def test_geometry_and_csv_load_only_when_used(command, geometry, csv_loaded, last):
+    # Without bytecode caches a process compiles every module it imports:
+    # only an admissible report has a surface for geometry to describe,
+    # and only --format csv writes through csv.  -S keeps a site hook from
+    # loading either first.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADS_GEOMETRY_AND_CSV, *command.split()],
+        capture_output=True,
+        text=True,
+        env=_SRC_ENV,
+        timeout=60,
+    )
+    assert proc.stdout == f"0 {geometry} {csv_loaded} {last}\n", proc.stderr
+
+
 def test_a_closed_pipe_ends_the_command_quietly():
     # About 500 kB of rows overflow the pipe, so the command is still
     # writing when the reader leaves after the first line, as under

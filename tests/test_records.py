@@ -115,6 +115,18 @@ _BAD_VALUES = [
         QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 9, 1, 1, (0, 1)), ValueError, "modulus 9 is not prime",
         id="quartic-prime-p",
     ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 2.0, 1, (2.0, 5.0, 1.0)), ValueError,
+        r"must be ints, got 7, 2\.0, 1, \(2\.0, 5\.0, 1\.0\)", id="quartic-prime-float",
+    ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 2, 1, (2, 5.0, 1)), ValueError, "must be ints",
+        id="quartic-prime-float-generator",
+    ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7.0, 2, 1, (2, 5, 1)), ValueError, "must be ints",
+        id="quartic-prime-float-p",
+    ),
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),
     pytest.param(QuaternionAlgebra, (quad_field(33), ()), ValueError, "must ramify somewhere finite", id="algebra"),
     pytest.param(

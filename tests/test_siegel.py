@@ -1,6 +1,8 @@
 """Exact zeta_K(-1) by Siegel's formula: the pinned values of the
 benchmark fields, the float Euler product as an independent oracle, the
 weight-8 identity s(2) = 129 s(1) over a box of defining polynomials, the
+degree-4 point test and the descent against generic reference code,
+with the pinned number of points each sum visits, the
 Kummer-Dedekind valuations, the shape shortcuts of sigma_1 against
 the valuations at every prime, the degree-2 kernel as the reference
 for Cohen's closed sum in ``quadfield``, and the identity check surviving
@@ -28,6 +30,7 @@ from shimsurf.quartic import (
 )
 from shimsurf.siegel import (
     _det,
+    _open_range,
     _siegel_sums,
     _SiegelSum,
     mul_mod,
@@ -99,6 +102,113 @@ def test_weight_eight_identity_on_a_coefficient_box():
         values.setdefault(K.disc, set()).add(s1)
     assert len(values) == 11 and sum(1 for _ in _accepted_quartics(4)) == 42
     assert all(len(v) == 1 for v in values.values()), values
+
+
+def _norm_if_positive_reference(kernel, beta, m, e):
+    """The kernel's point test for any degree, the reference for its
+    written-out degree-4 form: P_k as the Hankel form of beta^(k - k//2)
+    and beta^(k//2) through mul_mod, and Newton's identities
+    k e_k = sum_i (-1)^(i-1) e_(k-i) P_i in a loop; N(X) when X is
+    totally positive, else 0."""
+    f, p1 = kernel.f, kernel.disc * m
+    P = [0, p1, p1 * p1 - 2 * e]
+    E = [1, p1, e]
+    powers = {1: beta, 2: mul_mod(beta, beta, f)}
+    for k in range(3, kernel.n + 1):
+        h, x, y = kernel.hankel[k], powers[k - k // 2], powers[k // 2]
+        P.append(kernel.sign**k * sum(a * b * h[i + j] for i, a in enumerate(x) for j, b in enumerate(y)))
+        e = sum((-1) ** (i - 1) * E[k - i] * P[i] for i in range(1, k + 1)) // k
+        if e <= 0:
+            return 0
+        E.append(e)
+    return e
+
+
+def _lines_reference(kernel, m):
+    """(beta_1 .. beta_(n-1), a, lin, const) of every innermost line, by a
+    descent that re-sums each level's Schur-complement form over the fixed
+    coordinates: the reference for the kernel's descent by Sylvester's
+    identity."""
+    n = kernel.n
+    bound = (kernel.disc * m) ** 2
+    beta = [0] * n
+    beta[n - 1] = m
+    lines = []
+
+    def level(k):
+        W, d_k = kernel.levels[k]
+        rest = beta[k + 1 :]
+        a = W[0][0]
+        lin = sum(w * x for w, x in zip(W[0][1:], rest))
+        const = sum(W[i + 1][j + 1] * x * y for i, x in enumerate(rest) for j, y in enumerate(rest)) - d_k * bound
+        if k:
+            for t in _open_range(a, lin, const):
+                beta[k] = t
+                level(k - 1)
+        else:
+            lines.append((tuple(beta[1:]), a, lin, const))
+
+    level(n - 2)
+    return lines
+
+
+class _CheckedPointSum(_SiegelSum):
+    """The kernel, checking its point test against the reference at every
+    point it visits, counting the points visited and the totally positive
+    ones, and recording its innermost lines."""
+
+    def __init__(self, field):
+        super().__init__(field.polynomial, field.disc)
+        self.visited = self.positive = 0
+        self.lines = []
+
+    def _line(self, beta, m, a, lin, const):
+        self.lines.append((tuple(beta[1:]), a, lin, const))
+        return super()._line(beta, m, a, lin, const)
+
+    def _norm_if_positive(self, beta, m, e):
+        value = super()._norm_if_positive(beta, m, e)
+        assert value == _norm_if_positive_reference(self, list(beta), m, e), (self.f, beta, m)
+        self.visited += 1
+        self.positive += value > 0
+        return value
+
+
+# (points visited, totally positive) by s(1) and by s(2) on each benchmark field
+_POINT_COUNTS = {
+    725: ((36, 4), (282, 36)),
+    1125: ((44, 8), (360, 50)),
+    2000: ((60, 10), (487, 65)),
+    2048: ((57, 7), (461, 61)),
+    2304: ((59, 9), (515, 69)),
+    2525: ((72, 8), (542, 66)),
+}
+
+
+def _checked_counts(K):
+    """(points visited, totally positive) by s(1) and by s(2), with the
+    point test checked at every point and the lines against the
+    reference descent."""
+    kernel = _CheckedPointSum(K)
+    counts = []
+    for m in (1, 2):
+        kernel.visited = kernel.positive = 0
+        kernel.lines = []
+        kernel.s(m)
+        assert kernel.lines == _lines_reference(kernel, m), (K.coeffs, m)
+        counts.append((kernel.visited, kernel.positive))
+    return tuple(counts)
+
+
+def test_kernel_matches_the_reference_descent_and_point_test():
+    # The written-out degree-4 point test equals the generic one at every
+    # point, and the descent by Sylvester's identity reaches the same
+    # lines with the same quadratics, on the six benchmark fields and the
+    # 42 polynomials of the box.
+    fields = [quartic_new(coeffs, sub) for _, coeffs, sub, _ in BENCHMARK_FIELDS]
+    assert {K.disc: _checked_counts(K) for K in fields} == _POINT_COUNTS
+    for K in _accepted_quartics(4):
+        assert all(positive > 0 for _, positive in _checked_counts(K)), K.coeffs
 
 
 def _primes_over(f, p):
