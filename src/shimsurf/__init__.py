@@ -17,8 +17,8 @@ The layers, bottom up:
 - :mod:`shimsurf.quartic` — totally real quartic fields with a quadratic
   subfield: discriminants, maximality of the equation order, and
   the prime ideals read off the defining polynomial mod p;
-- :mod:`shimsurf.torsion` — torsion verdicts for congruence
-  subgroups via cyclotomic splitting;
+- :mod:`shimsurf.torsion` — one torsion decision for every kind of
+  congruence subgroup, via cyclotomic splitting;
 - :mod:`shimsurf.shimura` — quaternion algebras, involutions of second
   kind, subgroup indices, exact Euler numbers, admissibility reports;
 - :mod:`shimsurf.geometry` — Chern invariants of the surfaces, their
@@ -29,10 +29,12 @@ The layers, bottom up:
 Records are immutable, hashable ``NamedTuple``s that compare by value as
 tuples, so ``QuadField(5, 5) == (5, 5)``.  Public construction of a
 checked one, ``_make`` and ``_replace`` included, always runs its
-``_check``; only ``primes_above`` and ``primes_above_quartic`` build
-places through ``_trusted``, without it.  A violated internal invariant
-raises :class:`InvariantError`, a subclass of AssertionError that also
-fires under ``python -O``.
+``_check``.  Only constructors that derive the fields themselves build
+through ``_trusted``, without it: ``primes_above`` and
+``primes_above_quartic`` their places, ``quadratic_algebra`` its algebra.
+Every boundary that takes an integer refuses a ``bool`` (``exact.is_int``).
+A violated internal invariant raises :class:`InvariantError`, a subclass
+of AssertionError that also fires under ``python -O``.
 
 ``import shimsurf`` loads no submodule.  Each exported name is imported
 from its home module on first access and then bound here, so a caller

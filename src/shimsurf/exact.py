@@ -49,6 +49,12 @@ class CheckedRecord:
         return tuple.__new__(cls, fields)
 
 
+def is_int(x: object) -> bool:
+    """Whether x is an integer input: an ``int`` that is not a ``bool``,
+    which subclasses ``int`` and would pass ``isinstance`` as 0 or 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Least strong pseudoprime to the bases _SMALL_PRIMES (Sorenson, Webster 2017)
 PRIME_PROOF_BOUND = 318665857834031151167461

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact import CheckedRecord, InvariantError, is_prime
+from .exact import CheckedRecord, InvariantError, is_int, is_prime
 
 __all__ = [
     "GENERAL_TYPE_MAX_E",
@@ -95,7 +95,7 @@ class CurveData(CheckedRecord, _CurveDataFields):
 
 def shimura_surface_invariants(e: int) -> SurfaceInvariants:
     """Invariants of a smooth compact quotient with Euler number e."""
-    if not isinstance(e, int) or e <= 0 or e % 4 != 0:
+    if not is_int(e) or e <= 0 or e % 4 != 0:
         raise ValueError(
             f"Euler number must be a positive multiple of 4, got {e} "
             "(the holomorphic Euler characteristic e/4 must be a positive integer)"
@@ -111,9 +111,9 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
     The genus is constrained to 2 <= g <= (e - 4)/4 and to the parity
     class making the geometric genus (e - 4 - 4g)/8 an integer.
     """
-    if not isinstance(e, int) or e <= 0 or e % 4 != 0:
+    if not is_int(e) or e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
-    if not isinstance(g, int) or not 2 <= g <= (e - 4) // 4:
+    if not is_int(g) or not 2 <= g <= (e - 4) // 4:
         raise ValueError(f"genus bound violated: need 2 <= g <= (e - 4)/4 = {Fraction(e - 4, 4)}, got {g}")
     if (e - 4 - 4 * g) % 8 != 0:
         raise ValueError(
@@ -129,7 +129,7 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
 def quotient_table(e: int) -> list[tuple[int, QuotientInvariants]]:
     """All admissible fixed-curve genera for the given Euler number,
     ascending, with the corresponding quotient invariants."""
-    if not isinstance(e, int) or e <= 0 or e % 4 != 0:
+    if not is_int(e) or e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
     rows = []
     for g in range(2, (e - 4) // 4 + 1):
@@ -188,7 +188,7 @@ def shimura_curve_genus(ram_primes: Iterable[int], index: int) -> CurveResult:
         raise ValueError(
             f"ramification set must consist of an even number >= 2 of distinct primes, got {given}"
         )
-    if not isinstance(index, int) or index < 1:
+    if not is_int(index) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index}")
     chi = -Fraction(index, 6)
     for p in primes:

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator, NamedTuple
 
-from .exact import CheckedRecord, InvariantError, factorize, is_prime, is_squarefree, kronecker, square_part
+from .exact import CheckedRecord, InvariantError, factorize, is_int, is_prime, is_squarefree, kronecker, square_part
 
 
 class Splitting(Enum):
@@ -80,7 +80,7 @@ _FIELDS_KEPT = 1 << 12
 def quad_field(d: int) -> QuadField:
     """The real quadratic field of squarefree radicand d > 1, the same
     object on every call (see ``field_from_disc``)."""
-    if not isinstance(d, int):
+    if not is_int(d):
         raise ValueError(f"radicand must be an int, got {d!r}")
     if d <= 1:
         raise ValueError(f"radicand must exceed 1, got {d}")
@@ -96,7 +96,7 @@ def fundamental_discriminant(n: int) -> int:
 
     Returns 1 when n is a perfect square (the extension is trivial).
     """
-    if not isinstance(n, int):
+    if not is_int(n):
         raise ValueError(f"radicand must be an int, got {n!r}")
     if n == 0:
         raise ValueError("radicand must be nonzero")
@@ -110,7 +110,7 @@ def fundamental_discriminant(n: int) -> int:
 
 def is_fundamental_discriminant(disc: int) -> bool:
     """True when disc is the discriminant of a quadratic field (or 1)."""
-    if not isinstance(disc, int):
+    if not is_int(disc):
         raise ValueError(f"discriminant must be an int, got {disc!r}")
     if disc == 1:
         return True
@@ -136,7 +136,7 @@ def field_from_disc(disc: int) -> QuadField:
     every later call, here or through ``quad_field``, returns that object.
     A non-``int`` is refused before the cache is asked, since 5.0 would
     otherwise find the field of 5."""
-    if not isinstance(disc, int) or disc <= 1 or (field := _field(disc)) is None:
+    if not is_int(disc) or disc <= 1 or (field := _field(disc)) is None:
         raise ValueError(f"{disc!r} is not a real-quadratic fundamental discriminant")
     return field
 
@@ -156,8 +156,8 @@ def _is_field(field: object) -> bool:
     object, since the cache may have dropped the field a caller holds."""
     return (
         isinstance(field, QuadField)
-        and isinstance(field.d, int)
-        and isinstance(field.disc, int)
+        and is_int(field.d)
+        and is_int(field.disc)
         and field.disc > 1
         and _field(field.disc) == field
     )
@@ -167,7 +167,7 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
     """How the rational prime p behaves in the field: by the Kronecker
     symbol (D|p), which at an odd prime is D^((p-1)/2) mod p (Euler's
     criterion): 1, p - 1 or 0."""
-    if not isinstance(p, int):
+    if not is_int(p):
         raise ValueError(f"rational prime must be an int, got {p!r}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -215,7 +215,7 @@ class QuadPrime(Place, _QuadPrimeFields):
                 f"in {self.field}, not {self.splitting.value}"
             )
         allowed = (0, 1) if self.splitting is Splitting.SPLIT else (0,)
-        if self.tag not in allowed:
+        if not is_int(self.tag) or self.tag not in allowed:
             raise ValueError(f"tag {self.tag} invalid for a {self.splitting.value} prime")
 
     @property

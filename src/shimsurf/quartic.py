@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exact import InvariantError, factorize, square_part
+from .exact import InvariantError, factorize, is_int, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, poly_factor_mod_p, squarefree_decomposition
 from .quadfield import Place, QuadField, Splitting, quad_field, splitting_type
 
@@ -199,7 +199,7 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
     rational, f being irreducible) generates the subfield.
     """
     coeffs = tuple(coeffs)
-    if not all(isinstance(c, int) for c in coeffs):
+    if not all(is_int(c) for c in coeffs):
         raise ValueError(f"coefficients must be ints, got {coeffs}")
     if len(coeffs) != 5 or coeffs[0] != 1:
         raise ValueError(f"need five coefficients of a monic quartic, got {coeffs}")
@@ -257,7 +257,7 @@ class QuarticPrime(Place, _QuarticPrimeFields):
         # A float equal to a place's value would pass the membership test
         # below and carry into the norm; a non-tuple generator fails it.
         entries = self.generator if isinstance(self.generator, tuple) else ()
-        if not all(isinstance(v, int) for v in (self.p, self.residue_degree, self.ramification_index, *entries)):
+        if not all(is_int(v) for v in (self.p, self.residue_degree, self.ramification_index, *entries)):
             raise ValueError(
                 "p, residue_degree, ramification_index and the generator's coefficients must be ints, "
                 f"got {self.p!r}, {self.residue_degree!r}, {self.ramification_index!r}, {self.generator!r}"

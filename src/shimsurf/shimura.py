@@ -25,29 +25,20 @@ Each fact is proven once, at the public boundary.  ``quadratic_algebra``
 checks its field and primes and builds the algebra through
 ``QuaternionAlgebra._trusted``, since the places it derives are distinct
 conjugate pairs over that field by construction.  ``admissibility_report``
-checks that it got an algebra and a subgroup spec, admits the level once,
-through the torsion verdict it calls, and then reads level invariance and
-the Euler number from unchecked kernels.
+checks that it got an algebra and a subgroup spec, admits the level
+against the algebra's ramification, and then reads level invariance, the
+torsion decision and the Euler number from unchecked kernels.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .exact import CheckedRecord, factorize
+from .exact import CheckedRecord, factorize, is_int
 from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, primes_above
-from .torsion import (
-    TorsionVerdict,
-    Verdict,
-    _require_admitted,
-    borel_torsion_verdict,
-    full_torsion_verdict,
-    principal_torsion_verdict,
-    unipotent_torsion_verdict,
-)
+from .torsion import SubgroupKind, TorsionVerdict, Verdict, _require_level, _require_ramification, _verdict
 
 if TYPE_CHECKING:
     from .geometry import SurfaceInvariants
@@ -81,20 +72,10 @@ class Check(NamedTuple):
         return self.ok
 
 
-class SubgroupKind(Enum):
-    FULL = "full"
-    BOREL = "borel"
-    UNIPOTENT = "unipotent"
-    PRINCIPAL = "principal"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
-
 def subgroup_index(kind: SubgroupKind, s: int) -> int:
     """Index in the projectivized unit group of the congruence subgroup of
     the given kind at a level prime of norm s (a prime power)."""
-    if not isinstance(s, int) or s < 2 or len(factorize(s)) != 1:
+    if not is_int(s) or s < 2 or len(factorize(s)) != 1:
         raise ValueError(f"the residue field size must be a prime power, got {s!r}")
     return _index(kind, s)
 
@@ -139,7 +120,7 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
         degree = self.base.degree
         if degree == 2 and not _is_field(self.base):
             raise ValueError(f"{self.base!r} is not a real quadratic field")
-        _require_admitted(self.base, self.ram)
+        _require_ramification(self.base, self.ram)
         if len(set(self.ram)) != len(self.ram):
             raise ValueError("duplicate ramified place")
         if degree == 2 and not self.ram:
@@ -180,7 +161,7 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
         raise ValueError(f"{field!r} is not a real quadratic field")
     primes = list(rational_primes)
     for p in primes:
-        if not isinstance(p, int):
+        if not is_int(p):
             raise ValueError(f"ramified prime must be an int, got {p!r}")
     ram: list[QuadPrime] = []
     for p in sorted(set(primes)):
@@ -281,7 +262,7 @@ def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
     by the involution, i.e. whether conjugation maps q to itself.  q must
     be an unramified level of A, a place over its base field that lies
     over no rational prime under the ramification (ValueError otherwise)."""
-    _require_admitted(A.base, A.ram, q)
+    _require_level(A.base, A.ram, q)
     return _level_invariance(q)
 
 
@@ -307,7 +288,7 @@ def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     rational prime under the ramification."""
     if A.degree != 2:
         raise TypeError("exact Euler numbers via Bernoulli values need a quadratic base")
-    if not isinstance(index, int) or index < 1:
+    if not is_int(index) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index}")
     return _euler_quadratic(A, index)
 
@@ -332,8 +313,8 @@ class SubgroupSpec(CheckedRecord, _SubgroupSpecFields):
     group, or the Borel / unipotent / principal subgroup at a level
     prime.  The spec knows no algebra, so it checks only that the level
     is a ``Place``; the level must also be unramified in the algebra,
-    which every use against an algebra checks (``level_invariance_ok``,
-    the torsion verdicts, ``admissibility_report``)."""
+    which every use against an algebra checks by the level rule
+    (``level_invariance_ok``, ``admissibility_report``)."""
 
     __slots__ = ()
 
@@ -371,35 +352,28 @@ class AdmissibilityReport(NamedTuple):
     surface: SurfaceInvariants | None
 
 
-_TORSION_DISPATCH = {
-    SubgroupKind.BOREL: borel_torsion_verdict,
-    SubgroupKind.UNIPOTENT: unipotent_torsion_verdict,
-    SubgroupKind.PRINCIPAL: principal_torsion_verdict,
-}
-
-
 def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> AdmissibilityReport:
     """Run the full pipeline for one algebra and subgroup.  The Euler
     number is exact over both bases.
 
-    The level is admitted once, by the public torsion verdict, which is
-    the home of that check and runs before anything else reads the level
-    (ValueError, with the message ``level_invariance_ok`` gives)."""
+    The level is admitted once, by the level rule, before anything reads
+    it (ValueError, with the message ``level_invariance_ok`` gives); the
+    algebra's ramification was admitted when it was built."""
     if not isinstance(A, QuaternionAlgebra):
         raise ValueError(f"{A!r} is not a QuaternionAlgebra")
     if not isinstance(spec, SubgroupSpec):
         raise ValueError(f"{spec!r} is not a SubgroupSpec")
     inv = involution_exists(A)
     order_ok = _invariant_order(A, inv)
-    if spec.kind is SubgroupKind.FULL:
+    q = spec.level
+    if q is None:
         index = 1
         level_ok = Check(True, "the full unit group needs no level prime")
-        torsion = full_torsion_verdict(A.base, A.ram)
     else:
-        q = spec.level
-        torsion = _TORSION_DISPATCH[spec.kind](A.base, A.ram, q)
+        _require_level(A.base, A.ram, q)
         level_ok = _level_invariance(q)
         index = _index(spec.kind, q.norm)
+    torsion = _verdict(spec.kind, A.base, A.ram, q)
 
     if A.degree == 2:
         euler = _euler_quadratic(A, index)

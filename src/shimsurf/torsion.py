@@ -28,17 +28,16 @@ question: how does a place q over p behave in that quadratic extension?
   as p does in Q(sqrt(d m)).
 
 Every ramified place is decided: over a quadratic base both rules cover
-it, and a quartic base has no finite ramification (the verdicts refuse
-one, by the check the algebra layer makes too).  Only a level prime over
-2, 3 or 5 on a quartic base, dividing a candidate n, raises Undecidable,
-and the subgroup verdict then degrades to UNKNOWN instead of guessing.
+it, and a quartic base has no finite ramification (the ramification rule
+refuses one).  Only a level prime over 2, 3 or 5 on a quartic base,
+dividing a candidate n, raises Undecidable, and the subgroup verdict
+then degrades to UNKNOWN instead of guessing.
 
-Each verdict validates its places once, on entry: every ramified place
-and the level prime must be a ``Place`` over the given base field, and
-the level must be unramified, lying over no rational prime under the
-ramification (ValueError otherwise).  Every n the verdicts then ask
-about is a candidate of that field, so their splitting questions skip
-the candidate check that the public ``cyclotomic_splitting`` makes.
+One function, ``_verdict``, decides every subgroup kind on places that
+two rules admit: the ramification rule, applied when a
+``QuaternionAlgebra`` is built, and the level rule, applied to a level.
+The public verdicts apply both (ValueError), then decide.  Every n the
+decision asks about is a candidate, so it skips ``cyclotomic_splitting``'s check.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
@@ -54,8 +53,10 @@ candidate order; (B) FREE when p divides no candidate order whose
 extension embeds; (C) TORSION of order p = 2 or 3 when that extension
 embeds and q splits in it; (D) FREE when the Borel scan is free, which
 rests on that scan and is no proof in the same case; otherwise UNKNOWN.
-The unipotent subgroup, which contains the principal one, inherits its
-torsion and its FREE verdicts.
+The unipotent subgroup contains the principal one and inherits its
+torsion, and each FREE rule applies to it verbatim: it lies in the Borel
+one, and its prime-order torsion has order p as well, by its unipotent
+image mod q or else inside the principal subgroup.
 """
 
 from __future__ import annotations
@@ -84,6 +85,16 @@ class Verdict(Enum):
     FREE = "free"
     TORSION = "torsion"
     UNKNOWN = "unknown"
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
+
+
+class SubgroupKind(Enum):
+    FULL = "full"
+    BOREL = "borel"
+    UNIPOTENT = "unipotent"
+    PRINCIPAL = "principal"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -149,30 +160,41 @@ def _splitting(q: Place, n: int) -> Splitting:
     return _SYMBOL_TO_SPLITTING[kronecker(fundamental_discriminant(field.d * m), p)]
 
 
-def _require_admitted(field: BaseField, ram: Sequence[Place], q: Place | None = None) -> None:
-    """The one home of the admission rules on places, which the algebra
-    layer applies too: every ramified place and the level prime q, if
-    given, is a ``Place`` over the base field, a quartic base has no
-    finite ramification, which no algebra there admits, and the level is
-    unramified: its rational prime lies under no ramified place.
-    ValueError otherwise, with the first rule broken in that order."""
+def _require_place(x: object, field: BaseField, role: str) -> None:
+    if not isinstance(x, Place):
+        raise ValueError(f"{role} {x!r} is not a Place")
+    if x.field != field:
+        raise ValueError(f"{role} {x} does not live over the base field")
+
+
+def _require_ramification(field: BaseField, ram: Sequence[Place]) -> None:
+    """The ramification rule: every ramified place is a ``Place`` over the
+    base field, and a quartic base has none, which no algebra there admits."""
     for r in ram:
-        if not isinstance(r, Place):
-            raise ValueError(f"ramified place {r!r} is not a Place")
-        if r.field != field:
-            raise ValueError(f"ramified place {r} does not live over the base field")
-    if q is not None:
-        if not isinstance(q, Place):
-            raise ValueError(f"level prime {q!r} is not a Place")
-        if q.field != field:
-            raise ValueError(f"level prime {q} does not live over the base field")
+        _require_place(r, field, "ramified place")
     if field.degree == 4 and ram:
         raise ValueError("quartic base algebras are supported only with empty finite ramification")
-    if q is not None and any(r.p == q.p for r in ram):
+
+
+def _require_level(field: BaseField, ram: Sequence[Place], q: Place) -> None:
+    """The level rule, against admitted ramification: q is a ``Place`` over
+    the base field, lying over no rational prime under the ramification."""
+    _require_place(q, field, "level prime")
+    if any(r.p == q.p for r in ram):
         raise ValueError(
             f"the level prime lies over {q.p}, which meets the ramification of "
             "the algebra; congruence subgroups need an unramified level"
         )
+
+
+def _admit(field: BaseField, ram: Sequence[Place], q: Place) -> None:
+    """Both rules, for the public level verdicts, which refuse a level that
+    is no ``Place`` over the base field before a quartic base's ramification."""
+    for r in ram:
+        _require_place(r, field, "ramified place")
+    _require_place(q, field, "level prime")
+    _require_ramification(field, ram)
+    _require_level(field, ram, q)
 
 
 def _embeds(ram: Sequence[Place], n: int) -> bool:
@@ -187,7 +209,7 @@ def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[i
     the candidates whose cyclotomic extension embeds in the algebra.
     Raises ValueError on a quartic base with finite ramification, which
     no algebra admits, and on places over another field."""
-    _require_admitted(field, ram)
+    _require_ramification(field, ram)
     return frozenset(c.m for c in possible_torsion_orders(field) if _embeds(ram, c.n))
 
 
@@ -201,19 +223,7 @@ class TorsionVerdict(NamedTuple):
         return self.verdict is Verdict.FREE
 
 
-def _split_reason(m: int) -> str:
-    return f"order {m}: its cyclotomic extension embeds and the level prime splits in it"
-
-
-def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdict:
-    """Torsion verdict for the full projectivized unit group."""
-    orders = gamma1_torsion_orders(field, ram)
-    if orders:
-        m = min(orders)
-        return TorsionVerdict(
-            Verdict.TORSION, m, f"cyclotomic extension for order {m} embeds in the algebra"
-        )
-    return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
+_SPLITS = "its cyclotomic extension embeds and the level prime splits in it"
 
 
 def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
@@ -223,84 +233,74 @@ def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     for cand in embedding:
         try:
             if _splitting(q, cand.n) is Splitting.SPLIT:
-                return TorsionVerdict(Verdict.TORSION, cand.m, _split_reason(cand.m))
+                return TorsionVerdict(Verdict.TORSION, cand.m, f"order {cand.m}: {_SPLITS}")
         except Undecidable as exc:
             unknown.append(str(exc))
     if unknown:
         return TorsionVerdict(Verdict.UNKNOWN, None, "; ".join(unknown))
-    return TorsionVerdict(
-        Verdict.FREE,
-        None,
-        "no embedding cyclotomic extension has the level prime split in it",
-    )
+    return TorsionVerdict(Verdict.FREE, None, "no embedding cyclotomic extension has the level prime split in it")
+
+
+def _verdict(kind: SubgroupKind, field: BaseField, ram: Sequence[Place], q: Place | None) -> TorsionVerdict:
+    """The verdict for the subgroup of this kind at the admitted level q
+    (None for the full group), by the module docstring's rules, testing
+    candidates for embedding lazily: FULL and the Borel scan stop early."""
+    candidates = possible_torsion_orders(field)
+    embedding = (c for c in candidates if _embeds(ram, c.n))
+    if kind is SubgroupKind.FULL:
+        first = next(embedding, None)
+        if first is None:
+            return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
+        reason = f"cyclotomic extension for order {first.m} embeds in the algebra"
+        return TorsionVerdict(Verdict.TORSION, first.m, reason)
+    if kind is SubgroupKind.BOREL:
+        return _borel_scan(embedding, q)
+    # The principal rules, which decide the unipotent subgroup as well.
+    p = q.p
+    if all(c.m % p for c in candidates):
+        reason = f"prime-order torsion at level q would have order {p}, which is not available over this base field"
+        return TorsionVerdict(Verdict.FREE, None, reason)
+    embedding = list(embedding)
+    if all(c.m % p for c in embedding):
+        return TorsionVerdict(Verdict.FREE, None, f"order-{p} torsion is already absent from the full unit group")
+    if p in (2, 3) and any(c.m == p for c in embedding):
+        try:
+            if _splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
+                reason = f"order {p}: {_SPLITS}, which realizes the torsion inside the principal subgroup"
+                if kind is SubgroupKind.UNIPOTENT:
+                    reason = "inherited from the principal congruence subgroup it contains: " + reason
+                return TorsionVerdict(Verdict.TORSION, p, reason)
+        except Undecidable:
+            pass
+    if _borel_scan(embedding, q).is_free:
+        reason = "contained in the torsion-free upper-triangular subgroup at the same level"
+        return TorsionVerdict(Verdict.FREE, None, reason)
+    return TorsionVerdict(Verdict.UNKNOWN, None, "no implemented criterion settles this level")
+
+
+def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdict:
+    """Torsion verdict for the full projectivized unit group."""
+    _require_ramification(field, ram)
+    return _verdict(SubgroupKind.FULL, field, ram, None)
 
 
 def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
-    """Torsion verdict for the upper-triangular (Borel) subgroup at level q.
+    """Torsion verdict for the upper-triangular (Borel) subgroup at level
+    q, by the module docstring's scan; FREE is no proof at a q over p
+    where an order-p candidate embeds."""
+    _admit(field, ram, q)
+    return _verdict(SubgroupKind.BOREL, field, ram, q)
 
-    TORSION when some candidate extension embeds in the algebra and has q
-    split in it, scanned in increasing order of m; FREE is no proof at a q
-    over p where an order-p candidate embeds (see the module docstring).
-    """
-    _require_admitted(field, ram, q)
-    return _borel_scan((c for c in possible_torsion_orders(field) if _embeds(ram, c.n)), q)
+
+def unipotent_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
+    """Torsion verdict for the unipotent-level subgroup at q (matrices
+    reducing to upper-triangular with equal diagonal entries mod q)."""
+    _admit(field, ram, q)
+    return _verdict(SubgroupKind.UNIPOTENT, field, ram, q)
 
 
 def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q,
     by rules A to D of the module docstring."""
-    _require_admitted(field, ram, q)
-    p = q.p
-    candidates = possible_torsion_orders(field)
-    if all(c.m % p for c in candidates):
-        return TorsionVerdict(
-            Verdict.FREE,
-            None,
-            f"prime-order torsion at level q would have order {p}, "
-            "which is not available over this base field",
-        )
-    embedding = [c for c in candidates if _embeds(ram, c.n)]
-    if all(c.m % p for c in embedding):
-        return TorsionVerdict(
-            Verdict.FREE,
-            None,
-            f"order-{p} torsion is already absent from the full unit group",
-        )
-    if p in (2, 3) and any(c.m == p for c in embedding):
-        try:
-            if _splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
-                return TorsionVerdict(
-                    Verdict.TORSION,
-                    p,
-                    _split_reason(p) + ", which realizes the torsion inside the principal subgroup",
-                )
-        except Undecidable:
-            pass
-    if _borel_scan(embedding, q).is_free:
-        return TorsionVerdict(
-            Verdict.FREE,
-            None,
-            "contained in the torsion-free upper-triangular subgroup at the same level",
-        )
-    return TorsionVerdict(Verdict.UNKNOWN, None, "no implemented criterion settles this level")
-
-
-def unipotent_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
-    """Torsion verdict for the unipotent-level subgroup at q (matrices
-    reducing to upper-triangular with equal diagonal entries mod q).
-
-    Torsion in the principal subgroup is torsion here.  Conversely every
-    criterion that certifies the principal subgroup free applies verbatim:
-    a torsion element here has a power of prime order, and that order
-    must be p, both inside the principal subgroup and for elements with
-    nontrivial unipotent image (whose image order is p); and this
-    subgroup lies in the upper-triangular one.
-    """
-    principal = principal_torsion_verdict(field, ram, q)
-    if principal.verdict is Verdict.TORSION:
-        return TorsionVerdict(
-            Verdict.TORSION,
-            principal.order,
-            "inherited from the principal congruence subgroup it contains: " + principal.reason,
-        )
-    return principal
+    _admit(field, ram, q)
+    return _verdict(SubgroupKind.PRINCIPAL, field, ram, q)

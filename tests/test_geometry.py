@@ -145,7 +145,7 @@ def test_curve_validation():
         shimura_curve_genus((2, 4), 1)  # 4 is not prime
     with pytest.raises(ValueError):
         shimura_curve_genus((), 1)
-    for index in (Fraction(5, 2), 2.5, 12.0):
+    for index in (Fraction(5, 2), 2.5, 12.0, True):
         with pytest.raises(ValueError, match="index must be a positive integer"):
             shimura_curve_genus([2, 5], index)
 

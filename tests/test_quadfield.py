@@ -119,12 +119,13 @@ def test_fields_are_interned():
 
 
 @pytest.mark.parametrize("make", [field_from_disc, quad_field, is_fundamental_discriminant, fundamental_discriminant])
-@pytest.mark.parametrize("value", [5.0, Fraction(5), "5"], ids=["float", "Fraction", "str"])
+@pytest.mark.parametrize("value", [5.0, Fraction(5), "5", True], ids=["float", "Fraction", "str", "bool"])
 @pytest.mark.parametrize("int_seen_first", [False, True], ids=["unseen", "seen"])
 def test_non_int_arguments_are_refused(make, value, int_seen_first):
     # 5.0 and Fraction(5) equal 5 and hash alike, so only the check before
     # the cache keeps them from finding the interned field of 5 (and the
-    # discriminant helpers would answer for 5).
+    # discriminant helpers would answer for 5); True is an int to
+    # isinstance, and the discriminant helpers would answer for 1.
     _field.cache_clear()
     if int_seen_first:
         make(5)

@@ -186,8 +186,11 @@ def test_places_are_the_prime_ideals():
 
 def test_coefficients_must_be_ints():
     # int() would truncate -1.7 and 1.9 to the coefficients of the golden
-    # polynomial, and read Fraction(-3, 2) as -1 and '1' as 1.
-    for coeffs in ([1, -1.7, -3, 1.9, 1], [1, -1, Fraction(-3, 2), 1, 1], ["1", -1, -3, 1, 1]):
+    # polynomial, and read Fraction(-3, 2) as -1 and '1' as 1; a bool is an
+    # int to isinstance, and True would stay in the field as a coefficient.
+    for coeffs in (
+        [1, -1.7, -3, 1.9, 1], [1, -1, Fraction(-3, 2), 1, 1], ["1", -1, -3, 1, 1], [True, -1, -3, 1, 1],
+    ):
         with pytest.raises(ValueError, match="coefficients must be ints"):
             quartic_new(coeffs, 5)
     assert quartic_new([1, -1, -3, 1, 1], 5) == quartic_new(GOLDEN, 5)

@@ -127,6 +127,14 @@ _BAD_VALUES = [
         QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7.0, 2, 1, (2, 5, 1)), ValueError, "must be ints",
         id="quartic-prime-float-p",
     ),
+    pytest.param(
+        QuarticPrime, (quartic_new((1, -1, -3, 1, 1), 5), 7, 2, True, (2, 5, 1)), ValueError,
+        r"must be ints, got 7, 2, True, \(2, 5, 1\)", id="quartic-prime-bool",
+    ),
+    pytest.param(
+        QuadPrime, (quad_field(33), 2, Splitting.SPLIT, True), ValueError, "tag True invalid for a split prime",
+        id="prime-bool-tag",
+    ),
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),
     pytest.param(QuaternionAlgebra, (quad_field(33), ()), ValueError, "must ramify somewhere finite", id="algebra"),
     pytest.param(

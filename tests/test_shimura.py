@@ -163,7 +163,7 @@ def test_euler_numbers_quadratic_frozen():
         for index in (2, 5, 12):
             assert euler_number_quadratic(algebra, index) == index * expected
     # An index that is not a positive integer names no subgroup.
-    for index in (0, 2.5, Fraction(5, 2)):
+    for index in (0, 2.5, Fraction(5, 2), True):
         with pytest.raises(ValueError, match="index must be a positive integer"):
             euler_number_quadratic(algebra, index)
 

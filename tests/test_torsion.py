@@ -386,6 +386,10 @@ def test_quartic_base_with_finite_ramification_is_refused():
         with pytest.raises(ValueError, match="empty finite ramification"):
             call()
     assert sorted(gamma1_torsion_orders(K, ())) == [2, 3, 5]
+    # A level that is no Place is refused before the ramification is.
+    for verdict in (borel_torsion_verdict, unipotent_torsion_verdict, principal_torsion_verdict):
+        with pytest.raises(ValueError, match="level prime 7 is not a Place"):
+            verdict(K, ram, 7)
 
 
 def test_verdicts_refuse_places_over_another_field():

@@ -33,6 +33,7 @@ from shimsurf.shimura import (
     euler_number_quadratic,
     level_invariance_ok,
     quadratic_algebra,
+    quartic_algebra,
     subgroup_index,
 )
 
@@ -127,20 +128,37 @@ def _counting(counts, name, fn):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Call counts of every torsion verdict binding the report can reach
-    and of the admission rule, at both of its homes' bindings."""
-    counts = {"verdict": 0, "admission": 0}
-    for name in ("full_torsion_verdict", "borel_torsion_verdict", "unipotent_torsion_verdict", "principal_torsion_verdict"):
-        monkeypatch.setattr(shimura, name, _counting(counts, "verdict", getattr(shimura, name)))
-    for kind, fn in list(shimura._TORSION_DISPATCH.items()):
-        monkeypatch.setitem(shimura._TORSION_DISPATCH, kind, _counting(counts, "verdict", fn))
+    """Call counts of the torsion decision and of the two admission
+    rules, at every binding of each in the package."""
+    counts = {"decision": 0, "ramification": 0, "level": 0}
     for module in (shimura, torsion):
-        monkeypatch.setattr(module, "_require_admitted", _counting(counts, "admission", module._require_admitted))
+        for name, key in (("_verdict", "decision"), ("_require_ramification", "ramification"), ("_require_level", "level")):
+            monkeypatch.setattr(module, name, _counting(counts, key, getattr(module, name)))
     return counts
 
 
 def test_each_report_calls_one_verdict_and_admits_once(calls):
-    # One verdict per report keeps the traced run's torsion.verdicts
-    # meaningful; the verdict is the only place the level is admitted.
+    # A report decides torsion once, never proves its algebra's
+    # ramification again, and admits a level once, when it has one.
     reports = list(_sweep_reports(1000))
-    assert calls == {"verdict": len(reports), "admission": len(reports)}
+    levels = sum(spec.level is not None for _, spec, _ in reports)
+    assert 0 < levels < len(reports)
+    assert calls == {"decision": len(reports), "ramification": 0, "level": levels}
+
+
+def test_quartic_report_equals_the_public_verdicts():
+    # Every kind at every place over p < 60 of the six benchmark quartic
+    # fields: the report decides as the checked public verdict does.
+    reports = 0
+    for _, coeffs, sub in INPUTS.QUARTIC_FIELDS:
+        K = quartic_new([int(c) for c in coeffs.split(",")], sub)
+        A = quartic_algebra(K, True)
+        report = admissibility_report(A, SubgroupSpec(SubgroupKind.FULL, None))
+        assert report.torsion == torsion.full_torsion_verdict(K, ()), coeffs
+        for q in (q for p in primes_up_to(59) for q in primes_above_quartic(K, p)):
+            for kind in (SubgroupKind.BOREL, SubgroupKind.UNIPOTENT, SubgroupKind.PRINCIPAL):
+                report = admissibility_report(A, SubgroupSpec(kind, q))
+                public = getattr(torsion, f"{kind.value}_torsion_verdict")(K, (), q)
+                assert report.torsion == public, (coeffs, kind, q)
+                reports += 1
+    assert reports == 564
