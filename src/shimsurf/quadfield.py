@@ -8,6 +8,8 @@ mod p, and at 2 by the Kronecker rule mod 8.  A prime of the field is
 modelled as the rational prime below it plus a tag selecting one of the
 (at most two) primes above.  A radicand, discriminant or prime that is
 not an ``int`` is refused with ValueError, before any cache is asked.
+Fields are interned per discriminant, and the conjugate pair of places
+over a split prime per discriminant and prime (``_split_pair``).
 
 The generalized second Bernoulli number of the field's quadratic
 character is B_2 = 24 zeta_k(-1) = 2 s(1)/5, by Siegel's formula in
@@ -248,6 +250,22 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
     if kind is Splitting.SPLIT:
         return [QuadPrime._trusted(field, p, kind, 0), QuadPrime._trusted(field, p, kind, 1)]
     return [QuadPrime._trusted(field, p, kind, 0)]
+
+
+# Conjugate pairs kept by ``_split_pair``: a sweep over the discriminants
+# below 400 and the primes below 60 touches about a thousand, at a few
+# hundred bytes each.
+_PAIRS_KEPT = 1 << 12
+
+
+@lru_cache(maxsize=_PAIRS_KEPT)
+def _split_pair(disc: int, p: int) -> tuple[QuadPrime, QuadPrime] | None:
+    """The two places over p of the interned field of the fundamental
+    discriminant disc, or None when p does not split there; ValueError
+    when p is not prime.  Keyed by ints, so a caller checks ``is_int``
+    first: 2.0 would otherwise find the pair of 2."""
+    above = primes_above(_field(disc), p)
+    return tuple(above) if len(above) == 2 else None
 
 
 @lru_cache(maxsize=1 << 14)

@@ -11,11 +11,12 @@ infinite places is implied by the degree: a surface algebra is unramified
 at exactly two infinite places.
 
 Euler numbers are exact rationals for both degrees,
-index * 2^(3-n) * zeta_k(-1) * prod (N - 1)^2, with zeta_k(-1) from
-Siegel's formula.  A quadratic base is read through its
-``bernoulli2()``, B_2 = 24 zeta_k(-1) from Cohen's closed sum
-(``quadfield.bernoulli2``), so the Euler number is index * B_2/12 *
-prod (p - 1)^2; a quartic base is read through its ``zeta_minus1()``,
+index * 2^(3-n) * zeta_k(-1) * prod (N(v) - 1), one factor per finite
+ramified place v, with zeta_k(-1) from Siegel's formula.  A quadratic
+base is read through its ``bernoulli2()``, B_2 = 24 zeta_k(-1) from
+Cohen's closed sum (``quadfield.bernoulli2``), so the Euler number is
+index * B_2/12 * prod (N(v) - 1), where a conjugate pair of places over a
+split p gives (p - 1)^2; a quartic base is read through its ``zeta_minus1()``,
 which hands its defining polynomial to the lattice kernel
 (``siegel.zeta_minus1``).  This is the package's only way to an Euler
 number; the float volume formula the tests check it against lives in
@@ -27,17 +28,21 @@ checks its field and primes and builds the algebra through
 conjugate pairs over that field by construction.  ``admissibility_report``
 checks that it got an algebra and a subgroup spec, admits the level
 against the algebra's ramification, and then reads level invariance, the
-torsion decision and the Euler number from unchecked kernels.
+torsion decision and the Euler number from unchecked kernels.  A check
+that depends on no algebra is a module constant: the invariant order
+over a quadratic base, the full group's level, and a level at an inert
+or ramified quadratic place.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .exact import CheckedRecord, factorize, is_int
-from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, primes_above
+from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, _split_pair
 from .torsion import SubgroupKind, TorsionVerdict, Verdict, _require_level, _require_ramification, _verdict
 
 if TYPE_CHECKING:
@@ -125,6 +130,12 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
             raise ValueError("duplicate ramified place")
         if degree == 2 and not self.ram:
             raise ValueError(_UNRAMIFIED_QUADRATIC)
+        if degree == 2 and len(self.ram) % 2:
+            raise ValueError(
+                "a surface algebra over a real quadratic field is split at both real "
+                "places, so by Hilbert reciprocity it ramifies at an even number of "
+                f"finite places, not {len(self.ram)}"
+            )
         if degree not in (2, 4):
             raise ValueError(f"unsupported base field degree {degree}")
 
@@ -156,7 +167,8 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
     Built without the algebra's check: after the field, each prime (an
     ``int``, checked before duplicates merge) and its splitting are
     checked here, the places are distinct conjugate pairs over the field,
-    in (p, tag) order, and there is at least one pair."""
+    in (p, tag) order, and there is at least one pair.  Each pair is
+    built once per discriminant and prime (``quadfield._split_pair``)."""
     if not _is_field(field):
         raise ValueError(f"{field!r} is not a real quadratic field")
     primes = list(rational_primes)
@@ -165,13 +177,13 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
             raise ValueError(f"ramified prime must be an int, got {p!r}")
     ram: list[QuadPrime] = []
     for p in sorted(set(primes)):
-        above = primes_above(field, p)
-        if len(above) != 2:
+        pair = _split_pair(field.disc, p)
+        if pair is None:
             raise ValueError(
                 f"{p} does not split in {field}; the finite ramification must "
                 "consist of conjugate pairs of distinct places"
             )
-        ram.extend(above)
+        ram.extend(pair)
     if not ram:
         raise ValueError(_UNRAMIFIED_QUADRATIC)
     return QuaternionAlgebra._trusted(field, tuple(ram), False)
@@ -190,26 +202,33 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
     conjugate pairs of distinct places, and the two unramified infinite
     places must be swapped (automatic over a quadratic base)."""
     if A.degree == 2:
-        by_p: dict[int, list[QuadPrime]] = {}
+        # The places over a split p are its two tags, so each p is fixed,
+        # half a pair or a pair; the least p that is no pair is reported.
+        fixed: list[int] = []
+        halves: set[int] = set()
         for r in A.ram:
-            by_p.setdefault(r.p, []).append(r)
-        for p, places in sorted(by_p.items()):
-            if places[0].splitting is not Splitting.SPLIT:
-                return Check(
-                    False,
-                    f"the place over {p} is fixed by conjugation ({p} does not split "
-                    "in the base field), so it cannot be exchanged with a partner",
-                )
-            if len(places) != 2:
+            if r.splitting is not Splitting.SPLIT:
+                fixed.append(r.p)
+            elif r.p in halves:
+                halves.remove(r.p)
+            else:
+                halves.add(r.p)
+        if fixed or halves:
+            p = min(fixed + list(halves))
+            if p in halves:
                 return Check(
                     False,
                     f"the ramification over {p} is not conjugation-closed: only one "
                     "of the two conjugate places is ramified",
                 )
-        pairs = len(by_p)
+            return Check(
+                False,
+                f"the place over {p} is fixed by conjugation ({p} does not split "
+                "in the base field), so it cannot be exchanged with a partner",
+            )
         return Check(
             True,
-            f"the finite ramification consists of {pairs} conjugate pair(s) of "
+            f"the finite ramification consists of {len(A.ram) // 2} conjugate pair(s) of "
             "distinct places over rational primes split in the base field; the "
             "infinite-place condition is automatic over a real quadratic base",
         )
@@ -239,16 +258,19 @@ def invariant_order_exists(A: QuaternionAlgebra) -> Check:
     return _invariant_order(A, involution_exists(A))
 
 
+_RAMIFIED_OVER_FIXED = Check(
+    True,
+    "the base field is ramified over the fixed field of the involution, "
+    "so an invariant maximal order always exists",
+)
+
+
 def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
     """``invariant_order_exists`` given the algebra's involution check."""
     if not inv:
         return Check(False, "no involution of second kind: " + inv.reason)
-    if not (A.degree == 4 and A.base.disc == A.base.subfield.disc**2):
-        return Check(
-            True,
-            "the base field is ramified over the fixed field of the involution, "
-            "so an invariant maximal order always exists",
-        )
+    if A.degree == 2 or A.base.disc != A.base.subfield.disc**2:
+        return _RAMIFIED_OVER_FIXED
     return Check(
         False,
         "the base field is unramified over the fixed field and the algebra "
@@ -266,15 +288,23 @@ def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
     return _level_invariance(q)
 
 
+_FULL_LEVEL = Check(True, "the full unit group needs no level prime")
+# The level check at an inert or ramified quadratic place, by its splitting.
+_STABLE_QUADRATIC_LEVEL = {
+    s: Check(True, f"the level prime is {s.value} over the fixed field, hence equal to its conjugate")
+    for s in (Splitting.INERT, Splitting.RAMIFIED)
+}
+
+
 def _level_invariance(q: Place) -> Check:
     """``level_invariance_ok`` for a level already admitted."""
-    if q.is_conjugation_stable():
-        detail = (
-            f"the level prime is {q.splitting.value} over the fixed field"
-            if isinstance(q, QuadPrime)
-            else "no prime of the fixed field below it splits in the base field"
+    if isinstance(q, QuadPrime):
+        if q.splitting is not Splitting.SPLIT:
+            return _STABLE_QUADRATIC_LEVEL[q.splitting]
+    elif q.is_conjugation_stable():
+        return Check(
+            True, "no prime of the fixed field below it splits in the base field, hence equal to its conjugate"
         )
-        return Check(True, detail + ", hence equal to its conjugate")
     return Check(
         False,
         f"the level prime over {q.p} splits off from its conjugate, so the "
@@ -284,8 +314,8 @@ def _level_invariance(q: Place) -> Check:
 
 def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     """Exact Euler number of the surface for a subgroup of the given index
-    over a quadratic base: index * B_2/12 * prod (p - 1)^2, one factor per
-    rational prime under the ramification."""
+    over a quadratic base: index * B_2/12 * prod (N(v) - 1), one factor
+    per finite ramified place v."""
     if A.degree != 2:
         raise TypeError("exact Euler numbers via Bernoulli values need a quadratic base")
     if not is_int(index) or index < 1:
@@ -298,8 +328,8 @@ def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     integer index: one integer numerator, then one Fraction."""
     b2 = A.base.bernoulli2()
     numerator = index * b2.numerator
-    for p in A.ram_rational_primes:
-        numerator *= (p - 1) ** 2
+    for v in A.ram:
+        numerator *= v.norm - 1
     return Fraction(numerator, 12 * b2.denominator)
 
 
@@ -368,7 +398,7 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     q = spec.level
     if q is None:
         index = 1
-        level_ok = Check(True, "the full unit group needs no level prime")
+        level_ok = _FULL_LEVEL
     else:
         _require_level(A.base, A.ram, q)
         level_ok = _level_invariance(q)
@@ -396,20 +426,18 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     admissible_type: int | None = None
     surface: SurfaceInvariants | None = None
     if not obstructions:
-        from .geometry import shimura_surface_invariants  # only an admissible report has a surface
-
         admissible_type = euler.numerator
-        surface = shimura_surface_invariants(admissible_type)
+        surface = _surface_invariants()(admissible_type)
     return AdmissibilityReport(
-        algebra=A,
-        spec=spec,
-        involution_ok=inv,
-        invariant_order_ok=order_ok,
-        level_invariance_ok=level_ok,
-        index=index,
-        euler=euler,
-        torsion=torsion,
-        obstructions=tuple(obstructions),
-        admissible_type=admissible_type,
-        surface=surface,
+        A, spec, inv, order_ok, level_ok, index, euler, torsion, tuple(obstructions), admissible_type, surface
     )
+
+
+@lru_cache(maxsize=1)
+def _surface_invariants():
+    """``geometry.shimura_surface_invariants``, imported by the first
+    admissible report: only an admissible report has a surface, so a
+    NOT ADMISSIBLE one never loads geometry."""
+    from .geometry import shimura_surface_invariants
+
+    return shimura_surface_invariants

@@ -201,7 +201,10 @@ def _embeds(ram: Sequence[Place], n: int) -> bool:
     """Whether base(zeta_n) embeds in the algebra: no finite ramified
     prime splits in it (ramified real places never split in a CM
     extension)."""
-    return all(_splitting(r, n) is not Splitting.SPLIT for r in ram)
+    for r in ram:
+        if _splitting(r, n) is Splitting.SPLIT:
+            return False
+    return True
 
 
 def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
@@ -246,13 +249,13 @@ def _verdict(kind: SubgroupKind, field: BaseField, ram: Sequence[Place], q: Plac
     (None for the full group), by the module docstring's rules, testing
     candidates for embedding lazily: FULL and the Borel scan stop early."""
     candidates = possible_torsion_orders(field)
-    embedding = (c for c in candidates if _embeds(ram, c.n))
     if kind is SubgroupKind.FULL:
-        first = next(embedding, None)
-        if first is None:
-            return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
-        reason = f"cyclotomic extension for order {first.m} embeds in the algebra"
-        return TorsionVerdict(Verdict.TORSION, first.m, reason)
+        for c in candidates:
+            if _embeds(ram, c.n):
+                reason = f"cyclotomic extension for order {c.m} embeds in the algebra"
+                return TorsionVerdict(Verdict.TORSION, c.m, reason)
+        return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
+    embedding = (c for c in candidates if _embeds(ram, c.n))
     if kind is SubgroupKind.BOREL:
         return _borel_scan(embedding, q)
     # The principal rules, which decide the unipotent subgroup as well.

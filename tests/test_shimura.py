@@ -70,12 +70,18 @@ def test_involution_exists_quadratic():
     field = quad_field(33)
     algebra = quadratic_algebra(field, [2])
     assert involution_exists(algebra).ok
-    # Construct defective ramification sets directly: a half pair, and a
-    # conjugation-fixed place.
-    q2, q2bar = primes_above(field, 2)
-    assert not involution_exists(QuaternionAlgebra(field, (q2,))).ok
-    (q7,) = primes_above(field, 7)
-    assert not involution_exists(QuaternionAlgebra(field, (q7,))).ok
+    # Construct defective ramification sets directly, each of an even
+    # number of places as every algebra over a real quadratic base has:
+    # half of each of the split pairs over 2 and 17, and the fixed places
+    # over the inert 5 and 7.  The least prime that is no pair is named.
+    halves = QuaternionAlgebra(field, (primes_above(field, 17)[1], primes_above(field, 2)[0]))
+    check = involution_exists(halves)
+    assert not check.ok
+    assert check.reason.startswith("the ramification over 2 is not conjugation-closed")
+    (q5,), (q7,) = primes_above(field, 5), primes_above(field, 7)
+    check = involution_exists(QuaternionAlgebra(field, (q7, q5)))
+    assert not check.ok
+    assert check.reason.startswith("the place over 5 is fixed by conjugation")
 
 
 def test_quadratic_algebra_rejects_nonsplit_primes():
@@ -168,6 +174,19 @@ def test_euler_numbers_quadratic_frozen():
             euler_number_quadratic(algebra, index)
 
 
+def test_euler_number_has_one_factor_per_place():
+    # index * B_2/12 * prod (N(v) - 1) with B_2 = 2 over Q(sqrt 2): the
+    # inert places over 3 and 5 have norms 9 and 25, and one place over
+    # each of the split 7 and 17 has norm 7 or 17.
+    field = quad_field(2)
+    (q3,), (q5,) = primes_above(field, 3), primes_above(field, 5)
+    assert euler_number_quadratic(QuaternionAlgebra(field, (q3, q5)), 1) == 2 * 8 * 24 / Fraction(12) == 32
+    halves = QuaternionAlgebra(field, (primes_above(field, 7)[0], primes_above(field, 17)[0]))
+    assert euler_number_quadratic(halves, 1) == 2 * 6 * 16 / Fraction(12) == 16
+    # A conjugate pair over a split p gives (p - 1)^2.
+    assert euler_number_quadratic(quadratic_algebra(field, [7, 17]), 1) == Fraction(2 * 36 * 256, 12)
+
+
 def test_general_formula_consistent_with_quadratic_at_degree_two():
     # The volume formula at n = 2, fed the exact zeta value through the
     # Bernoulli bridge zeta_k(2) = pi^4 B / (6 d^(3/2)), must recognize
@@ -200,6 +219,16 @@ def test_algebra_constructor_validation():
         quadratic_algebra(field, [])  # refused before the unchecked construction
     with pytest.raises(ValueError, match="ramified place 2 is not a Place"):
         QuaternionAlgebra(field, (2,))
+    # Split at both real places, so an even number of finite places ramify
+    # (Hilbert reciprocity); checked after the refusals above.
+    (q7,) = primes_above(field, 7)
+    for ram in ((q7,), (q2, q2bar, q7)):
+        with pytest.raises(ValueError, match=f"even number of finite places, not {len(ram)}"):
+            QuaternionAlgebra(field, ram)
+    with pytest.raises(ValueError, match="duplicate ramified place"):
+        QuaternionAlgebra(field, (q2, q2, q7))
+    with pytest.raises(ValueError, match="ramified place 2 is not a Place"):
+        QuaternionAlgebra(field, (q7, 2, q2))
     K = quartic_new((1, -1, -3, 1, 1), 5)
     with pytest.raises(ValueError, match="supported only with empty finite ramification"):
         QuaternionAlgebra(K, (choose_level_prime(K, 11),))
@@ -216,6 +245,19 @@ def test_quadratic_algebra_refuses_non_int_primes(primes):
     # Checked before duplicates merge, so [2, 2.0] cannot collapse to [2].
     with pytest.raises(ValueError, match="ramified prime must be an int"):
         quadratic_algebra(quad_field(33), primes)
+
+
+def test_quadratic_algebra_checks_primes_with_the_pair_kept():
+    # The pair over 2 is built once and kept, keyed by ints: 2.0 and True,
+    # equal to 2 and 1, are refused before the key is read, and the inert
+    # 7 still does not split.
+    field = quad_field(33)
+    assert quadratic_algebra(field, [2]).ram[0] is quadratic_algebra(field, [2]).ram[0]
+    for primes in ([2.0], [True]):
+        with pytest.raises(ValueError, match="ramified prime must be an int"):
+            quadratic_algebra(field, primes)
+    with pytest.raises(ValueError, match="7 does not split"):
+        quadratic_algebra(field, [7])
 
 
 @pytest.mark.parametrize(

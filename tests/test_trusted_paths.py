@@ -25,12 +25,16 @@ from shimsurf.quadfield import (
 )
 from shimsurf.quartic import QuarticPrime, primes_above_quartic, quartic_new
 from shimsurf import shimura, torsion
+from shimsurf.geometry import shimura_surface_invariants
 from shimsurf.shimura import (
+    Check,
     QuaternionAlgebra,
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
     euler_number_quadratic,
+    invariant_order_exists,
+    involution_exists,
     level_invariance_ok,
     quadratic_algebra,
     quartic_algebra,
@@ -109,13 +113,23 @@ def test_report_equals_the_checked_functions_on_the_sweep():
         SubgroupKind.UNIPOTENT: torsion.unipotent_torsion_verdict,
         SubgroupKind.PRINCIPAL: torsion.principal_torsion_verdict,
     }
+    admissible = 0
     for A, spec, report in _sweep_reports(2000):
+        assert report.involution_ok == involution_exists(A), spec
+        assert report.invariant_order_ok == invariant_order_exists(A), spec
         assert report.euler == euler_number_quadratic(A, report.index), spec
         if spec.level is None:
+            assert report.level_invariance_ok == Check(True, "the full unit group needs no level prime")
             assert report.torsion == torsion.full_torsion_verdict(A.base, A.ram)
         else:
             assert report.level_invariance_ok == level_invariance_ok(A, spec.level), spec
             assert report.torsion == public[spec.kind](A.base, A.ram, spec.level), spec
+        if report.admissible_type is None:
+            assert report.surface is None, spec
+        else:
+            assert report.surface == shimura_surface_invariants(report.admissible_type), spec
+            admissible += 1
+    assert 0 < admissible < 2000
 
 
 def _counting(counts, name, fn):
