@@ -93,12 +93,14 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16, typed=True)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the prime bases 2..37: a proof of primality below
     PRIME_PROOF_BOUND.  At or above it, a composite witness still returns
-    False, and passing every base raises ValueError."""
-    if n < 2:
+    False, and passing every base raises ValueError.  A non-int, such as
+    7.0, is not a prime; the cache is typed so that 7 does not answer
+    for it."""
+    if not is_int(n) or n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -167,8 +169,8 @@ def _perfect_power(m: int) -> tuple[int, int] | None:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, primes increasing."""
-    if n < 1:
+    """Prime factorization of an int n >= 1 as (prime, exponent) pairs, primes increasing."""
+    if not is_int(n) or n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out: dict[int, int] = {}
     for p in (2, 3, 5):

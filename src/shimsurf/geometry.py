@@ -145,7 +145,7 @@ def quotient_invariants_from_pg(pg_X: int) -> QuotientInvariants:
     Checked to agree with ``quotient_invariants(4(1 + p_g), p_g)``, also
     under ``python -O``.
     """
-    if not 2 <= pg_X <= 8:
+    if not is_int(pg_X) or not 2 <= pg_X <= 8:
         raise ValueError(f"geometric genus must lie in [2, 8], got {pg_X}")
     direct = QuotientInvariants(Ksq=9 - pg_X, c2=3 + pg_X, pg=0, general_type=True)
     computed = quotient_invariants(4 * (1 + pg_X), pg_X)
@@ -156,7 +156,7 @@ def quotient_invariants_from_pg(pg_X: int) -> QuotientInvariants:
 
 def fixed_curve_numbers(g: int) -> CurveData:
     """Self-intersection and canonical degree of the fixed curve."""
-    if g < 2:
+    if not is_int(g) or g < 2:
         raise ValueError(f"the fixed curve has arithmetic genus >= 2, got {g}")
     return CurveData(g=g, Csq=2 - 2 * g, KC=4 * (g - 1))
 

@@ -57,26 +57,21 @@ def _trim(c: list[int]) -> Coeffs:
     return tuple(c)
 
 
-def padd(a: PolyModP, b: PolyModP) -> PolyModP:
+def _add_scaled(a: PolyModP, b: PolyModP, s: int) -> PolyModP:
+    # a + s b coefficientwise mod p, for s = 1 or -1.
     p = a.p
-    n = max(len(a.coeffs), len(b.coeffs))
-    c = [0] * n
-    for i, x in enumerate(a.coeffs):
-        c[i] = x
+    c = list(a.coeffs) + [0] * (len(b.coeffs) - len(a.coeffs))
     for i, x in enumerate(b.coeffs):
-        c[i] = (c[i] + x) % p
+        c[i] = (c[i] + s * x) % p
     return PolyModP(p, _trim(c))
+
+
+def padd(a: PolyModP, b: PolyModP) -> PolyModP:
+    return _add_scaled(a, b, 1)
 
 
 def psub(a: PolyModP, b: PolyModP) -> PolyModP:
-    p = a.p
-    n = max(len(a.coeffs), len(b.coeffs))
-    c = [0] * n
-    for i, x in enumerate(a.coeffs):
-        c[i] = x
-    for i, x in enumerate(b.coeffs):
-        c[i] = (c[i] - x) % p
-    return PolyModP(p, _trim(c))
+    return _add_scaled(a, b, -1)
 
 
 def _mul(a: Coeffs | list[int], b: Coeffs | list[int]) -> list[int]:
@@ -200,12 +195,7 @@ def squarefree_decomposition(f: PolyModP) -> list[tuple[PolyModP, int]]:
         raise ValueError("need a monic polynomial")
     p = f.p
     out: list[tuple[PolyModP, int]] = []
-    d = pderiv(f)
-    if not d.coeffs:
-        for g, m in squarefree_decomposition(_pth_root(f)):
-            out.append((g, m * p))
-        return out
-    c = pgcd(f, d)
+    c = pgcd(f, pderiv(f))  # f when f' = 0: a p-th power, left whole to the tail
     w = pdivmod(f, c)[0]
     i = 1
     while w.degree > 0:

@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 from .exact import InvariantError, factorize, is_int, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, poly_factor_mod_p, squarefree_decomposition
 from .quadfield import Place, QuadField, Splitting, quad_field, splitting_type
+from .siegel import zeta_minus1
 
 __all__ = [
     "QuarticField",
@@ -169,11 +170,6 @@ class QuarticField(NamedTuple):
 
     def zeta_minus1(self) -> Fraction:
         """zeta_K(-1), exactly, by Siegel's formula."""
-        # Imported on first use, so that no quadratic path loads the
-        # kernel; compiling it is most of its import time when no bytecode
-        # cache is written.
-        from .siegel import zeta_minus1
-
         return zeta_minus1(self)
 
     def __str__(self) -> str:
@@ -295,7 +291,7 @@ def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
     the squarefree decomposition of f mod p gives the multiplicities, the
     distinct-degree split of each part the degrees.  When p does not
     divide disc(f), f is squarefree mod p."""
-    f = poly(p, K.coeffs[::-1])  # rejects a non-prime p
+    f = poly(p, K.polynomial)  # rejects a non-prime p
     parts = [(f, 1)] if K.disc % p else squarefree_decomposition(f)
     shapes = sorted(
         (d, mult)

@@ -43,7 +43,7 @@ from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
-from .exact import CheckedRecord, InvariantError, primes_up_to
+from .exact import CheckedRecord, InvariantError, is_int, primes_up_to
 from .quadfield import (
     Splitting,
     bernoulli2,
@@ -120,7 +120,7 @@ def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[Cand
     nonempty sets of split rational primes, and positive integer indices,
     for the requested types; sorted by (e, D, index)."""
     types = sorted(set(e_values))
-    if not types or any(e % 4 != 0 or not 12 <= e <= 36 for e in types):
+    if not types or any(not is_int(e) or e % 4 != 0 or not 12 <= e <= 36 for e in types):
         raise ValueError(f"surface types must be multiples of 4 in [12, 36], got {e_values}")
     rows: list[CandidateRow] = []
     e_max = max(types)

@@ -56,7 +56,8 @@ There a valuation is read off by multiplying with the lift tau of f/g,
 for which tau/p has valuation -1 at (p, g(alpha)) and is integral at
 every other prime (Cohen, Alg. 4.8.17).  The kernel keeps (deg g, e, tau)
 per p, and ``mul_mod`` and ``valuation`` take a defining polynomial of
-any degree.  No float is used anywhere.
+any degree; ``mul_mod`` multiplies through ``polymod``'s integer product
+and keeps only the reduction by the monic f.  No float is used anywhere.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from math import gcd, isqrt
 from typing import Protocol, Sequence
 
 from .exact import InvariantError, factorize
-from .polymod import pdivmod, poly, poly_factor_mod_p
+from .polymod import _mul, pdivmod, poly, poly_factor_mod_p
 
 __all__ = ["TotallyRealField", "valuation", "zeta_minus1"]
 
@@ -88,13 +89,11 @@ class TotallyRealField(Protocol):
 
 def mul_mod(a: Element, b: Element, f: Sequence[int]) -> list[int]:
     """The product of a and b in Z[x]/(f), for f monic of degree n and a, b
-    given by n ascending coefficients."""
+    given by at most n ascending coefficients: ``polymod``'s integer
+    product, padded to 2n - 1 entries and reduced by f top down."""
     n = len(f) - 1
-    c = [0] * (2 * n - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                c[j] += x * y
+    c = _mul(a, b)
+    c += [0] * (2 * n - 1 - len(c))
     for i in range(2 * n - 2, n - 1, -1):
         t = c[i]
         if t:

@@ -1,5 +1,6 @@
 """Kernel arithmetic: Kronecker symbols, primality, factorization, square
-parts and modular square roots; and the guarded rational recognition of
+parts and modular square roots; a float refused wherever an int is read,
+also after its int is cached; and the guarded rational recognition of
 the tests' float reference."""
 
 from fractions import Fraction
@@ -18,6 +19,10 @@ from shimsurf.exact import (
     primes_up_to,
     square_part,
 )
+from shimsurf.geometry import fixed_curve_numbers, quotient_invariants_from_pg, shimura_curve_genus
+from shimsurf.polymod import poly
+from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new, quartic_splitting
+from shimsurf.search import enumerate_candidates
 
 from float_reference import recognize_rational
 
@@ -52,6 +57,35 @@ def test_is_prime_refuses_unproven_pseudoprime():
         factorize(n)
     # A witness still proves compositeness above the bound.
     assert not is_prime(2**101 - 1)  # 7432339208719 * 341117531003194129
+
+
+_K725 = quartic_new((1, -1, -3, 1, 1), 5)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: is_prime(7.0), None, id="is_prime"),
+        pytest.param(lambda: factorize(26.0), r"got 26\.0", id="factorize"),
+        pytest.param(lambda: poly(5.0, [1, 2, 3]), r"modulus 5\.0 is not prime", id="poly"),
+        pytest.param(lambda: primes_above_quartic(_K725, 11.0), r"modulus 11\.0", id="primes_above_quartic"),
+        pytest.param(lambda: choose_level_prime(_K725, 11.0), r"modulus 11\.0", id="choose_level_prime"),
+        pytest.param(lambda: quartic_splitting(_K725, 11.0), r"modulus 11\.0", id="quartic_splitting"),
+        pytest.param(lambda: shimura_curve_genus([2.0, 5], 12), r"got \[2\.0, 5\]", id="shimura_curve_genus"),
+        pytest.param(lambda: fixed_curve_numbers(3.0), r"got 3\.0", id="fixed_curve_numbers"),
+        pytest.param(lambda: quotient_invariants_from_pg(3.0), r"genus must lie in \[2, 8\], got 3\.0", id="pg"),
+        pytest.param(lambda: enumerate_candidates((12.0,)), r"got \(12\.0,\)", id="enumerate_candidates"),
+    ],
+)
+def test_a_float_is_not_read_as_an_int(call, match):
+    # The ints first: a cache keyed by value alone would answer 7.0 from
+    # the entry of 7, since the two compare and hash alike.
+    assert all(is_prime(p) for p in (2, 5, 7, 11))
+    if match is None:
+        assert call() is False
+    else:
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 @given(st.integers(min_value=2, max_value=10**6))

@@ -162,6 +162,27 @@ def test_squarefree_decomposition_rejects_constants():
             squarefree_decomposition(poly(5, coeffs))
 
 
+@pytest.mark.parametrize(
+    "p, factors",
+    [
+        (3, [((1, 1), 3), ((1, 0, 1), 3)]),  # (x + 1)^3 (x^2 + 1)^3
+        (2, [((1, 1, 1), 2), ((1, 1), 4)]),  # (x^2 + x + 1)^2 (x + 1)^4
+        (5, [((2, 1), 5), ((2, 0, 1), 1)]),  # (x + 2)^5 (x^2 + 2): a p-th power left in the tail
+    ],
+    ids=["cube-over-3", "square-over-2", "fifth-power-tail-over-5"],
+)
+def test_squarefree_decomposition_of_pth_powers(p, factors):
+    # The first two have f' = 0, so the decomposition runs on the p-th
+    # root and multiplies the multiplicities by p.
+    f = _product(p, [(poly(p, g), m) for g, m in factors])
+    parts = squarefree_decomposition(f)
+    assert _product(p, parts) == f
+    expected = {}
+    for g, m in factors:
+        expected[m] = pmul(expected.get(m, poly(p, [1])), poly(p, g))
+    assert len(parts) == len(expected) and {m: g for g, m in parts} == expected
+
+
 def test_factorization_steps_reject_non_monic():
     # 2x^2 + 1 over F_5 must be refused, not decomposed as x^2 + 3.
     f = poly(5, [1, 0, 2])

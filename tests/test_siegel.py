@@ -274,6 +274,26 @@ def _norm(f, beta):
     return abs(_det([[col[i] for col in columns] for i in range(n)]))
 
 
+def _times_x_mod(a, f):
+    # x a mod the monic f over Z, for a of deg f ascending coefficients.
+    top = a[-1]
+    return [x - top * y for x, y in zip([0, *a[:-1]], f)]
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 4])
+def test_mul_mod_takes_a_short_second_factor(length):
+    # A lift tau of f/g has fewer than n coefficients; the product must
+    # equal sum_j b_j x^j a mod f, built here one shift at a time.
+    f = (1, 1, -3, -1, 1)
+    for a in itertools.product(range(-2, 3), repeat=4):
+        for b in [(3, -1, 2, 5)[:length], (0, 0, 0, 7)[:length]]:
+            expected, shifted = [0] * 4, list(a)
+            for y in b:
+                expected = [u + y * v for u, v in zip(expected, shifted)]
+                shifted = _times_x_mod(shifted, f)
+            assert mul_mod(a, b, f) == expected, (a, b)
+
+
 @pytest.mark.parametrize("coeffs", [(-1, -1, 1), (-2, 0, 1), (1, 1, -3, -1, 1), (-2, 4, 2, -4, 1)])
 def test_valuations_add_up_to_the_norm(coeffs):
     # For x^2 - x - 1, x^2 - 2 and two benchmark quartics, all with a
