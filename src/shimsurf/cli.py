@@ -106,10 +106,6 @@ def _quotient_line(inv: QuotientInvariants) -> str:
     return f"K² = {inv.Ksq}, c₂ = {inv.c2}, p_g = {inv.pg}, q = {inv.q}, general type: {general}"
 
 
-def _check_line(label: str, check) -> str:
-    return f"{label} = {_yes_no(check.ok)} ({check.reason})"
-
-
 def _subgroup_line(spec: SubgroupSpec) -> str:
     from .shimura import SubgroupKind
 
@@ -121,6 +117,20 @@ def _subgroup_line(spec: SubgroupSpec) -> str:
     else:
         detail = f"residue degree {q.residue_degree}, ramification index {q.ramification_index}"
     return f"subgroup = {spec.kind.value}, level over {q.p} (norm {q.norm}, {detail})"
+
+
+def _report_check_lines(report: AdmissibilityReport) -> list[str]:
+    """The subgroup, its index and the three structural checks."""
+    checks = (
+        ("involution of second kind", report.involution_ok),
+        ("invariant maximal order", report.invariant_order_ok),
+        ("level invariance", report.level_invariance_ok),
+    )
+    return [
+        _subgroup_line(report.spec),
+        f"index = {report.index}",
+        *(f"{label} = {_yes_no(check.ok)} ({check.reason})" for label, check in checks),
+    ]
 
 
 def _report_tail_lines(report: AdmissibilityReport, with_quotients: bool) -> list[str]:
@@ -158,39 +168,25 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .search import DEFAULT_TYPES, RowStatus, run_pipeline
+    from .search import DEFAULT_TYPES, run_pipeline
 
     e_values = tuple(_parse_int_list(args.e, "--e")) if args.e is not None else DEFAULT_TYPES
     rows, report = run_pipeline(e_values)
+    # each row's cells, derived once for both formats
+    cells = [
+        (r.D, field_from_disc(r.D).d, r.B2, r.e, ";".join(map(str, r.ram_primes)), r.index, r.status.value, r.reason)
+        for r in rows
+    ]
     if args.format == "csv":
         writer = _csv_writer()
-        writer.writerow(
-            ["D", "d", "B2_num", "B2_den", "e", "ram_primes", "index", "status", "reason"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.D,
-                    field_from_disc(r.D).d,
-                    r.B2.numerator,
-                    r.B2.denominator,
-                    r.e,
-                    ";".join(str(p) for p in r.ram_primes),
-                    r.index,
-                    r.status.value,
-                    r.reason,
-                ]
-            )
+        writer.writerow(["D", "d", "B2_num", "B2_den", "e", "ram_primes", "index", "status", "reason"])
+        writer.writerows((D, d, B2.numerator, B2.denominator, *rest) for D, d, B2, *rest in cells)
         return 0
-    for r in rows:
-        ram = ";".join(str(p) for p in r.ram_primes)
-        print(
-            f"D={r.D} d={field_from_disc(r.D).d} B2={r.B2} e={r.e} "
-            f"ram={ram} index={r.index} {r.status.value}: {r.reason}"
-        )
-    n_candidates = sum(1 for r in rows if r.status is RowStatus.CANDIDATE)
-    print(f"rows: {len(rows)} ({n_candidates} candidates, {len(rows) - n_candidates} pruned)")
+    for D, d, B2, e, ram, index, status, reason in cells:
+        print(f"D={D} d={d} B2={B2} e={e} ram={ram} index={index} {status}: {reason}")
     matched, missing, extras = report.counts
+    candidates = matched + extras
+    print(f"rows: {len(rows)} ({candidates} candidates, {len(rows) - candidates} pruned)")
     print(f"reference classification: {matched} matched, {missing} missing, {extras} beyond")
     return 0
 
@@ -234,11 +230,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         f"field = Q(sqrt({field.d}))",
         f"discriminant = {field.disc}",
         f"ramification = conjugate pairs over {ram}",
-        _subgroup_line(report.spec),
-        f"index = {report.index}",
-        _check_line("involution of second kind", report.involution_ok),
-        _check_line("invariant maximal order", report.invariant_order_ok),
-        _check_line("level invariance", report.level_invariance_ok),
+        *_report_check_lines(report),
         f"euler number of the full group = {report.euler / report.index}",
         f"euler number = {report.euler}",
     ]
@@ -297,11 +289,7 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
         f"polynomial discriminant = {K.disc}",
         f"field discriminant = {K.disc}",
         f"subfield = Q(sqrt({K.subfield.d})), discriminant {K.subfield.disc}",
-        _subgroup_line(report.spec),
-        f"index = {report.index}",
-        _check_line("involution of second kind", report.involution_ok),
-        _check_line("invariant maximal order", report.invariant_order_ok),
-        _check_line("level invariance", report.level_invariance_ok),
+        *_report_check_lines(report),
         f"zeta_k(-1) = {K.zeta_minus1()} (Siegel's formula, checked by s(2) = 129 s(1))",
         f"euler number of the full group = {report.euler / report.index}",
         f"euler number = {report.euler} (index {report.index} times zeta_k(-1)/2)",

@@ -64,8 +64,12 @@ def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n) for n != 0.
 
     Fully multiplicative in both arguments, with (a|2) = 0, +1, -1 for
-    a even, a = +-1 mod 8, a = +-3 mod 8, and (a|-1) = sign(a).
+    a even, a = +-1 mod 8, a = +-3 mod 8, and (a|-1) = sign(a).  An
+    argument that is not an ``int``, such as 5.0 or True, is refused with
+    ValueError.
     """
+    if not (is_int(a) and is_int(n)):
+        raise ValueError(f"kronecker symbol needs ints, got ({a!r}|{n!r})")
     if n == 0:
         raise ValueError("kronecker symbol (a|0) is not defined here")
     result = 1

@@ -125,10 +125,12 @@ def is_fundamental_discriminant(disc: int) -> bool:
 
 
 def fundamental_discriminants(lo: int, hi: int) -> Iterator[int]:
-    """Yield real-quadratic fundamental discriminants in [lo, hi]."""
-    for disc in range(max(lo, 5), hi + 1):
-        if is_fundamental_discriminant(disc):
-            yield disc
+    """The real-quadratic fundamental discriminants in [lo, hi], increasing.
+    Bounds that are not ``int``s are refused with ValueError by the call,
+    before anything is iterated."""
+    if not (is_int(lo) and is_int(hi)):
+        raise ValueError(f"discriminant bounds must be ints, got {lo!r} and {hi!r}")
+    return (disc for disc in range(max(lo, 5), hi + 1) if is_fundamental_discriminant(disc))
 
 
 def field_from_disc(disc: int) -> QuadField:
@@ -165,6 +167,11 @@ def _is_field(field: object) -> bool:
     )
 
 
+# The splitting of p in a quadratic extension by the Kronecker symbol of
+# its discriminant at p; every other value, -1 or Euler's p - 1, is inert.
+_SPLITTING = {1: Splitting.SPLIT, 0: Splitting.RAMIFIED}
+
+
 def splitting_type(field: QuadField, p: int) -> Splitting:
     """How the rational prime p behaves in the field: by the Kronecker
     symbol (D|p), which at an odd prime is D^((p-1)/2) mod p (Euler's
@@ -174,11 +181,7 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     symbol = kronecker(field.disc, 2) if p == 2 else pow(field.disc, (p - 1) // 2, p)
-    if symbol == 1:
-        return Splitting.SPLIT
-    if symbol == 0:
-        return Splitting.RAMIFIED
-    return Splitting.INERT
+    return _SPLITTING.get(symbol, Splitting.INERT)
 
 
 class Place(CheckedRecord):

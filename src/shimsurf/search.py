@@ -231,12 +231,9 @@ def run_pipeline(
 ) -> tuple[list[CandidateRow], DiffReport]:
     """Enumerate, prune, and diff; returns every row (pruned ones carry
     their pruning reason, surviving ones their classification against the
-    reference) together with the diff report."""
+    reference, as the diff report's own row objects) together with the
+    diff report."""
     pruned = prune_by_torsion(enumerate_candidates(e_values))
     report = compare_to_reference(pruned)
-    annotated_reason = {r.key: r.reason for r in report.matched + report.extras}
-    rows = [
-        r._replace(reason=annotated_reason[r.key]) if r.status is RowStatus.CANDIDATE else r
-        for r in pruned
-    ]
-    return rows, report
+    annotated = {r.key: r for r in report.matched + report.extras}
+    return [annotated.get(r.key, r) for r in pruned], report

@@ -33,7 +33,8 @@ needs the constant c_k = rest^T W_k[1:, 1:] rest of its integer form W_k,
 with a_k = W_k[0][0] and lin_k = W_k[0][1:] . rest.  It takes c_k from
 the parent's value q_(k+1) = rest^T W_(k+1) rest, in O(n) steps rather
 than a sum over rest: Bareiss's step W_(k+1) = (a_k W_k[1:, 1:] - w w^T)/d_k,
-w = W_k[0][1:], gives d_k q_(k+1) = a_k c_k - lin_k^2, that is
+w = W_k[0][1:] (``_bareiss_step``, which ``_det`` runs as well), gives
+d_k q_(k+1) = a_k c_k - lin_k^2, that is
 c_k = (d_k q_(k+1) + lin_k^2)/a_k (Sylvester's identity), an exact
 division since W_k is an integer matrix; a remainder raises
 InvariantError.  nu is totally positive exactly when every elementary
@@ -113,22 +114,29 @@ def valuation(f: Sequence[int], p: int, tau: Element, beta: Element) -> int:
     return k
 
 
+def _bareiss_step(W: list[list[int]], d: int) -> list[list[int]]:
+    """One step of Bareiss's fraction-free elimination on the square integer
+    matrix W, with pivot W[0][0] and d the previous step's pivot (1 at the
+    first): the trailing block (W00 Wij - Wi0 W0j)/d, i, j >= 1, whose
+    entries are minors of the original matrix (Sylvester's identity), so
+    the division is exact."""
+    a, top = W[0][0], W[0][1:]
+    return [[(a * x - row[0] * y) // d for x, y in zip(row[1:], top)] for row in W[1:]]
+
+
 def _det(M: list[list[int]]) -> int:
     """Determinant of a square integer matrix (1 for the empty one), by
-    Bareiss's fraction-free elimination."""
-    A = [list(row) for row in M]
-    n, sign, prev = len(A), 1, 1
-    for k in range(n - 1):
-        if not A[k][k]:
-            swap = next((r for r in range(k + 1, n) if A[r][k]), None)
-            if swap is None:
-                return 0
-            A[k], A[swap], sign = A[swap], A[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-        prev = A[k][k]
-    return sign * A[-1][-1] if n else 1
+    Bareiss's steps, a row with a nonzero leading entry swapped to the top
+    before each."""
+    A, sign, d = [list(row) for row in M], 1, 1
+    while len(A) > 1:
+        pivot = next((i for i, row in enumerate(A) if row[0]), None)
+        if pivot is None:
+            return 0
+        if pivot:
+            A[0], A[pivot], sign = A[pivot], A[0], -sign
+        A, d = _bareiss_step(A, d), A[0][0]
+    return sign * A[0][0] if A else 1
 
 
 def _power_sums(f: Sequence[int], count: int) -> list[int]:
@@ -203,11 +211,7 @@ class _SiegelSum:
         self.levels = [([[h[i + j] for j in range(n)] for i in range(n)], 1)]
         for _ in range(n - 2):
             W, d_k = self.levels[-1]
-            size = len(W)
-            self.levels.append((
-                [[(W[0][0] * W[i][j] - W[i][0] * W[0][j]) // d_k for j in range(1, size)] for i in range(1, size)],
-                W[0][0],
-            ))
+            self.levels.append((_bareiss_step(W, d_k), W[0][0]))
         self.primes: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}  # p -> [(deg g, e, tau)]
         self.known: dict[tuple[int, int], int] = {}
 

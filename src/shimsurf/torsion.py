@@ -66,7 +66,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .exact import kronecker
-from .quadfield import Place, Splitting, fundamental_discriminant
+from .quadfield import _SPLITTING, Place, Splitting, fundamental_discriminant
 
 if TYPE_CHECKING:
     # Type names only: every function reads the field through its
@@ -129,9 +129,6 @@ def _orders_for(radicands: tuple[int, ...]) -> tuple[TorsionOrder, ...]:
     return _ALWAYS_ORDERS + tuple(c for d, c in _SUBFIELD_ORDER.items() if d in radicands)
 
 
-_SYMBOL_TO_SPLITTING = {1: Splitting.SPLIT, -1: Splitting.INERT, 0: Splitting.RAMIFIED}
-
-
 def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     """How the prime q behaves in base(zeta_n)/base, a quadratic extension
     for every candidate n of the base (see the module docstring for the
@@ -157,7 +154,7 @@ def _splitting(q: Place, n: int) -> Splitting:
     if n == 5 or kronecker(field.disc, p) != 0:
         return Splitting.RAMIFIED
     m = -1 if p == 2 else -3
-    return _SYMBOL_TO_SPLITTING[kronecker(fundamental_discriminant(field.d * m), p)]
+    return _SPLITTING.get(kronecker(fundamental_discriminant(field.d * m), p), Splitting.INERT)
 
 
 def _require_place(x: object, field: BaseField, role: str) -> None:

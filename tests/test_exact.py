@@ -21,6 +21,7 @@ from shimsurf.exact import (
 )
 from shimsurf.geometry import fixed_curve_numbers, quotient_invariants_from_pg, shimura_curve_genus
 from shimsurf.polymod import poly
+from shimsurf.quadfield import fundamental_discriminants
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new, quartic_splitting
 from shimsurf.search import enumerate_candidates
 
@@ -75,6 +76,12 @@ _K725 = quartic_new((1, -1, -3, 1, 1), 5)
         pytest.param(lambda: fixed_curve_numbers(3.0), r"got 3\.0", id="fixed_curve_numbers"),
         pytest.param(lambda: quotient_invariants_from_pg(3.0), r"genus must lie in \[2, 8\], got 3\.0", id="pg"),
         pytest.param(lambda: enumerate_candidates((12.0,)), r"got \(12\.0,\)", id="enumerate_candidates"),
+        pytest.param(lambda: kronecker(5.5, 3), r"got \(5\.5\|3\)", id="kronecker-5.5"),
+        pytest.param(lambda: kronecker(5.0, 3), r"got \(5\.0\|3\)", id="kronecker-5.0"),
+        pytest.param(lambda: kronecker(True, 3), r"got \(True\|3\)", id="kronecker-True"),
+        pytest.param(lambda: kronecker(5, 3.0), r"got \(5\|3\.0\)", id="kronecker-modulus-3.0"),
+        pytest.param(lambda: fundamental_discriminants(5, 12.5), r"got 5 and 12\.5", id="discriminants-float"),
+        pytest.param(lambda: fundamental_discriminants(True, 12), r"got True and 12", id="discriminants-bool"),
     ],
 )
 def test_a_float_is_not_read_as_an_int(call, match):

@@ -2,15 +2,16 @@
 benchmark fields, the float Euler product as an independent oracle, the
 weight-8 identity s(2) = 129 s(1) over a box of defining polynomials, the
 degree-4 point test and the descent against generic reference code,
-with the pinned number of points each sum visits, the
-Kummer-Dedekind valuations, the shape shortcuts of sigma_1 against
-the valuations at every prime, the degree-2 kernel as the reference
-for Cohen's closed sum in ``quadfield``, and the identity check surviving
-``python -O``."""
+with the pinned number of points each sum visits, the determinant
+against the Leibniz sum, the Kummer-Dedekind valuations, the shape
+shortcuts of sigma_1 against the valuations at every prime, the
+degree-2 kernel as the reference for Cohen's closed sum in
+``quadfield``, and the identity check surviving ``python -O``."""
 
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -272,6 +273,33 @@ def _norm(f, beta):
     for _ in range(n - 1):
         columns.append(mul_mod(columns[-1], [int(i == 1) for i in range(n)], f))
     return abs(_det([[col[i] for col in columns] for i in range(n)]))
+
+
+def _leibniz(M):
+    # sum over permutations s of sign(s) prod M[i][s(i)]; 1 for the empty matrix
+    n, total = len(M), 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_det_matches_the_leibniz_sum(n):
+    # Entries 0..5, mostly zero, so that zero pivots, which need a row
+    # swap, and singular matrices are frequent; both are counted, so that
+    # the test fails should the draw stop producing them.
+    rng = random.Random(n)
+    zero_pivots = singular = 0
+    for _ in range(300):
+        M = [[rng.choice((0, 0, 0, rng.randint(0, 5))) for _ in range(n)] for _ in range(n)]
+        det = _leibniz(M)
+        assert _det(M) == det, M
+        zero_pivots += n > 1 and not M[0][0]
+        singular += not det
+    assert n < 2 or (zero_pivots and singular)
 
 
 def _times_x_mod(a, f):
