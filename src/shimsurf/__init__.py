@@ -30,7 +30,8 @@ Records are immutable, hashable ``NamedTuple``s that compare by value as
 tuples, so ``QuadField(5, 5) == (5, 5)``.  Public construction of a
 checked one, ``_make`` and ``_replace`` included, always runs its
 ``_check``.  Only constructors that derive the fields themselves build
-through ``_trusted``, without it: ``primes_above`` and
+through ``_trusted``, without it: ``quadfield._field`` and
+``quartic_new`` their fields, ``primes_above`` and
 ``primes_above_quartic`` their places, ``quadratic_algebra`` its algebra.
 Every boundary that takes an integer refuses a ``bool`` (``exact.is_int``).
 A violated internal invariant raises :class:`InvariantError`, a subclass

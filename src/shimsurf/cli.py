@@ -107,9 +107,7 @@ def _quotient_line(inv: QuotientInvariants) -> str:
 
 
 def _subgroup_line(spec: SubgroupSpec) -> str:
-    from .shimura import SubgroupKind
-
-    if spec.kind is SubgroupKind.FULL:
+    if spec.level is None:
         return "subgroup = full unit group"
     q = spec.level
     if isinstance(q, QuadPrime):

@@ -55,6 +55,13 @@ def is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_int(x: object, name: str) -> None:
+    """Refuse a non-``int``, such as 24.0, with ValueError naming it,
+    before any range is read, so that it is not reported as out of range."""
+    if not is_int(x):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Least strong pseudoprime to the bases _SMALL_PRIMES (Sorenson, Webster 2017)
 PRIME_PROOF_BOUND = 318665857834031151167461
@@ -174,7 +181,8 @@ def _perfect_power(m: int) -> tuple[int, int] | None:
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of an int n >= 1 as (prime, exponent) pairs, primes increasing."""
-    if not is_int(n) or n < 1:
+    require_int(n, "factorize: n")
+    if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -210,6 +218,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def square_part(n: int) -> tuple[int, int]:
     """Write n >= 1 as squarefree * square with square the largest square divisor."""
+    require_int(n, "square_part: n")
     if n < 1:
         raise ValueError(f"square_part needs n >= 1, got {n}")
     squarefree = square = 1
@@ -221,11 +230,13 @@ def square_part(n: int) -> tuple[int, int]:
 
 
 def is_squarefree(n: int) -> bool:
+    require_int(n, "is_squarefree: n")
     return n >= 1 and square_part(n)[0] == n
 
 
 def primes_up_to(n: int) -> list[int]:
     """Sieve of Eratosthenes."""
+    require_int(n, "primes_up_to: n")
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exact import CheckedRecord, InvariantError, is_int, is_prime
+from .exact import CheckedRecord, InvariantError, is_int, is_prime, require_int
 
 __all__ = [
     "GENERAL_TYPE_MAX_E",
@@ -95,7 +95,8 @@ class CurveData(CheckedRecord, _CurveDataFields):
 
 def shimura_surface_invariants(e: int) -> SurfaceInvariants:
     """Invariants of a smooth compact quotient with Euler number e."""
-    if not is_int(e) or e <= 0 or e % 4 != 0:
+    require_int(e, "Euler number")
+    if e <= 0 or e % 4 != 0:
         raise ValueError(
             f"Euler number must be a positive multiple of 4, got {e} "
             "(the holomorphic Euler characteristic e/4 must be a positive integer)"
@@ -111,9 +112,11 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
     The genus is constrained to 2 <= g <= (e - 4)/4 and to the parity
     class making the geometric genus (e - 4 - 4g)/8 an integer.
     """
-    if not is_int(e) or e <= 0 or e % 4 != 0:
+    require_int(e, "Euler number")
+    if e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
-    if not is_int(g) or not 2 <= g <= (e - 4) // 4:
+    require_int(g, "genus")
+    if not 2 <= g <= (e - 4) // 4:
         raise ValueError(f"genus bound violated: need 2 <= g <= (e - 4)/4 = {Fraction(e - 4, 4)}, got {g}")
     if (e - 4 - 4 * g) % 8 != 0:
         raise ValueError(
@@ -129,7 +132,8 @@ def quotient_invariants(e: int, g: int) -> QuotientInvariants:
 def quotient_table(e: int) -> list[tuple[int, QuotientInvariants]]:
     """All admissible fixed-curve genera for the given Euler number,
     ascending, with the corresponding quotient invariants."""
-    if not is_int(e) or e <= 0 or e % 4 != 0:
+    require_int(e, "Euler number")
+    if e <= 0 or e % 4 != 0:
         raise ValueError(f"Euler number must be a positive multiple of 4, got {e}")
     rows = []
     for g in range(2, (e - 4) // 4 + 1):
@@ -156,7 +160,8 @@ def quotient_invariants_from_pg(pg_X: int) -> QuotientInvariants:
 
 def fixed_curve_numbers(g: int) -> CurveData:
     """Self-intersection and canonical degree of the fixed curve."""
-    if not is_int(g) or g < 2:
+    require_int(g, "genus")
+    if g < 2:
         raise ValueError(f"the fixed curve has arithmetic genus >= 2, got {g}")
     return CurveData(g=g, Csq=2 - 2 * g, KC=4 * (g - 1))
 

@@ -50,13 +50,42 @@ class Splitting(Enum):
         return self.value
 
 
-class QuadField(NamedTuple):
-    """The real quadratic field generated by the square root of d."""
+class Field(CheckedRecord):
+    """Base of the checked field records, ``QuadField`` and
+    ``QuarticField``, with their ``degree``, ``disc`` and ``subfield_radicands``."""
 
+    __slots__ = ()
+
+
+class Place(CheckedRecord):
+    """Base of the checked place records, ``QuadPrime`` and
+    ``QuarticPrime``: a prime of a base field over the rational prime
+    ``p``, with its ``residue_degree``."""
+
+    __slots__ = ()
+
+    @property
+    def norm(self) -> int:
+        return self.p**self.residue_degree
+
+
+class _QuadFieldFields(NamedTuple):
     d: int
     disc: int
 
+
+class QuadField(Field, _QuadFieldFields):
+    """The real quadratic field generated by the square root of d; checked
+    when built to equal the interned field of its discriminant (equal, not
+    identical: the cache may have dropped the field a caller holds)."""
+
+    __slots__ = ()
+
     degree = 2
+
+    def _check(self) -> None:
+        if not (is_int(self.d) and is_int(self.disc) and self.disc > 1 and _field(self.disc) == self):
+            raise ValueError(f"{self!r} is not a real quadratic field")
 
     @property
     def subfield_radicands(self) -> tuple[int, ...]:
@@ -148,23 +177,10 @@ def field_from_disc(disc: int) -> QuadField:
 @lru_cache(maxsize=_FIELDS_KEPT)
 def _field(disc: int) -> QuadField | None:
     """The field of the integer disc > 1, or None when disc is not a
-    fundamental discriminant."""
+    fundamental discriminant; built unchecked, as the check reads it."""
     if not is_fundamental_discriminant(disc):
         return None
-    return QuadField(disc if disc % 4 == 1 else disc // 4, disc)
-
-
-def _is_field(field: object) -> bool:
-    """Whether field is a real quadratic field: a ``QuadField`` of ints
-    equal to the interned field of its discriminant.  Equal, not the same
-    object, since the cache may have dropped the field a caller holds."""
-    return (
-        isinstance(field, QuadField)
-        and is_int(field.d)
-        and is_int(field.disc)
-        and field.disc > 1
-        and _field(field.disc) == field
-    )
+    return QuadField._trusted(disc if disc % 4 == 1 else disc // 4, disc)
 
 
 # The splitting of p in a quadratic extension by the Kronecker symbol of
@@ -182,18 +198,6 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
         raise ValueError(f"{p} is not prime")
     symbol = kronecker(field.disc, 2) if p == 2 else pow(field.disc, (p - 1) // 2, p)
     return _SPLITTING.get(symbol, Splitting.INERT)
-
-
-class Place(CheckedRecord):
-    """Base of the checked place records, ``QuadPrime`` and
-    ``QuarticPrime``: a prime of a base field over the rational prime
-    ``p``, with its ``residue_degree``."""
-
-    __slots__ = ()
-
-    @property
-    def norm(self) -> int:
-        return self.p**self.residue_degree
 
 
 class _QuadPrimeFields(NamedTuple):

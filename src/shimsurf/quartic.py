@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from .exact import InvariantError, factorize, is_int, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, poly_factor_mod_p, squarefree_decomposition
-from .quadfield import Place, QuadField, Splitting, quad_field, splitting_type
+from .quadfield import Field, Place, QuadField, Splitting, quad_field, splitting_type
 from .siegel import zeta_minus1
 
 __all__ = [
@@ -149,19 +149,29 @@ def _real_root_count(coeffs: Sequence[int], disc: int) -> int:
     return 4 if P < 0 and D < 0 else 0
 
 
-class QuarticField(NamedTuple):
-    """A totally real quartic field presented by a monic defining
-    polynomial (descending coefficients) whose equation order is maximal,
-    its discriminant disc(f) = d_K, a declared real quadratic subfield,
-    and the radicands of all its quadratic subfields, in increasing order,
-    as certified by the resolvent cubic."""
-
+class _QuarticFieldFields(NamedTuple):
     coeffs: tuple[int, int, int, int, int]
     disc: int
     subfield: QuadField
     subfield_radicands: tuple[int, ...]
 
+
+class QuarticField(Field, _QuarticFieldFields):
+    """A totally real quartic field presented by a monic defining
+    polynomial (descending coefficients) whose equation order is maximal,
+    its discriminant disc(f) = d_K, a declared real quadratic subfield,
+    and the radicands of all its quadratic subfields, in increasing order,
+    as certified by the resolvent cubic.  Checked when built: the record
+    must be the one ``quartic_new`` certifies, which builds it unchecked."""
+
+    __slots__ = ()
+
     degree = 4
+
+    def _check(self) -> None:
+        # A tuple subfield would compare equal to the QuadField of its values.
+        if not isinstance(self.subfield, QuadField) or quartic_new(self.coeffs, self.subfield.d) != self:
+            raise ValueError(f"{self!r} is not the field quartic_new certifies")
 
     @property
     def polynomial(self) -> tuple[int, ...]:
@@ -229,9 +239,7 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
                 f"the equation order Z[x]/(f) is not maximal at {p} (Dedekind's criterion), "
                 f"so the field discriminant is not disc(f) = {disc}"
             )
-    return QuarticField(
-        coeffs=coeffs, disc=disc, subfield=subfield, subfield_radicands=tuple(sorted(certified))
-    )
+    return QuarticField._trusted(coeffs, disc, subfield, tuple(sorted(certified)))
 
 
 class _QuarticPrimeFields(NamedTuple):

@@ -22,16 +22,17 @@ which hands its defining polynomial to the lattice kernel
 number; the float volume formula the tests check it against lives in
 ``tests/float_reference.py``.
 
-Each fact is proven once, at the public boundary.  ``quadratic_algebra``
-checks its field and primes and builds the algebra through
-``QuaternionAlgebra._trusted``, since the places it derives are distinct
-conjugate pairs over that field by construction.  ``admissibility_report``
-checks that it got an algebra and a subgroup spec, admits the level
-against the algebra's ramification, and then reads level invariance, the
-torsion decision and the Euler number from unchecked kernels.  A check
-that depends on no algebra is a module constant: the invariant order
-over a quadratic base, the full group's level, and a level at an inert
-or ramified quadratic place.
+Each fact is proven once, at the public boundary.  A field, a place and
+a subgroup spec check themselves when built, so an algebra admits its
+base by type.  ``quadratic_algebra`` checks its primes and builds the
+algebra through ``QuaternionAlgebra._trusted``, since the places it
+derives are distinct conjugate pairs over that field by construction.
+``admissibility_report`` checks that it got an algebra and a subgroup
+spec, admits the level against the algebra's ramification, and then
+reads level invariance, the torsion decision and the Euler number from
+unchecked kernels.  A check that depends on no algebra is a module
+constant: the invariant order over a quadratic base, the full group's
+level, and a level at an inert or ramified quadratic place.
 """
 
 from __future__ import annotations
@@ -42,13 +43,12 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .exact import CheckedRecord, factorize, is_int
-from .quadfield import Place, QuadField, QuadPrime, Splitting, _is_field, _split_pair
+from .quadfield import Field, Place, QuadField, QuadPrime, Splitting, _split_pair
 from .torsion import SubgroupKind, TorsionVerdict, Verdict, _require_level, _require_ramification, _verdict
 
 if TYPE_CHECKING:
     from .geometry import SurfaceInvariants
     from .quartic import QuarticField
-    from .torsion import BaseField
 
 __all__ = [
     "Check",
@@ -107,7 +107,7 @@ _UNRAMIFIED_QUADRATIC = (
 
 
 class _QuaternionAlgebraFields(NamedTuple):
-    base: BaseField
+    base: Field
     ram: tuple[Place, ...]
     # Only meaningful over a quartic base, where the conjugacy of the two
     # unramified infinite places under the subfield automorphism cannot be
@@ -122,9 +122,9 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.base, Field):
+            raise ValueError(f"base {self.base!r} is not a Field")
         degree = self.base.degree
-        if degree == 2 and not _is_field(self.base):
-            raise ValueError(f"{self.base!r} is not a real quadratic field")
         _require_ramification(self.base, self.ram)
         if len(set(self.ram)) != len(self.ram):
             raise ValueError("duplicate ramified place")
@@ -136,8 +136,6 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
                 "places, so by Hilbert reciprocity it ramifies at an even number of "
                 f"finite places, not {len(self.ram)}"
             )
-        if degree not in (2, 4):
-            raise ValueError(f"unsupported base field degree {degree}")
 
     @property
     def degree(self) -> int:
@@ -164,12 +162,12 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
     """The algebra over the quadratic field ramified at the conjugate pair
     of places over each given rational prime; every prime must split.
 
-    Built without the algebra's check: after the field, each prime (an
-    ``int``, checked before duplicates merge) and its splitting are
-    checked here, the places are distinct conjugate pairs over the field,
-    in (p, tag) order, and there is at least one pair.  Each pair is
-    built once per discriminant and prime (``quadfield._split_pair``)."""
-    if not _is_field(field):
+    Built without the algebra's check: the field checked itself when built,
+    each prime (an ``int``, checked before duplicates merge) and its
+    splitting are checked here, so the places are distinct conjugate pairs
+    over the field, in (p, tag) order, and there is at least one pair.
+    Each pair is built once per discriminant and prime (``_split_pair``)."""
+    if not isinstance(field, QuadField):
         raise ValueError(f"{field!r} is not a real quadratic field")
     primes = list(rational_primes)
     for p in primes:

@@ -50,9 +50,10 @@ the splitting (over Q, the elliptic points of Gamma_0(2) and Gamma_0(3)).
 Prime-order torsion in the principal subgroup must have order p, so its
 verdict takes the first rule that applies: (A) FREE when p divides no
 candidate order; (B) FREE when p divides no candidate order whose
-extension embeds; (C) TORSION of order p = 2 or 3 when that extension
-embeds and q splits in it; (D) FREE when the Borel scan is free, which
-rests on that scan and is no proof in the same case; otherwise UNKNOWN.
+extension embeds; (C) TORSION of order p when the order-p candidate's
+extension embeds and q splits in it, which never holds at p = 5; (D)
+FREE when the Borel scan is free, which rests on that scan and is no
+proof in the same case; otherwise UNKNOWN.
 The unipotent subgroup contains the principal one and inherits its
 torsion, and each FREE rule applies to it verbatim: it lies in the Borel
 one, and its prime-order torsion has order p as well, by its unipotent
@@ -63,18 +64,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import kronecker
-from .quadfield import _SPLITTING, Place, Splitting, fundamental_discriminant
-
-if TYPE_CHECKING:
-    # Type names only: every function reads the field through its
-    # attributes, so the quadratic paths never load the quartic layer.
-    from .quadfield import QuadField
-    from .quartic import QuarticField
-
-    BaseField = QuadField | QuarticField
+from .quadfield import _SPLITTING, Field, Place, Splitting, fundamental_discriminant
 
 
 class Undecidable(Exception):
@@ -114,7 +107,7 @@ _ALWAYS_ORDERS = (TorsionOrder(2, 4), TorsionOrder(3, 3))
 _SUBFIELD_ORDER = {2: TorsionOrder(4, 8), 5: TorsionOrder(5, 5), 3: TorsionOrder(6, 12)}
 
 
-def possible_torsion_orders(field: BaseField) -> tuple[TorsionOrder, ...]:
+def possible_torsion_orders(field: Field) -> tuple[TorsionOrder, ...]:
     """Candidate torsion orders for the given totally real base field,
     in increasing order of m."""
     return _orders_for(field.subfield_radicands)
@@ -145,26 +138,25 @@ def cyclotomic_splitting(q: Place, n: int) -> Splitting:
 def _splitting(q: Place, n: int) -> Splitting:
     """``cyclotomic_splitting`` for an n known to be a candidate of q's
     field, as every n the verdicts ask about is."""
-    field = q.field
     p = q.p
     if n % p:
         return Splitting.SPLIT if q.norm % n == 1 else Splitting.INERT
-    if field.degree == 4:
+    if q.field.degree == 4:
         raise Undecidable(f"no criterion for zeta_{n} over a quartic field at p={p}")
-    if n == 5 or kronecker(field.disc, p) != 0:
+    if n == 5 or q.ramification_index == 1:
         return Splitting.RAMIFIED
     m = -1 if p == 2 else -3
-    return _SPLITTING.get(kronecker(fundamental_discriminant(field.d * m), p), Splitting.INERT)
+    return _SPLITTING.get(kronecker(fundamental_discriminant(q.field.d * m), p), Splitting.INERT)
 
 
-def _require_place(x: object, field: BaseField, role: str) -> None:
+def _require_place(x: object, field: Field, role: str) -> None:
     if not isinstance(x, Place):
         raise ValueError(f"{role} {x!r} is not a Place")
     if x.field != field:
         raise ValueError(f"{role} {x} does not live over the base field")
 
 
-def _require_ramification(field: BaseField, ram: Sequence[Place]) -> None:
+def _require_ramification(field: Field, ram: Sequence[Place]) -> None:
     """The ramification rule: every ramified place is a ``Place`` over the
     base field, and a quartic base has none, which no algebra there admits."""
     for r in ram:
@@ -173,7 +165,7 @@ def _require_ramification(field: BaseField, ram: Sequence[Place]) -> None:
         raise ValueError("quartic base algebras are supported only with empty finite ramification")
 
 
-def _require_level(field: BaseField, ram: Sequence[Place], q: Place) -> None:
+def _require_level(field: Field, ram: Sequence[Place], q: Place) -> None:
     """The level rule, against admitted ramification: q is a ``Place`` over
     the base field, lying over no rational prime under the ramification."""
     _require_place(q, field, "level prime")
@@ -184,7 +176,7 @@ def _require_level(field: BaseField, ram: Sequence[Place], q: Place) -> None:
         )
 
 
-def _admit(field: BaseField, ram: Sequence[Place], q: Place) -> None:
+def _admit(field: Field, ram: Sequence[Place], q: Place) -> None:
     """Both rules, for the public level verdicts, which refuse a level that
     is no ``Place`` over the base field before a quartic base's ramification."""
     for r in ram:
@@ -204,7 +196,7 @@ def _embeds(ram: Sequence[Place], n: int) -> bool:
     return True
 
 
-def gamma1_torsion_orders(field: BaseField, ram: Sequence[Place]) -> frozenset[int]:
+def gamma1_torsion_orders(field: Field, ram: Sequence[Place]) -> frozenset[int]:
     """Orders of torsion certified in the full projectivized unit group:
     the candidates whose cyclotomic extension embeds in the algebra.
     Raises ValueError on a quartic base with finite ramification, which
@@ -241,7 +233,7 @@ def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     return TorsionVerdict(Verdict.FREE, None, "no embedding cyclotomic extension has the level prime split in it")
 
 
-def _verdict(kind: SubgroupKind, field: BaseField, ram: Sequence[Place], q: Place | None) -> TorsionVerdict:
+def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | None) -> TorsionVerdict:
     """The verdict for the subgroup of this kind at the admitted level q
     (None for the full group), by the module docstring's rules, testing
     candidates for embedding lazily: FULL and the Borel scan stop early."""
@@ -263,28 +255,27 @@ def _verdict(kind: SubgroupKind, field: BaseField, ram: Sequence[Place], q: Plac
     embedding = list(embedding)
     if all(c.m % p for c in embedding):
         return TorsionVerdict(Verdict.FREE, None, f"order-{p} torsion is already absent from the full unit group")
-    if p in (2, 3) and any(c.m == p for c in embedding):
-        try:
-            if _splitting(q, 4 if p == 2 else 3) is Splitting.SPLIT:
-                reason = f"order {p}: {_SPLITS}, which realizes the torsion inside the principal subgroup"
-                if kind is SubgroupKind.UNIPOTENT:
-                    reason = "inherited from the principal congruence subgroup it contains: " + reason
-                return TorsionVerdict(Verdict.TORSION, p, reason)
-        except Undecidable:
-            pass
+    try:
+        if any(c.m == p and _splitting(q, c.n) is Splitting.SPLIT for c in embedding):
+            reason = f"order {p}: {_SPLITS}, which realizes the torsion inside the principal subgroup"
+            if kind is SubgroupKind.UNIPOTENT:
+                reason = "inherited from the principal congruence subgroup it contains: " + reason
+            return TorsionVerdict(Verdict.TORSION, p, reason)
+    except Undecidable:
+        pass
     if _borel_scan(embedding, q).is_free:
         reason = "contained in the torsion-free upper-triangular subgroup at the same level"
         return TorsionVerdict(Verdict.FREE, None, reason)
     return TorsionVerdict(Verdict.UNKNOWN, None, "no implemented criterion settles this level")
 
 
-def full_torsion_verdict(field: BaseField, ram: Sequence[Place]) -> TorsionVerdict:
+def full_torsion_verdict(field: Field, ram: Sequence[Place]) -> TorsionVerdict:
     """Torsion verdict for the full projectivized unit group."""
     _require_ramification(field, ram)
     return _verdict(SubgroupKind.FULL, field, ram, None)
 
 
-def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
+def borel_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the upper-triangular (Borel) subgroup at level
     q, by the module docstring's scan; FREE is no proof at a q over p
     where an order-p candidate embeds."""
@@ -292,14 +283,14 @@ def borel_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> T
     return _verdict(SubgroupKind.BOREL, field, ram, q)
 
 
-def unipotent_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
+def unipotent_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the unipotent-level subgroup at q (matrices
     reducing to upper-triangular with equal diagonal entries mod q)."""
     _admit(field, ram, q)
     return _verdict(SubgroupKind.UNIPOTENT, field, ram, q)
 
 
-def principal_torsion_verdict(field: BaseField, ram: Sequence[Place], q: Place) -> TorsionVerdict:
+def principal_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q,
     by rules A to D of the module docstring."""
     _admit(field, ram, q)

@@ -19,7 +19,14 @@ from shimsurf.exact import (
     primes_up_to,
     square_part,
 )
-from shimsurf.geometry import fixed_curve_numbers, quotient_invariants_from_pg, shimura_curve_genus
+from shimsurf.geometry import (
+    fixed_curve_numbers,
+    quotient_invariants,
+    quotient_invariants_from_pg,
+    quotient_table,
+    shimura_curve_genus,
+    shimura_surface_invariants,
+)
 from shimsurf.polymod import poly
 from shimsurf.quadfield import fundamental_discriminants
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new, quartic_splitting
@@ -82,6 +89,17 @@ _K725 = quartic_new((1, -1, -3, 1, 1), 5)
         pytest.param(lambda: kronecker(5, 3.0), r"got \(5\|3\.0\)", id="kronecker-modulus-3.0"),
         pytest.param(lambda: fundamental_discriminants(5, 12.5), r"got 5 and 12\.5", id="discriminants-float"),
         pytest.param(lambda: fundamental_discriminants(True, 12), r"got True and 12", id="discriminants-bool"),
+        # Refused as non-ints, not as out of range, as an int would be.
+        pytest.param(lambda: factorize(5.0), r"must be an int, got 5\.0", id="factorize-5.0"),
+        pytest.param(lambda: square_part(5.0), r"must be an int, got 5\.0", id="square_part"),
+        pytest.param(lambda: is_squarefree(5.0), r"must be an int, got 5\.0", id="is_squarefree"),
+        pytest.param(lambda: primes_up_to(True), r"must be an int, got True", id="primes_up_to-True"),
+        pytest.param(lambda: primes_up_to(10.5), r"must be an int, got 10\.5", id="primes_up_to-10.5"),
+        pytest.param(lambda: shimura_surface_invariants(24.0), r"must be an int, got 24\.0", id="surface"),
+        pytest.param(lambda: quotient_invariants(24.0, 5), r"must be an int, got 24\.0", id="quotient-e"),
+        pytest.param(lambda: quotient_invariants(24, 5.0), r"genus must be an int, got 5\.0", id="quotient-g"),
+        pytest.param(lambda: quotient_table(24.0), r"must be an int, got 24\.0", id="quotient_table"),
+        pytest.param(lambda: fixed_curve_numbers(5.0), r"genus must be an int, got 5\.0", id="fixed_curve_numbers-5.0"),
     ],
 )
 def test_a_float_is_not_read_as_an_int(call, match):

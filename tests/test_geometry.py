@@ -42,8 +42,12 @@ def test_surface_invariants():
         # Noether: K^2 + c_2 = 12 chi with c_2 = e and q = 0.
         assert s.c1sq + s.e == 12 * s.chi
         assert s.pg == s.chi - 1
-    for bad in (0, -4, 10, 13, 24.0, Fraction(24)):
+    for bad in (0, -4, 10, 13):
         with pytest.raises(ValueError, match="positive multiple of 4"):
+            shimura_surface_invariants(bad)
+    # A non-int is refused as such, not as out of range.
+    for bad in (24.0, Fraction(24)):
+        with pytest.raises(ValueError, match="Euler number must be an int"):
             shimura_surface_invariants(bad)
 
 
@@ -73,11 +77,11 @@ def test_quotient_validation():
         quotient_invariants(24, 4)
     with pytest.raises(ValueError):
         quotient_invariants(25, 5)
-    with pytest.raises(ValueError, match="genus bound"):
+    with pytest.raises(ValueError, match="genus must be an int, got 5.0"):
         quotient_invariants(24, 5.0)
-    with pytest.raises(ValueError, match="positive multiple of 4"):
+    with pytest.raises(ValueError, match="Euler number must be an int, got 24.0"):
         quotient_invariants(24.0, 5)
-    with pytest.raises(ValueError, match="positive multiple of 4"):
+    with pytest.raises(ValueError, match="Euler number must be an int, got 24.0"):
         quotient_table(24.0)
 
 

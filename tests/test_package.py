@@ -4,6 +4,9 @@ of the package computes in floating point."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,6 +44,19 @@ def test_home_modules_resolve_from_the_package():
     assert exact.is_prime is shimsurf.is_prime
     for module in set(shimsurf._HOME.values()):
         assert getattr(shimsurf, module) is importlib.import_module(f"shimsurf.{module}")
+
+
+def test_a_home_modules_name_imports_it_on_first_access():
+    # Here every module is loaded already, and the import system has bound
+    # each on the package; only a fresh interpreter reaches the branch of
+    # the package's __getattr__ that imports a module by its name.
+    script = (
+        "import sys, shimsurf; loaded = 'shimsurf.search' in sys.modules;"
+        "print(loaded, shimsurf.search.DEFAULT_TYPES is sys.modules['shimsurf.search'].DEFAULT_TYPES)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "False True\n", proc.stderr
 
 
 # The integer functions of math; every other one works in floating point.

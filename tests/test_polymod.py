@@ -92,6 +92,18 @@ def test_factor_known_shapes():
         assert all(h.degree == 1 and m == 1 for h, m in factors)
 
 
+def test_factor_equal_degree_products_in_characteristic_two():
+    # F_2 has one irreducible quadratic, so no quartic mod 2 reaches the
+    # trace loop that splits equal-degree factors in characteristic 2 at
+    # d >= 2.  These products of distinct irreducibles of one degree do:
+    # both cubics over F_2, and all three quartics.
+    cubics = [(1, 1, 0, 1), (1, 0, 1, 1)]
+    quartics = [(1, 1, 0, 0, 1), (1, 0, 0, 1, 1), (1, 1, 1, 1, 1)]
+    for known in (cubics, quartics):
+        factors = [(poly(2, g), 1) for g in known]
+        assert poly_factor_mod_p(_product(2, factors)) == sorted(factors, key=lambda fm: fm[0].coeffs)
+
+
 def test_factor_reconstruction_and_irreducibility_sampled():
     import random
 

@@ -1,8 +1,8 @@
 """The package's records: immutable NamedTuples that compare by value as
-tuples, and the eight that check themselves refuse a bad value through
+tuples, and the ten that check themselves refuse a bad value through
 every public construction path: the constructor, ``_make`` and
 ``_replace``, and so the rebuilt records of ``QuadPrime.conjugate`` and of
-the search's status and reason updates.  All eight check through one
+the search's status and reason updates.  All ten check through one
 hook, ``CheckedRecord.__new__``, which calls the record's ``_check``.  A
 bad record can be built only around the check, by ``tuple.__new__``,
 which ``CheckedRecord._trusted`` calls for the constructors that derive
@@ -29,7 +29,7 @@ from shimsurf.geometry import (
 )
 from shimsurf.polymod import poly
 from shimsurf.quadfield import QuadField, QuadPrime, Splitting, primes_above, quad_field
-from shimsurf.quartic import QuarticPrime, choose_level_prime, quartic_new
+from shimsurf.quartic import QuarticField, QuarticPrime, choose_level_prime, quartic_new
 from shimsurf.search import (
     CandidateRow,
     RowStatus,
@@ -137,9 +137,23 @@ _BAD_VALUES = [
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),
     pytest.param(QuaternionAlgebra, (quad_field(33), ()), ValueError, "must ramify somewhere finite", id="algebra"),
     pytest.param(
-        QuaternionAlgebra, (QuadField(6, 6), tuple(primes_above(QuadField(6, 6), 5))), ValueError,
-        r"QuadField\(d=6, disc=6\) is not a real quadratic field", id="algebra-base",
+        QuadField, (6, 6), ValueError, r"QuadField\(d=6, disc=6\) is not a real quadratic field", id="field",
     ),
+    pytest.param(QuadField, (33, 132), ValueError, "is not a real quadratic field", id="field-disc"),
+    pytest.param(QuadField, (5.0, 5), ValueError, "is not a real quadratic field", id="field-float"),
+    # Q(sqrt 2, sqrt 3) declared with a fourth subfield, Q(sqrt 5), which
+    # it does not contain: the record is not the one quartic_new certifies.
+    pytest.param(
+        QuarticField, ((1, -4, 2, 4, -2), 2304, quad_field(2), (2, 3, 5, 6)), ValueError,
+        "is not the field quartic_new certifies", id="quartic-field",
+    ),
+    # A tuple subfield compares equal to the QuadField of its values.
+    pytest.param(
+        QuarticField, ((1, -4, 2, 4, -2), 2304, (2, 8), (2, 3, 6)), ValueError,
+        "is not the field quartic_new certifies", id="quartic-field-subfield",
+    ),
+    pytest.param(QuaternionAlgebra, ((5, 5), ()), ValueError, r"base \(5, 5\) is not a Field", id="algebra-base"),
+    pytest.param(QuaternionAlgebra, (5, ()), ValueError, "base 5 is not a Field", id="algebra-base-int"),
     pytest.param(SubgroupSpec, (SubgroupKind.BOREL,), ValueError, "level prime is required", id="subgroup"),
     pytest.param(
         SubgroupSpec, ("borel", primes_above(quad_field(33), 11)[0]), ValueError, "'borel' is not a SubgroupKind",
@@ -163,7 +177,7 @@ def test_records_check_through_one_hook():
     assert own_new == {"CheckedRecord"}
     checked = {c for c in classes if issubclass(c, CheckedRecord) and hasattr(c, "_fields")}
     assert {c.__name__ for c in checked} == {
-        "QuadPrime", "QuarticPrime", "QuaternionAlgebra", "SubgroupSpec",
+        "QuadField", "QuarticField", "QuadPrime", "QuarticPrime", "QuaternionAlgebra", "SubgroupSpec",
         "CandidateRow", "SurfaceInvariants", "QuotientInvariants", "CurveData",
     }
     assert all("_check" in vars(c) for c in checked)

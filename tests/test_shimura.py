@@ -172,6 +172,9 @@ def test_euler_numbers_quadratic_frozen():
     for index in (0, 2.5, Fraction(5, 2), True):
         with pytest.raises(ValueError, match="index must be a positive integer"):
             euler_number_quadratic(algebra, index)
+    # A quartic base has no Bernoulli value B_2 to read.
+    with pytest.raises(TypeError, match="need a quadratic base"):
+        euler_number_quadratic(quartic_algebra(quartic_new((1, -1, -3, 1, 1), 5)), 1)
 
 
 def test_euler_number_has_one_factor_per_place():
@@ -261,13 +264,15 @@ def test_quadratic_algebra_checks_primes_with_the_pair_kept():
 
 
 @pytest.mark.parametrize(
-    "field",
-    [QuadField(6, 6), QuadField(33, 132), QuadField(5.0, 5), (33, 33), 33],
+    "make_field",
+    [lambda: QuadField(6, 6), lambda: QuadField(33, 132), lambda: QuadField(5.0, 5), lambda: (33, 33), lambda: 33],
     ids=["non-fundamental", "wrong-disc", "float-radicand", "tuple", "int"],
 )
-def test_quadratic_algebra_refuses_a_non_field(field):
+def test_quadratic_algebra_refuses_a_non_field(make_field):
+    # A bad QuadField refuses itself when built; anything else that is no
+    # QuadField, the algebra refuses.
     with pytest.raises(ValueError, match="is not a real quadratic field"):
-        quadratic_algebra(field, [5])
+        quadratic_algebra(make_field(), [5])
 
 
 def test_quadratic_algebra_accepts_any_field_equal_to_the_interned_one():

@@ -16,6 +16,7 @@ import pytest
 
 from shimsurf.exact import primes_up_to
 from shimsurf.quadfield import (
+    QuadField,
     QuadPrime,
     Splitting,
     field_from_disc,
@@ -23,7 +24,7 @@ from shimsurf.quadfield import (
     primes_above,
     splitting_type,
 )
-from shimsurf.quartic import QuarticPrime, primes_above_quartic, quartic_new
+from shimsurf.quartic import QuarticField, QuarticPrime, primes_above_quartic, quartic_new
 from shimsurf import shimura, torsion
 from shimsurf.geometry import shimura_surface_invariants
 from shimsurf.shimura import (
@@ -53,6 +54,15 @@ def _benchmark_inputs():
 
 
 INPUTS = _benchmark_inputs()
+
+
+def test_interned_and_certified_fields_equal_the_checked_constructor():
+    for disc in fundamental_discriminants(5, 400):
+        field = field_from_disc(disc)
+        assert type(field) is QuadField and QuadField(*field) == field
+    for _, coeffs, sub in INPUTS.QUARTIC_FIELDS:
+        K = quartic_new([int(c) for c in coeffs.split(",")], sub)
+        assert type(K) is QuarticField and QuarticField(*K) == K
 
 
 def test_primes_above_equals_the_checked_constructor():
