@@ -65,6 +65,7 @@ def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec
     """``full`` or ``<kind>:<rational prime>`` for borel/unipotent/principal;
     ``level_of`` picks the level prime of the base over the rational one."""
     from .shimura import SubgroupKind, SubgroupSpec
+    from .torsion import _FULL
 
     kind_name, colon, level_text = text.partition(":")
     try:
@@ -74,7 +75,7 @@ def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec
             f"unknown subgroup {text!r}; expected full, borel:<p>, "
             "unipotent:<p>, or principal:<p>"
         ) from None
-    if kind is SubgroupKind.FULL:
+    if kind is _FULL:
         if colon:
             raise ValueError("the full unit group takes no level prime")
         return SubgroupSpec(kind, None)

@@ -149,7 +149,8 @@ def quotient_invariants_from_pg(pg_X: int) -> QuotientInvariants:
     Checked to agree with ``quotient_invariants(4(1 + p_g), p_g)``, also
     under ``python -O``.
     """
-    if not is_int(pg_X) or not 2 <= pg_X <= 8:
+    require_int(pg_X, "geometric genus")
+    if not 2 <= pg_X <= 8:
         raise ValueError(f"geometric genus must lie in [2, 8], got {pg_X}")
     direct = QuotientInvariants(Ksq=9 - pg_X, c2=3 + pg_X, pg=0, general_type=True)
     computed = quotient_invariants(4 * (1 + pg_X), pg_X)

@@ -11,6 +11,14 @@ not an ``int`` is refused with ValueError, before any cache is asked.
 Fields are interned per discriminant, and the conjugate pair of places
 over a split prime per discriminant and prime (``_split_pair``).
 
+Function bodies read the members of ``Splitting`` through the module
+aliases ``_SPLIT``, ``_INERT`` and ``_RAMIFIED``, here and in every module
+that imports them.  On Python 3.11 ``EnumType`` defines ``__getattr__``,
+which sends each class attribute load such as ``Splitting.SPLIT`` through
+the interpreter's slow attribute hook, about ten times the cost of a
+module global, and a sweep query makes dozens of them.  Each alias is the
+member itself, so ``is`` tests and every output are unchanged.
+
 The generalized second Bernoulli number of the field's quadratic
 character is B_2 = 24 zeta_k(-1) = 2 s(1)/5, by Siegel's formula in
 Cohen's closed form: the totally positive nu in the inverse different
@@ -48,6 +56,10 @@ class Splitting(Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+# The members, for function bodies (see the module docstring).
+_SPLIT, _INERT, _RAMIFIED = Splitting.SPLIT, Splitting.INERT, Splitting.RAMIFIED
 
 
 class Field(CheckedRecord):
@@ -185,7 +197,7 @@ def _field(disc: int) -> QuadField | None:
 
 # The splitting of p in a quadratic extension by the Kronecker symbol of
 # its discriminant at p; every other value, -1 or Euler's p - 1, is inert.
-_SPLITTING = {1: Splitting.SPLIT, 0: Splitting.RAMIFIED}
+_SPLITTING = {1: _SPLIT, 0: _RAMIFIED}
 
 
 def splitting_type(field: QuadField, p: int) -> Splitting:
@@ -197,7 +209,7 @@ def splitting_type(field: QuadField, p: int) -> Splitting:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     symbol = kronecker(field.disc, 2) if p == 2 else pow(field.disc, (p - 1) // 2, p)
-    return _SPLITTING.get(symbol, Splitting.INERT)
+    return _SPLITTING.get(symbol, _INERT)
 
 
 class _QuadPrimeFields(NamedTuple):
@@ -223,29 +235,29 @@ class QuadPrime(Place, _QuadPrimeFields):
                 f"{self.p} is {splitting_type(self.field, self.p).value} "
                 f"in {self.field}, not {self.splitting.value}"
             )
-        allowed = (0, 1) if self.splitting is Splitting.SPLIT else (0,)
+        allowed = (0, 1) if self.splitting is _SPLIT else (0,)
         if not is_int(self.tag) or self.tag not in allowed:
             raise ValueError(f"tag {self.tag} invalid for a {self.splitting.value} prime")
 
     @property
     def residue_degree(self) -> int:
-        return 2 if self.splitting is Splitting.INERT else 1
+        return 2 if self.splitting is _INERT else 1
 
     @property
     def ramification_index(self) -> int:
-        return 2 if self.splitting is Splitting.RAMIFIED else 1
+        return 2 if self.splitting is _RAMIFIED else 1
 
     def conjugate(self) -> "QuadPrime":
         """The image under the nontrivial automorphism of the field."""
-        if self.splitting is Splitting.SPLIT:
+        if self.splitting is _SPLIT:
             return QuadPrime(self.field, self.p, self.splitting, 1 - self.tag)
         return self
 
     def is_conjugation_stable(self) -> bool:
-        return self.splitting is not Splitting.SPLIT
+        return self.splitting is not _SPLIT
 
     def __str__(self) -> str:
-        suffix = f"#{self.tag}" if self.splitting is Splitting.SPLIT else ""
+        suffix = f"#{self.tag}" if self.splitting is _SPLIT else ""
         return f"prime({self.p}{suffix} in {self.field})"
 
 
@@ -254,7 +266,7 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
     built without the constructor's check, which would derive the same
     splitting again."""
     kind = splitting_type(field, p)
-    if kind is Splitting.SPLIT:
+    if kind is _SPLIT:
         return [QuadPrime._trusted(field, p, kind, 0), QuadPrime._trusted(field, p, kind, 1)]
     return [QuadPrime._trusted(field, p, kind, 0)]
 

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from .exact import InvariantError, factorize, is_int, square_part
 from .polymod import distinct_degree_factors, is_p_maximal, poly, poly_factor_mod_p, squarefree_decomposition
-from .quadfield import Field, Place, QuadField, Splitting, quad_field, splitting_type
+from .quadfield import _SPLIT, Field, Place, QuadField, quad_field, splitting_type
 from .siegel import zeta_minus1
 
 __all__ = [
@@ -284,7 +284,7 @@ class QuarticPrime(Place, _QuarticPrimeFields):
         quadratic subfield k: exactly when it is the only prime of K over
         the prime of k below it, that is when its local degree f e over
         that prime is 2, so f e = 2 if p splits in k and f e = 4 if not."""
-        local = 2 if splitting_type(self.field.subfield, self.p) is Splitting.SPLIT else 4
+        local = 2 if splitting_type(self.field.subfield, self.p) is _SPLIT else 4
         return self.residue_degree * self.ramification_index == local
 
     def __str__(self) -> str:

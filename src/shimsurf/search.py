@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .exact import CheckedRecord, InvariantError, is_int, primes_up_to
 from .quadfield import (
-    Splitting,
+    _SPLIT,
     bernoulli2,
     field_from_disc,
     fundamental_discriminants,
@@ -136,7 +136,7 @@ def enumerate_candidates(e_values: tuple[int, ...] = DEFAULT_TYPES) -> list[Cand
         field = field_from_disc(disc)
         # any usable prime satisfies (p - 1)^2 <= 12 e_max / B
         prime_cap = 1 + isqrt(12 * e_max * den // num)
-        split = [p for p in primes_up_to(prime_cap) if splitting_type(field, p) is Splitting.SPLIT]
+        split = [p for p in primes_up_to(prime_cap) if splitting_type(field, p) is _SPLIT]
         for e in types:
             for size in range(1, len(split) + 1):
                 for subset in combinations(split, size):

@@ -42,9 +42,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .exact import CheckedRecord, factorize, is_int
-from .quadfield import Field, Place, QuadField, QuadPrime, Splitting, _split_pair
-from .torsion import SubgroupKind, TorsionVerdict, Verdict, _require_level, _require_ramification, _verdict
+from .exact import CheckedRecord, factorize, is_int, require_int
+from .quadfield import _INERT, _RAMIFIED, _SPLIT, Field, Place, QuadField, QuadPrime, _split_pair
+from .torsion import (
+    _BOREL,
+    _FULL,
+    _PRINCIPAL,
+    _TORSION,
+    _UNIPOTENT,
+    _UNKNOWN,
+    SubgroupKind,
+    TorsionVerdict,
+    _require_level,
+    _require_ramification,
+    _verdict,
+)
 
 if TYPE_CHECKING:
     from .geometry import SurfaceInvariants
@@ -80,7 +92,8 @@ class Check(NamedTuple):
 def subgroup_index(kind: SubgroupKind, s: int) -> int:
     """Index in the projectivized unit group of the congruence subgroup of
     the given kind at a level prime of norm s (a prime power)."""
-    if not is_int(s) or s < 2 or len(factorize(s)) != 1:
+    require_int(s, "the residue field size")
+    if s < 2 or len(factorize(s)) != 1:
         raise ValueError(f"the residue field size must be a prime power, got {s!r}")
     return _index(kind, s)
 
@@ -88,13 +101,13 @@ def subgroup_index(kind: SubgroupKind, s: int) -> int:
 def _index(kind: SubgroupKind, s: int) -> int:
     """``subgroup_index`` for the norm s of a place, a prime power."""
     t = math.gcd(s - 1, 2)
-    if kind is SubgroupKind.FULL:
+    if kind is _FULL:
         return 1
-    if kind is SubgroupKind.BOREL:
+    if kind is _BOREL:
         return s + 1
-    if kind is SubgroupKind.UNIPOTENT:
+    if kind is _UNIPOTENT:
         return (s * s - 1) // t
-    if kind is SubgroupKind.PRINCIPAL:
+    if kind is _PRINCIPAL:
         return s * (s * s - 1) // t
     raise ValueError(f"unknown subgroup kind {kind!r}")  # pragma: no cover
 
@@ -122,10 +135,8 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     __slots__ = ()
 
     def _check(self) -> None:
-        if not isinstance(self.base, Field):
-            raise ValueError(f"base {self.base!r} is not a Field")
-        degree = self.base.degree
         _require_ramification(self.base, self.ram)
+        degree = self.base.degree
         if len(set(self.ram)) != len(self.ram):
             raise ValueError("duplicate ramified place")
         if degree == 2 and not self.ram:
@@ -205,7 +216,7 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
         fixed: list[int] = []
         halves: set[int] = set()
         for r in A.ram:
-            if r.splitting is not Splitting.SPLIT:
+            if r.splitting is not _SPLIT:
                 fixed.append(r.p)
             elif r.p in halves:
                 halves.remove(r.p)
@@ -290,14 +301,14 @@ _FULL_LEVEL = Check(True, "the full unit group needs no level prime")
 # The level check at an inert or ramified quadratic place, by its splitting.
 _STABLE_QUADRATIC_LEVEL = {
     s: Check(True, f"the level prime is {s.value} over the fixed field, hence equal to its conjugate")
-    for s in (Splitting.INERT, Splitting.RAMIFIED)
+    for s in (_INERT, _RAMIFIED)
 }
 
 
 def _level_invariance(q: Place) -> Check:
     """``level_invariance_ok`` for a level already admitted."""
     if isinstance(q, QuadPrime):
-        if q.splitting is not Splitting.SPLIT:
+        if q.splitting is not _SPLIT:
             return _STABLE_QUADRATIC_LEVEL[q.splitting]
     elif q.is_conjugation_stable():
         return Check(
@@ -349,13 +360,13 @@ class SubgroupSpec(CheckedRecord, _SubgroupSpecFields):
     def _check(self) -> None:
         if not isinstance(self.kind, SubgroupKind):
             raise ValueError(f"subgroup kind {self.kind!r} is not a SubgroupKind")
-        if (self.kind is SubgroupKind.FULL) != (self.level is None):
+        if (self.kind is _FULL) != (self.level is None):
             raise ValueError("a level prime is required exactly for the non-full subgroup kinds")
         if self.level is not None and not isinstance(self.level, Place):
             raise ValueError(f"level prime {self.level!r} is not a Place")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        if self.kind is SubgroupKind.FULL:
+        if self.kind is _FULL:
             return "full"
         return f"{self.kind.value}:{self.level.p}"
 
@@ -415,9 +426,9 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
         obstructions.append("no conjugation-invariant maximal order")
     if not level_ok:
         obstructions.append("level not invariant under conjugation")
-    if torsion.verdict is Verdict.TORSION:
+    if torsion.verdict is _TORSION:
         obstructions.append(f"torsion of order {torsion.order}")
-    elif torsion.verdict is Verdict.UNKNOWN:
+    elif torsion.verdict is _UNKNOWN:
         obstructions.append("torsion undecided")
     if euler.denominator != 1 or euler.numerator <= 0 or euler.numerator % 4:
         obstructions.append(f"Euler number {euler} is not a positive integer divisible by 4")

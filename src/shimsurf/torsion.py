@@ -58,6 +58,13 @@ The unipotent subgroup contains the principal one and inherits its
 torsion, and each FREE rule applies to it verbatim: it lies in the Borel
 one, and its prime-order torsion has order p as well, by its unipotent
 image mod q or else inside the principal subgroup.
+
+Function bodies read the members of ``Verdict`` and ``SubgroupKind``
+through module aliases defined beside each class (``_FREE``, ``_BOREL``,
+...), and those of ``Splitting`` through ``quadfield``'s: on Python 3.11
+``EnumType.__getattr__`` makes a class attribute load such as
+``Verdict.FREE`` about ten times the cost of a module global.  Each alias
+is the member itself, so ``is`` tests and every output are unchanged.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import kronecker
-from .quadfield import _SPLITTING, Field, Place, Splitting, fundamental_discriminant
+from .quadfield import _INERT, _RAMIFIED, _SPLIT, _SPLITTING, Field, Place, Splitting, fundamental_discriminant
 
 
 class Undecidable(Exception):
@@ -83,6 +90,10 @@ class Verdict(Enum):
         return self.value
 
 
+# The members, for function bodies (see the module docstring).
+_FREE, _TORSION, _UNKNOWN = Verdict.FREE, Verdict.TORSION, Verdict.UNKNOWN
+
+
 class SubgroupKind(Enum):
     FULL = "full"
     BOREL = "borel"
@@ -91,6 +102,11 @@ class SubgroupKind(Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+_FULL, _BOREL, _UNIPOTENT, _PRINCIPAL = (
+    SubgroupKind.FULL, SubgroupKind.BOREL, SubgroupKind.UNIPOTENT, SubgroupKind.PRINCIPAL
+)
 
 
 class TorsionOrder(NamedTuple):
@@ -140,13 +156,13 @@ def _splitting(q: Place, n: int) -> Splitting:
     field, as every n the verdicts ask about is."""
     p = q.p
     if n % p:
-        return Splitting.SPLIT if q.norm % n == 1 else Splitting.INERT
+        return _SPLIT if q.norm % n == 1 else _INERT
     if q.field.degree == 4:
         raise Undecidable(f"no criterion for zeta_{n} over a quartic field at p={p}")
     if n == 5 or q.ramification_index == 1:
-        return Splitting.RAMIFIED
+        return _RAMIFIED
     m = -1 if p == 2 else -3
-    return _SPLITTING.get(kronecker(fundamental_discriminant(q.field.d * m), p), Splitting.INERT)
+    return _SPLITTING.get(kronecker(fundamental_discriminant(q.field.d * m), p), _INERT)
 
 
 def _require_place(x: object, field: Field, role: str) -> None:
@@ -157,8 +173,12 @@ def _require_place(x: object, field: Field, role: str) -> None:
 
 
 def _require_ramification(field: Field, ram: Sequence[Place]) -> None:
-    """The ramification rule: every ramified place is a ``Place`` over the
-    base field, and a quartic base has none, which no algebra there admits."""
+    """The ramification rule: the base is a ``Field``, every ramified place
+    is a ``Place`` over it, and a quartic base has none, which no algebra
+    there admits.  The type comes first: a place's field equals the plain
+    tuple of its values, so a tuple base would pass the place test."""
+    if not isinstance(field, Field):
+        raise ValueError(f"base {field!r} is not a Field")
     for r in ram:
         _require_place(r, field, "ramified place")
     if field.degree == 4 and ram:
@@ -191,7 +211,7 @@ def _embeds(ram: Sequence[Place], n: int) -> bool:
     prime splits in it (ramified real places never split in a CM
     extension)."""
     for r in ram:
-        if _splitting(r, n) is Splitting.SPLIT:
+        if _splitting(r, n) is _SPLIT:
             return False
     return True
 
@@ -212,10 +232,10 @@ class TorsionVerdict(NamedTuple):
 
     @property
     def is_free(self) -> bool:
-        return self.verdict is Verdict.FREE
+        return self.verdict is _FREE
 
 
-_SPLITS = "its cyclotomic extension embeds and the level prime splits in it"
+_SPLIT_REASON = "its cyclotomic extension embeds and the level prime splits in it"
 
 
 def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
@@ -224,13 +244,13 @@ def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     unknown: list[str] = []
     for cand in embedding:
         try:
-            if _splitting(q, cand.n) is Splitting.SPLIT:
-                return TorsionVerdict(Verdict.TORSION, cand.m, f"order {cand.m}: {_SPLITS}")
+            if _splitting(q, cand.n) is _SPLIT:
+                return TorsionVerdict(_TORSION, cand.m, f"order {cand.m}: {_SPLIT_REASON}")
         except Undecidable as exc:
             unknown.append(str(exc))
     if unknown:
-        return TorsionVerdict(Verdict.UNKNOWN, None, "; ".join(unknown))
-    return TorsionVerdict(Verdict.FREE, None, "no embedding cyclotomic extension has the level prime split in it")
+        return TorsionVerdict(_UNKNOWN, None, "; ".join(unknown))
+    return TorsionVerdict(_FREE, None, "no embedding cyclotomic extension has the level prime split in it")
 
 
 def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | None) -> TorsionVerdict:
@@ -238,41 +258,41 @@ def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | 
     (None for the full group), by the module docstring's rules, testing
     candidates for embedding lazily: FULL and the Borel scan stop early."""
     candidates = possible_torsion_orders(field)
-    if kind is SubgroupKind.FULL:
+    if kind is _FULL:
         for c in candidates:
             if _embeds(ram, c.n):
                 reason = f"cyclotomic extension for order {c.m} embeds in the algebra"
-                return TorsionVerdict(Verdict.TORSION, c.m, reason)
-        return TorsionVerdict(Verdict.FREE, None, "no candidate cyclotomic extension embeds")
+                return TorsionVerdict(_TORSION, c.m, reason)
+        return TorsionVerdict(_FREE, None, "no candidate cyclotomic extension embeds")
     embedding = (c for c in candidates if _embeds(ram, c.n))
-    if kind is SubgroupKind.BOREL:
+    if kind is _BOREL:
         return _borel_scan(embedding, q)
     # The principal rules, which decide the unipotent subgroup as well.
     p = q.p
     if all(c.m % p for c in candidates):
         reason = f"prime-order torsion at level q would have order {p}, which is not available over this base field"
-        return TorsionVerdict(Verdict.FREE, None, reason)
+        return TorsionVerdict(_FREE, None, reason)
     embedding = list(embedding)
     if all(c.m % p for c in embedding):
-        return TorsionVerdict(Verdict.FREE, None, f"order-{p} torsion is already absent from the full unit group")
+        return TorsionVerdict(_FREE, None, f"order-{p} torsion is already absent from the full unit group")
     try:
-        if any(c.m == p and _splitting(q, c.n) is Splitting.SPLIT for c in embedding):
-            reason = f"order {p}: {_SPLITS}, which realizes the torsion inside the principal subgroup"
-            if kind is SubgroupKind.UNIPOTENT:
+        if any(c.m == p and _splitting(q, c.n) is _SPLIT for c in embedding):
+            reason = f"order {p}: {_SPLIT_REASON}, which realizes the torsion inside the principal subgroup"
+            if kind is _UNIPOTENT:
                 reason = "inherited from the principal congruence subgroup it contains: " + reason
-            return TorsionVerdict(Verdict.TORSION, p, reason)
+            return TorsionVerdict(_TORSION, p, reason)
     except Undecidable:
         pass
     if _borel_scan(embedding, q).is_free:
         reason = "contained in the torsion-free upper-triangular subgroup at the same level"
-        return TorsionVerdict(Verdict.FREE, None, reason)
-    return TorsionVerdict(Verdict.UNKNOWN, None, "no implemented criterion settles this level")
+        return TorsionVerdict(_FREE, None, reason)
+    return TorsionVerdict(_UNKNOWN, None, "no implemented criterion settles this level")
 
 
 def full_torsion_verdict(field: Field, ram: Sequence[Place]) -> TorsionVerdict:
     """Torsion verdict for the full projectivized unit group."""
     _require_ramification(field, ram)
-    return _verdict(SubgroupKind.FULL, field, ram, None)
+    return _verdict(_FULL, field, ram, None)
 
 
 def borel_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
@@ -280,18 +300,18 @@ def borel_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> Torsi
     q, by the module docstring's scan; FREE is no proof at a q over p
     where an order-p candidate embeds."""
     _admit(field, ram, q)
-    return _verdict(SubgroupKind.BOREL, field, ram, q)
+    return _verdict(_BOREL, field, ram, q)
 
 
 def unipotent_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the unipotent-level subgroup at q (matrices
     reducing to upper-triangular with equal diagonal entries mod q)."""
     _admit(field, ram, q)
-    return _verdict(SubgroupKind.UNIPOTENT, field, ram, q)
+    return _verdict(_UNIPOTENT, field, ram, q)
 
 
 def principal_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q,
     by rules A to D of the module docstring."""
     _admit(field, ram, q)
-    return _verdict(SubgroupKind.PRINCIPAL, field, ram, q)
+    return _verdict(_PRINCIPAL, field, ram, q)

@@ -31,6 +31,7 @@ from shimsurf.polymod import poly
 from shimsurf.quadfield import fundamental_discriminants
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new, quartic_splitting
 from shimsurf.search import enumerate_candidates
+from shimsurf.shimura import SubgroupKind, subgroup_index
 
 from float_reference import recognize_rational
 
@@ -81,7 +82,7 @@ _K725 = quartic_new((1, -1, -3, 1, 1), 5)
         pytest.param(lambda: quartic_splitting(_K725, 11.0), r"modulus 11\.0", id="quartic_splitting"),
         pytest.param(lambda: shimura_curve_genus([2.0, 5], 12), r"got \[2\.0, 5\]", id="shimura_curve_genus"),
         pytest.param(lambda: fixed_curve_numbers(3.0), r"got 3\.0", id="fixed_curve_numbers"),
-        pytest.param(lambda: quotient_invariants_from_pg(3.0), r"genus must lie in \[2, 8\], got 3\.0", id="pg"),
+        pytest.param(lambda: quotient_invariants_from_pg(3.0), r"geometric genus must be an int, got 3\.0", id="pg"),
         pytest.param(lambda: enumerate_candidates((12.0,)), r"got \(12\.0,\)", id="enumerate_candidates"),
         pytest.param(lambda: kronecker(5.5, 3), r"got \(5\.5\|3\)", id="kronecker-5.5"),
         pytest.param(lambda: kronecker(5.0, 3), r"got \(5\.0\|3\)", id="kronecker-5.0"),
@@ -100,6 +101,9 @@ _K725 = quartic_new((1, -1, -3, 1, 1), 5)
         pytest.param(lambda: quotient_invariants(24, 5.0), r"genus must be an int, got 5\.0", id="quotient-g"),
         pytest.param(lambda: quotient_table(24.0), r"must be an int, got 24\.0", id="quotient_table"),
         pytest.param(lambda: fixed_curve_numbers(5.0), r"genus must be an int, got 5\.0", id="fixed_curve_numbers-5.0"),
+        pytest.param(
+            lambda: subgroup_index(SubgroupKind.BOREL, 5.0), r"field size must be an int, got 5\.0", id="subgroup_index"
+        ),
     ],
 )
 def test_a_float_is_not_read_as_an_int(call, match):

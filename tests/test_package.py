@@ -1,6 +1,7 @@
 """The package namespace: every export resolves on first access to the
-object its home module defines, and nothing else resolves; and no module
-of the package computes in floating point."""
+object its home module defines, and nothing else resolves; no module of
+the package computes in floating point; and no function body reads an
+enum member off its class where a module alias is the member."""
 
 import ast
 import importlib
@@ -96,4 +97,57 @@ def test_the_float_guard_sees_each_kind_of_use():
     source = "import math\nfrom math import pi, gcd\nx: float = 0.5 + math.sqrt(2) + math.isqrt(9)\n"
     assert sorted(_float_uses(ast.parse(source))) == [
         (2, "math.pi"), (3, "0.5"), (3, "float"), (3, "math.sqrt"),
+    ]
+
+
+# Enums whose members the package reads through module aliases: on Python
+# 3.11 ``EnumType.__getattr__`` makes each class attribute load such as
+# ``Splitting.SPLIT`` about ten times the cost of a module global, and a
+# sweep query makes dozens of them.  Module-level statements run once.
+_ALIASED_ENUMS = frozenset({"Splitting", "Verdict", "SubgroupKind"})
+
+
+def _member_reads(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, what) for each attribute load off an aliased enum class
+    inside a function body, lambdas and methods included."""
+    hits = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in _ALIASED_ENUMS:
+                    hits.add((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(hits)
+
+
+def test_function_bodies_read_enum_members_through_aliases():
+    package = Path(shimsurf.__file__).parent
+    hits = {
+        path.name: found
+        for path in sorted(package.glob("*.py"))
+        if (found := _member_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
+    }
+    assert hits == {}
+    from shimsurf import quadfield, torsion
+
+    aliases = {
+        quadfield.Splitting: quadfield,
+        torsion.Verdict: torsion,
+        torsion.SubgroupKind: torsion,
+    }
+    for enum, home in aliases.items():
+        for member in enum:
+            assert getattr(home, f"_{member.name}") is member, member
+
+
+def test_the_alias_guard_sees_each_kind_of_read():
+    source = (
+        "TABLE = {1: Splitting.SPLIT}\n"
+        "def f(v):\n    return v is Verdict.FREE\n"
+        "class C:\n    KIND = SubgroupKind.FULL\n    def m(self):\n        return SubgroupKind.BOREL\n"
+        "g = lambda s: s is Splitting.INERT\n"
+        "def h():\n    def inner():\n        return Splitting.RAMIFIED\n    return inner, kind.value\n"
+    )
+    assert _member_reads(ast.parse(source)) == [
+        (3, "Verdict.FREE"), (7, "SubgroupKind.BOREL"), (8, "Splitting.INERT"), (11, "Splitting.RAMIFIED"),
     ]

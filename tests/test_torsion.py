@@ -392,6 +392,24 @@ def test_quartic_base_with_finite_ramification_is_refused():
             verdict(K, ram, 7)
 
 
+def test_every_public_verdict_refuses_a_base_that_is_no_field():
+    # The tuple (33, 33) equals Q(sqrt 33) by value, so the places of an
+    # algebra over that field pass the place test; the base's type decides.
+    K33 = quad_field(33)
+    ram = quadratic_algebra(K33, [2]).ram
+    q = primes_above(K33, 17)[0]
+    calls = [
+        lambda: gamma1_torsion_orders((33, 33), ram),
+        lambda: full_torsion_verdict((33, 33), ram),
+        lambda: borel_torsion_verdict((33, 33), ram, q),
+        lambda: unipotent_torsion_verdict((33, 33), ram, q),
+        lambda: principal_torsion_verdict((33, 33), ram, q),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"base \(33, 33\) is not a Field"):
+            call()
+
+
 def test_verdicts_refuse_places_over_another_field():
     # Places over Q(sqrt 13) handed with the base Q(sqrt 5): the candidate
     # n = 5 of Q(sqrt 5) is no candidate of Q(sqrt 13), so an unchecked
