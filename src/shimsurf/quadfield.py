@@ -203,7 +203,11 @@ _SPLITTING = {1: _SPLIT, 0: _RAMIFIED}
 def splitting_type(field: QuadField, p: int) -> Splitting:
     """How the rational prime p behaves in the field: by the Kronecker
     symbol (D|p), which at an odd prime is D^((p-1)/2) mod p (Euler's
-    criterion): 1, p - 1 or 0."""
+    criterion): 1, p - 1 or 0.  The field must be a ``QuadField``: the
+    rule read off the discriminant of a quartic field is no splitting law
+    there (ValueError)."""
+    if not isinstance(field, QuadField):
+        raise ValueError(f"{field!r} is not a real quadratic field")
     if not is_int(p):
         raise ValueError(f"rational prime must be an int, got {p!r}")
     if not is_prime(p):
@@ -242,6 +246,12 @@ class QuadPrime(Place, _QuadPrimeFields):
     @property
     def residue_degree(self) -> int:
         return 2 if self.splitting is _INERT else 1
+
+    @property
+    def norm(self) -> int:
+        """p^2 at an inert p, else p: ``Place.norm`` without the hop
+        through ``residue_degree``."""
+        return self.p * self.p if self.splitting is _INERT else self.p
 
     @property
     def ramification_index(self) -> int:

@@ -292,6 +292,13 @@ class QuarticPrime(Place, _QuarticPrimeFields):
         return f"prime ({self.p}, {g}) with f={self.residue_degree}, e={self.ramification_index}"
 
 
+def _require_quartic(K: object) -> None:
+    """Refuse a field that is not a ``QuarticField``, such as a
+    ``QuadField``, whose places ``quadfield`` gives (ValueError)."""
+    if not isinstance(K, QuarticField):
+        raise ValueError(f"{K!r} is not a quartic field")
+
+
 def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
     """Shape of p in the field: a sorted list of (residue degree f_i,
     ramification exponent e_i) with sum f_i e_i = 4, the shapes of
@@ -299,6 +306,7 @@ def quartic_splitting(K: QuarticField, p: int) -> list[tuple[int, int]]:
     the squarefree decomposition of f mod p gives the multiplicities, the
     distinct-degree split of each part the degrees.  When p does not
     divide disc(f), f is squarefree mod p."""
+    _require_quartic(K)
     f = poly(p, K.polynomial)  # rejects a non-prime p
     parts = [(f, 1)] if K.disc % p else squarefree_decomposition(f)
     shapes = sorted(
@@ -316,6 +324,7 @@ def primes_above_quartic(K: QuarticField, p: int) -> list[QuarticPrime]:
     """All primes of the field over p, one per factor (g, e) of f mod p,
     sorted by (f, e, generator), so in the order of ``quartic_splitting``;
     built without the constructor's check, which would factor again."""
+    _require_quartic(K)
     places = [
         QuarticPrime._trusted(K, p, g.degree, e, g.coeffs)
         for g, e in poly_factor_mod_p(poly(p, K.polynomial))  # rejects a non-prime p

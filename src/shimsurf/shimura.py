@@ -33,6 +33,18 @@ reads level invariance, the torsion decision and the Euler number from
 unchecked kernels.  A check that depends on no algebra is a module
 constant: the invariant order over a quadratic base, the full group's
 level, and a level at an inert or ramified quadratic place.
+
+The report path takes no Python-level hop that adds nothing to the
+answer.  It reads ``check.ok``, not ``bool(check)``, whose ``__bool__``
+stays for callers; ``A.base.degree``, not the algebra's ``degree``
+property; a quadratic place's own ``norm``, not ``Place.norm`` through
+``residue_degree``; and it picks the inert or ramified level check by
+``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``.  On
+this path a check or verdict whose text names no query value is built
+once: the constants above, the involution check once per number of
+conjugate pairs (keyed by that int, never by a record), and torsion's
+fixed verdicts.  Nothing is cached per algebra, since a sweep touches
+thousands of them.
 """
 
 from __future__ import annotations
@@ -210,7 +222,7 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
     fixed field of the base: the finite ramified places must form
     conjugate pairs of distinct places, and the two unramified infinite
     places must be swapped (automatic over a quadratic base)."""
-    if A.degree == 2:
+    if A.base.degree == 2:
         # The places over a split p are its two tags, so each p is fixed,
         # half a pair or a pair; the least p that is no pair is reported.
         fixed: list[int] = []
@@ -235,12 +247,7 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
                 f"the place over {p} is fixed by conjugation ({p} does not split "
                 "in the base field), so it cannot be exchanged with a partner",
             )
-        return Check(
-            True,
-            f"the finite ramification consists of {len(A.ram) // 2} conjugate pair(s) of "
-            "distinct places over rational primes split in the base field; the "
-            "infinite-place condition is automatic over a real quadratic base",
-        )
+        return _paired(len(A.ram) // 2)
     # quartic base, empty finite ramification by construction
     if A.infinite_conjugate_asserted:
         return Check(
@@ -252,6 +259,19 @@ def involution_exists(A: QuaternionAlgebra) -> Check:
         False,
         "over a quartic base the two unramified infinite places must be conjugate "
         "under the subfield automorphism; this was not asserted",
+    )
+
+
+@lru_cache(maxsize=1 << 6)
+def _paired(pairs: int) -> Check:
+    """The involution check of a quadratic algebra ramified at this many
+    conjugate pairs, built once per count: keyed by the int, never by a
+    record, which compares as its tuple of values."""
+    return Check(
+        True,
+        f"the finite ramification consists of {pairs} conjugate pair(s) of "
+        "distinct places over rational primes split in the base field; the "
+        "infinite-place condition is automatic over a real quadratic base",
     )
 
 
@@ -276,9 +296,9 @@ _RAMIFIED_OVER_FIXED = Check(
 
 def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
     """``invariant_order_exists`` given the algebra's involution check."""
-    if not inv:
+    if not inv.ok:
         return Check(False, "no involution of second kind: " + inv.reason)
-    if A.degree == 2 or A.base.disc != A.base.subfield.disc**2:
+    if A.base.degree == 2 or A.base.disc != A.base.subfield.disc**2:
         return _RAMIFIED_OVER_FIXED
     return Check(
         False,
@@ -298,18 +318,23 @@ def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
 
 
 _FULL_LEVEL = Check(True, "the full unit group needs no level prime")
-# The level check at an inert or ramified quadratic place, by its splitting.
-_STABLE_QUADRATIC_LEVEL = {
-    s: Check(True, f"the level prime is {s.value} over the fixed field, hence equal to its conjugate")
+# The level check at an inert and at a ramified quadratic place.
+_INERT_LEVEL, _RAMIFIED_LEVEL = (
+    Check(True, f"the level prime is {s.value} over the fixed field, hence equal to its conjugate")
     for s in (_INERT, _RAMIFIED)
-}
+)
 
 
 def _level_invariance(q: Place) -> Check:
-    """``level_invariance_ok`` for a level already admitted."""
+    """``level_invariance_ok`` for a level already admitted; the quadratic
+    constant is picked by ``is``, since hashing a ``Splitting`` member runs
+    the Python-level ``Enum.__hash__``."""
     if isinstance(q, QuadPrime):
-        if q.splitting is not _SPLIT:
-            return _STABLE_QUADRATIC_LEVEL[q.splitting]
+        splitting = q.splitting
+        if splitting is _INERT:
+            return _INERT_LEVEL
+        if splitting is _RAMIFIED:
+            return _RAMIFIED_LEVEL
     elif q.is_conjugation_stable():
         return Check(
             True, "no prime of the fixed field below it splits in the base field, hence equal to its conjugate"
@@ -325,7 +350,7 @@ def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     """Exact Euler number of the surface for a subgroup of the given index
     over a quadratic base: index * B_2/12 * prod (N(v) - 1), one factor
     per finite ramified place v."""
-    if A.degree != 2:
+    if A.base.degree != 2:
         raise TypeError("exact Euler numbers via Bernoulli values need a quadratic base")
     if not is_int(index) or index < 1:
         raise ValueError(f"index must be a positive integer, got {index}")
@@ -414,17 +439,17 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
         index = _index(spec.kind, q.norm)
     torsion = _verdict(spec.kind, A.base, A.ram, q)
 
-    if A.degree == 2:
+    if A.base.degree == 2:
         euler = _euler_quadratic(A, index)
     else:  # index * 2^(3-4) * zeta_K(-1); a quartic algebra has no finite ramification
         euler = index * A.base.zeta_minus1() / 2
 
     obstructions = []
-    if not inv:
+    if not inv.ok:
         obstructions.append("no involution of second kind")
-    if not order_ok:
+    if not order_ok.ok:
         obstructions.append("no conjugation-invariant maximal order")
-    if not level_ok:
+    if not level_ok.ok:
         obstructions.append("level not invariant under conjugation")
     if torsion.verdict is _TORSION:
         obstructions.append(f"torsion of order {torsion.order}")

@@ -65,6 +65,13 @@ through module aliases defined beside each class (``_FREE``, ``_BOREL``,
 ``EnumType.__getattr__`` makes a class attribute load such as
 ``Verdict.FREE`` about ten times the cost of a module global.  Each alias
 is the member itself, so ``is`` tests and every output are unchanged.
+
+A verdict whose text names no query value is a module constant, built
+once: FULL FREE, BOREL FREE, FULL and BOREL TORSION for each candidate
+order m, rule D's FREE and the closing UNKNOWN.  Two reports with the same
+such verdict hold the same object, which compares and prints as a fresh
+one would.  The decision reads the record fields it needs, ``verdict``
+rather than the ``is_free`` property, as the report does (see ``shimura``).
 """
 
 from __future__ import annotations
@@ -189,11 +196,13 @@ def _require_level(field: Field, ram: Sequence[Place], q: Place) -> None:
     """The level rule, against admitted ramification: q is a ``Place`` over
     the base field, lying over no rational prime under the ramification."""
     _require_place(q, field, "level prime")
-    if any(r.p == q.p for r in ram):
-        raise ValueError(
-            f"the level prime lies over {q.p}, which meets the ramification of "
-            "the algebra; congruence subgroups need an unramified level"
-        )
+    p = q.p
+    for r in ram:
+        if r.p == p:
+            raise ValueError(
+                f"the level prime lies over {p}, which meets the ramification of "
+                "the algebra; congruence subgroups need an unramified level"
+            )
 
 
 def _admit(field: Field, ram: Sequence[Place], q: Place) -> None:
@@ -237,6 +246,21 @@ class TorsionVerdict(NamedTuple):
 
 _SPLIT_REASON = "its cyclotomic extension embeds and the level prime splits in it"
 
+# The verdicts whose text names no query value, built once (see the module
+# docstring); the TORSION ones keyed by the candidate order m.
+_CANDIDATE_ORDERS = [c.m for c in (*_ALWAYS_ORDERS, *_SUBFIELD_ORDER.values())]
+_FULL_FREE = TorsionVerdict(_FREE, None, "no candidate cyclotomic extension embeds")
+_FULL_TORSION = {
+    m: TorsionVerdict(_TORSION, m, f"cyclotomic extension for order {m} embeds in the algebra")
+    for m in _CANDIDATE_ORDERS
+}
+_BOREL_FREE = TorsionVerdict(_FREE, None, "no embedding cyclotomic extension has the level prime split in it")
+_BOREL_TORSION = {m: TorsionVerdict(_TORSION, m, f"order {m}: {_SPLIT_REASON}") for m in _CANDIDATE_ORDERS}
+_INSIDE_BOREL_FREE = TorsionVerdict(
+    _FREE, None, "contained in the torsion-free upper-triangular subgroup at the same level"
+)
+_LEVEL_UNKNOWN = TorsionVerdict(_UNKNOWN, None, "no implemented criterion settles this level")
+
 
 def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     """The Borel verdict at q from the candidates whose extension embeds,
@@ -245,12 +269,12 @@ def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     for cand in embedding:
         try:
             if _splitting(q, cand.n) is _SPLIT:
-                return TorsionVerdict(_TORSION, cand.m, f"order {cand.m}: {_SPLIT_REASON}")
+                return _BOREL_TORSION[cand.m]
         except Undecidable as exc:
             unknown.append(str(exc))
     if unknown:
         return TorsionVerdict(_UNKNOWN, None, "; ".join(unknown))
-    return TorsionVerdict(_FREE, None, "no embedding cyclotomic extension has the level prime split in it")
+    return _BOREL_FREE
 
 
 def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | None) -> TorsionVerdict:
@@ -261,9 +285,8 @@ def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | 
     if kind is _FULL:
         for c in candidates:
             if _embeds(ram, c.n):
-                reason = f"cyclotomic extension for order {c.m} embeds in the algebra"
-                return TorsionVerdict(_TORSION, c.m, reason)
-        return TorsionVerdict(_FREE, None, "no candidate cyclotomic extension embeds")
+                return _FULL_TORSION[c.m]
+        return _FULL_FREE
     embedding = (c for c in candidates if _embeds(ram, c.n))
     if kind is _BOREL:
         return _borel_scan(embedding, q)
@@ -283,10 +306,9 @@ def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | 
             return TorsionVerdict(_TORSION, p, reason)
     except Undecidable:
         pass
-    if _borel_scan(embedding, q).is_free:
-        reason = "contained in the torsion-free upper-triangular subgroup at the same level"
-        return TorsionVerdict(_FREE, None, reason)
-    return TorsionVerdict(_UNKNOWN, None, "no implemented criterion settles this level")
+    if _borel_scan(embedding, q).verdict is _FREE:
+        return _INSIDE_BOREL_FREE
+    return _LEVEL_UNKNOWN
 
 
 def full_torsion_verdict(field: Field, ram: Sequence[Place]) -> TorsionVerdict:

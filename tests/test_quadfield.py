@@ -22,6 +22,7 @@ from shimsurf.quadfield import (
     quad_field,
     splitting_type,
 )
+from shimsurf.quartic import quartic_new
 from shimsurf.siegel import _siegel_sums
 from shimsurf.torsion import _orders_for
 
@@ -161,6 +162,38 @@ def test_non_int_primes_are_refused(value):
         primes_above(field, value)
     with pytest.raises(ValueError, match="rational prime must be an int"):
         QuadPrime(field, value, Splitting.INERT)
+
+
+def _no_quadfield(which):
+    """A field that is not a ``QuadField``: the quartic field of
+    discriminant 725, whose places over 11 have norms 11, 11 and 121, or
+    the plain tuple of Q(sqrt 33)'s values."""
+    return quartic_new((1, -1, -3, 1, 1), 5) if which == "quartic" else tuple(quad_field(33))
+
+
+NO_QUADFIELD = pytest.mark.parametrize("which", ["quartic", "tuple"])
+
+
+@NO_QUADFIELD
+def test_splitting_type_refuses_a_field_that_is_no_quadfield(which):
+    # The Kronecker rule read off disc 725 called 11 inert there, and a
+    # tuple raised AttributeError.
+    with pytest.raises(ValueError, match="is not a real quadratic field"):
+        splitting_type(_no_quadfield(which), 11)
+
+
+@NO_QUADFIELD
+def test_primes_above_refuses_a_field_that_is_no_quadfield(which):
+    # It gave the quartic field one "inert" place of norm 121 over 11.
+    with pytest.raises(ValueError, match="is not a real quadratic field"):
+        primes_above(_no_quadfield(which), 11)
+
+
+@NO_QUADFIELD
+def test_quadprime_refuses_a_field_that_is_no_quadfield(which):
+    # The checked constructor built the same place that does not exist.
+    with pytest.raises(ValueError, match="is not a real quadratic field"):
+        QuadPrime(_no_quadfield(which), 11, Splitting.INERT, 0)
 
 
 def test_primes_above_norms_and_conjugation():

@@ -84,6 +84,32 @@ def test_primes_above_and_level_choice(K):
     assert choose_level_prime(K, 2).norm == 16
 
 
+# A field that is not a QuarticField: Q(sqrt 5), or the plain tuple of the
+# golden field's values.  Each raised AttributeError on reading the
+# polynomial.
+NO_QUARTIC_FIELD = pytest.mark.parametrize(
+    "make", [lambda: quad_field(5), lambda: tuple(quartic_new(GOLDEN, 5))], ids=["quadratic", "tuple"]
+)
+
+
+@NO_QUARTIC_FIELD
+def test_quartic_splitting_refuses_a_field_that_is_no_quartic_field(make):
+    with pytest.raises(ValueError, match="is not a quartic field"):
+        quartic_splitting(make(), 11)
+
+
+@NO_QUARTIC_FIELD
+def test_primes_above_quartic_refuses_a_field_that_is_no_quartic_field(make):
+    with pytest.raises(ValueError, match="is not a quartic field"):
+        primes_above_quartic(make(), 11)
+
+
+@NO_QUARTIC_FIELD
+def test_choose_level_prime_refuses_a_field_that_is_no_quartic_field(make):
+    with pytest.raises(ValueError, match="is not a quartic field"):
+        choose_level_prime(make(), 11)
+
+
 def test_conjugation_stability(K):
     # Each place decides for itself: it is stable exactly when it is the
     # only place of K over the prime of Q(sqrt(5)) below it.  2 is inert

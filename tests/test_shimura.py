@@ -1,19 +1,33 @@
 """Quaternion algebras with involutions of second kind: existence checks,
 subgroup indices, Euler numbers, and admissibility reports."""
 
+import importlib.util
+import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shimsurf.exact import factorize, primes_up_to
-from shimsurf.quadfield import QuadField, _field, bernoulli2, primes_above, quad_field
+from shimsurf.quadfield import (
+    QuadField,
+    QuadPrime,
+    Splitting,
+    _field,
+    bernoulli2,
+    field_from_disc,
+    primes_above,
+    quad_field,
+)
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.shimura import (
+    Check,
     QuaternionAlgebra,
     SubgroupKind,
     SubgroupSpec,
@@ -137,6 +151,24 @@ def test_level_invariance():
         level_invariance_ok(algebra, 11)
     with pytest.raises(ValueError, match="meets the ramification"):
         level_invariance_ok(algebra, primes_above(field, 2)[0])
+
+
+def test_fixed_check_texts_are_pinned():
+    # The involution check per number of conjugate pairs, and the level
+    # check at an inert and at a ramified place, word for word.
+    field = quad_field(33)
+    for primes, pairs in (([2], 1), ([2, 17], 2)):
+        assert involution_exists(quadratic_algebra(field, primes)).reason == (
+            f"the finite ramification consists of {pairs} conjugate pair(s) of distinct places over "
+            "rational primes split in the base field; the infinite-place condition is automatic "
+            "over a real quadratic base"
+        )
+    algebra = quadratic_algebra(field, [2])
+    for p, splitting in ((7, "inert"), (11, "ramified")):
+        (q,) = primes_above(field, p)
+        assert level_invariance_ok(algebra, q).reason == (
+            f"the level prime is {splitting} over the fixed field, hence equal to its conjugate"
+        )
 
 
 def test_quartic_level_invariance_is_decided_per_place():
@@ -377,3 +409,60 @@ def test_index_divides_group_order(s, kind):
     # Every subgroup index divides |PSL_2(F_s)| = s(s^2 - 1)/gcd(s - 1, 2).
     order = s * (s * s - 1) // gcd(s - 1, 2)
     assert order % subgroup_index(kind, s) == 0
+
+
+def _benchmark_inputs():
+    """The benchmark's seeded input generators, ``perfbench/inputs.py``,
+    which depend on nothing in the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The Python-level calls that the report path leaves out, each with the
+# class attribute that holds it and a call that makes it.
+_HOPS = {
+    "Check.__bool__": (Check, "__bool__", lambda: bool(Check(True, ""))),
+    "QuaternionAlgebra.degree": (
+        QuaternionAlgebra, "degree", lambda: quadratic_algebra(quad_field(33), [2]).degree
+    ),
+    "QuadPrime.residue_degree": (
+        QuadPrime, "residue_degree", lambda: primes_above(quad_field(33), 7)[0].residue_degree
+    ),
+    "Splitting.__hash__": (Splitting, "__hash__", lambda: hash(Splitting.INERT)),
+}
+
+
+def test_the_report_takes_no_python_level_hop(monkeypatch):
+    # The first 1,000 valid seed-1 sweep queries, built outside the count.
+    valid = (q for q in _benchmark_inputs().sweep_queries(1) if q.valid)
+    cases = []
+    for query in itertools.islice(valid, 1000):
+        A = quadratic_algebra(field_from_disc(query.disc), query.ram)
+        level = None if query.level is None else primes_above(A.base, query.level)[0]
+        cases.append((A, SubgroupSpec(SubgroupKind(query.kind), level)))
+    counts = Counter()
+    for name, (cls, attr, _) in _HOPS.items():
+        held = getattr(cls, attr)
+
+        def counted(*args, _name=name, _fn=getattr(held, "fget", held)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cls, attr, property(counted) if isinstance(held, property) else counted)
+    reports = [admissibility_report(A, spec) for A, spec in cases]
+    assert counts == Counter()
+    for _, _, call in _HOPS.values():
+        call()  # each counter sees its call
+    monkeypatch.undo()
+    assert counts == Counter(dict.fromkeys(_HOPS, 1))
+
+    # A verdict whose text names no query value is one object.
+    seen = {}
+    for report in reports:
+        if report.spec.kind in (SubgroupKind.FULL, SubgroupKind.BOREL):
+            assert seen.setdefault(report.torsion, report.torsion) is report.torsion, report.spec
+    assert {v.verdict for v in seen} == {Verdict.FREE, Verdict.TORSION}
+    assert len(seen) < sum(r.spec.kind in (SubgroupKind.FULL, SubgroupKind.BOREL) for r in reports)
