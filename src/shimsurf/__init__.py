@@ -19,8 +19,9 @@ The layers, bottom up:
   the prime ideals read off the defining polynomial mod p;
 - :mod:`shimsurf.torsion` — one torsion decision for every kind of
   congruence subgroup, via cyclotomic splitting;
-- :mod:`shimsurf.shimura` — quaternion algebras, involutions of second
-  kind, subgroup indices, exact Euler numbers, admissibility reports;
+- :mod:`shimsurf.shimura` — quaternion algebras, subgroup indices, and
+  the admissibility report, the one public way to the involution of
+  second kind, invariant order, level invariance and exact Euler number;
 - :mod:`shimsurf.geometry` — Chern invariants of the surfaces, their
   involution quotients, and quotient curves;
 - :mod:`shimsurf.search` — the bounded classification search;
@@ -37,10 +38,12 @@ Every boundary that takes an integer refuses a ``bool`` (``exact.is_int``).
 A violated internal invariant raises :class:`InvariantError`, a subclass
 of AssertionError that also fires under ``python -O``.
 
-``import shimsurf`` loads no submodule.  Each exported name is imported
-from its home module on first access and then bound here, so a caller
-loads only the layers it uses: ``from shimsurf import quad_field`` loads
-``exact`` and ``quadfield``, and nothing of ``quartic`` or ``siegel``.
+``_EXPORTS`` below is the package's one list of public names; no
+submodule keeps an ``__all__`` of its own.  ``import shimsurf`` loads no
+submodule.  Each exported name is imported from its home module on first
+access and then bound here, so a caller loads only the layers it uses:
+``from shimsurf import quad_field`` loads ``exact`` and ``quadfield``,
+and nothing of ``quartic`` or ``siegel``.
 """
 
 from importlib import import_module as _import_module
@@ -92,10 +95,6 @@ _EXPORTS = {
         "SubgroupKind",
         "SubgroupSpec",
         "admissibility_report",
-        "euler_number_quadratic",
-        "invariant_order_exists",
-        "involution_exists",
-        "level_invariance_ok",
         "quadratic_algebra",
         "quartic_algebra",
         "subgroup_index",
@@ -105,7 +104,6 @@ _EXPORTS = {
         "Verdict",
         "borel_torsion_verdict",
         "full_torsion_verdict",
-        "possible_torsion_orders",
         "principal_torsion_verdict",
         "unipotent_torsion_verdict",
     ),

@@ -17,19 +17,6 @@ from typing import Iterable, NamedTuple
 
 from .exact import CheckedRecord, InvariantError, is_int, is_prime, require_int
 
-__all__ = [
-    "GENERAL_TYPE_MAX_E",
-    "SurfaceInvariants",
-    "QuotientInvariants",
-    "CurveData",
-    "CurveResult",
-    "shimura_surface_invariants",
-    "quotient_invariants",
-    "quotient_table",
-    "quotient_invariants_from_pg",
-    "fixed_curve_numbers",
-    "shimura_curve_genus",
-]
 
 # Largest e at which the sufficient criterion K^2 > 0 decides general type.
 GENERAL_TYPE_MAX_E = 36

@@ -30,15 +30,6 @@ from .polymod import distinct_degree_factors, is_p_maximal, poly, poly_factor_mo
 from .quadfield import _SPLIT, Field, Place, QuadField, quad_field, splitting_type
 from .siegel import zeta_minus1
 
-__all__ = [
-    "QuarticField",
-    "QuarticPrime",
-    "quartic_new",
-    "quartic_splitting",
-    "primes_above_quartic",
-    "choose_level_prime",
-]
-
 
 def _poly_eval(coeffs: Sequence[int], x: int) -> int:
     acc = 0

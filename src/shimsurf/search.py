@@ -54,18 +54,6 @@ from .quadfield import (
 )
 from .torsion import gamma1_torsion_orders
 
-__all__ = [
-    "DEFAULT_TYPES",
-    "DISCRIMINANT_BOUND",
-    "RowStatus",
-    "CandidateRow",
-    "enumerate_candidates",
-    "prune_by_torsion",
-    "REFERENCE_ROWS",
-    "DiffReport",
-    "compare_to_reference",
-    "run_pipeline",
-]
 
 DEFAULT_TYPES = (12, 16, 20, 24, 28, 32, 36)
 

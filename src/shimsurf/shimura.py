@@ -1,7 +1,9 @@
 """Quaternion algebras over totally real fields and their arithmetic
-groups: existence tests for involutions of second kind, invariant maximal
-orders and level invariance, congruence-subgroup indices, and Euler
-numbers of the associated surfaces.
+groups: congruence-subgroup indices, and one admissibility report per
+algebra and subgroup, which certifies the involution of second kind, the
+invariant maximal order, level invariance, torsion and the Euler number
+of the associated surface.  The report is the one public way to each of
+these facts.
 
 An algebra is recorded by its base field and the set of finite ramified
 places, kept conjugate-closed over the nontrivial automorphism of the
@@ -73,22 +75,6 @@ from .torsion import (
 if TYPE_CHECKING:
     from .geometry import SurfaceInvariants
     from .quartic import QuarticField
-
-__all__ = [
-    "Check",
-    "SubgroupKind",
-    "SubgroupSpec",
-    "QuaternionAlgebra",
-    "quadratic_algebra",
-    "quartic_algebra",
-    "subgroup_index",
-    "involution_exists",
-    "invariant_order_exists",
-    "level_invariance_ok",
-    "euler_number_quadratic",
-    "AdmissibilityReport",
-    "admissibility_report",
-]
 
 
 class Check(NamedTuple):
@@ -168,14 +154,6 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     def ram_rational_primes(self) -> tuple[int, ...]:
         return tuple(sorted({r.p for r in self.ram}))
 
-    @property
-    def ram_norms(self) -> tuple[int, ...]:
-        """Norms of the finite ramified places, one per conjugation orbit
-        (conjugate places lie over the same rational prime and share
-        their norm)."""
-        norms = {r.p: r.norm for r in self.ram}
-        return tuple(norms[p] for p in sorted(norms))
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         places = ", ".join(str(r) for r in self.ram) or "no finite place"
         return f"A({self.base}; {places})"
@@ -217,7 +195,7 @@ def quartic_algebra(field: QuarticField, infinite_conjugate_asserted: bool = Fal
     return QuaternionAlgebra(field, (), infinite_conjugate_asserted=infinite_conjugate_asserted)
 
 
-def involution_exists(A: QuaternionAlgebra) -> Check:
+def _involution(A: QuaternionAlgebra) -> Check:
     """Whether the algebra admits an involution of second kind over the
     fixed field of the base: the finite ramified places must form
     conjugate pairs of distinct places, and the two unramified infinite
@@ -275,18 +253,6 @@ def _paired(pairs: int) -> Check:
     )
 
 
-def invariant_order_exists(A: QuaternionAlgebra) -> Check:
-    """Whether some maximal order is stable under the involution.  The
-    only obstruction arises when the base is unramified over the fixed
-    field and the number of ramified places of the algebra — finite ones
-    plus ramified infinite ones — is congruent to 2 mod 4.  Only a quartic
-    base can be unramified over its fixed field (a real quadratic one has
-    d_base >= 5 over d_Q = 1), which the conductor-discriminant relation
-    d_base = d_fixed^2 detects; a quartic algebra ramifies exactly at its
-    two excluded infinite places, so there the count is 2."""
-    return _invariant_order(A, involution_exists(A))
-
-
 _RAMIFIED_OVER_FIXED = Check(
     True,
     "the base field is ramified over the fixed field of the involution, "
@@ -295,7 +261,15 @@ _RAMIFIED_OVER_FIXED = Check(
 
 
 def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
-    """``invariant_order_exists`` given the algebra's involution check."""
+    """Whether some maximal order is stable under the involution, given
+    the algebra's involution check.  The only obstruction arises when the
+    base is unramified over the fixed field and the number of ramified
+    places of the algebra — finite ones plus ramified infinite ones — is
+    congruent to 2 mod 4.  Only a quartic base can be unramified over its
+    fixed field (a real quadratic one has d_base >= 5 over d_Q = 1), which
+    the conductor-discriminant relation d_base = d_fixed^2 detects; a
+    quartic algebra ramifies exactly at its two excluded infinite places,
+    so there the count is 2."""
     if not inv.ok:
         return Check(False, "no involution of second kind: " + inv.reason)
     if A.base.degree == 2 or A.base.disc != A.base.subfield.disc**2:
@@ -308,15 +282,6 @@ def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
     )
 
 
-def level_invariance_ok(A: QuaternionAlgebra, q: Place) -> Check:
-    """Whether the congruence subgroups at the level prime q are preserved
-    by the involution, i.e. whether conjugation maps q to itself.  q must
-    be an unramified level of A, a place over its base field that lies
-    over no rational prime under the ramification (ValueError otherwise)."""
-    _require_level(A.base, A.ram, q)
-    return _level_invariance(q)
-
-
 _FULL_LEVEL = Check(True, "the full unit group needs no level prime")
 # The level check at an inert and at a ramified quadratic place.
 _INERT_LEVEL, _RAMIFIED_LEVEL = (
@@ -326,9 +291,10 @@ _INERT_LEVEL, _RAMIFIED_LEVEL = (
 
 
 def _level_invariance(q: Place) -> Check:
-    """``level_invariance_ok`` for a level already admitted; the quadratic
-    constant is picked by ``is``, since hashing a ``Splitting`` member runs
-    the Python-level ``Enum.__hash__``."""
+    """Whether the congruence subgroups at the admitted level q are
+    preserved by the involution, i.e. whether conjugation maps q to
+    itself.  The quadratic constant is picked by ``is``, since hashing a
+    ``Splitting`` member runs the Python-level ``Enum.__hash__``."""
     if isinstance(q, QuadPrime):
         splitting = q.splitting
         if splitting is _INERT:
@@ -346,20 +312,10 @@ def _level_invariance(q: Place) -> Check:
     )
 
 
-def euler_number_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
-    """Exact Euler number of the surface for a subgroup of the given index
-    over a quadratic base: index * B_2/12 * prod (N(v) - 1), one factor
-    per finite ramified place v."""
-    if A.base.degree != 2:
-        raise TypeError("exact Euler numbers via Bernoulli values need a quadratic base")
-    if not is_int(index) or index < 1:
-        raise ValueError(f"index must be a positive integer, got {index}")
-    return _euler_quadratic(A, index)
-
-
 def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
-    """``euler_number_quadratic`` for a quadratic algebra and a positive
-    integer index: one integer numerator, then one Fraction."""
+    """Exact Euler number of the surface for a subgroup of the given index
+    over a quadratic base, index * B_2/12 * prod (N(v) - 1), one factor
+    per finite ramified place v: one integer numerator, then one Fraction."""
     b2 = A.base.bernoulli2()
     numerator = index * b2.numerator
     for v in A.ram:
@@ -377,8 +333,7 @@ class SubgroupSpec(CheckedRecord, _SubgroupSpecFields):
     group, or the Borel / unipotent / principal subgroup at a level
     prime.  The spec knows no algebra, so it checks only that the level
     is a ``Place``; the level must also be unramified in the algebra,
-    which every use against an algebra checks by the level rule
-    (``level_invariance_ok``, ``admissibility_report``)."""
+    which ``admissibility_report`` checks by the level rule."""
 
     __slots__ = ()
 
@@ -418,16 +373,18 @@ class AdmissibilityReport(NamedTuple):
 
 def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> AdmissibilityReport:
     """Run the full pipeline for one algebra and subgroup.  The Euler
-    number is exact over both bases.
+    number is exact over both bases, and linear in the index: the full
+    group's is ``euler / index``.
 
     The level is admitted once, by the level rule, before anything reads
-    it (ValueError, with the message ``level_invariance_ok`` gives); the
-    algebra's ramification was admitted when it was built."""
+    it (ValueError when it is no place over the base field or lies over a
+    rational prime under the ramification); the algebra's ramification
+    was admitted when it was built."""
     if not isinstance(A, QuaternionAlgebra):
         raise ValueError(f"{A!r} is not a QuaternionAlgebra")
     if not isinstance(spec, SubgroupSpec):
         raise ValueError(f"{spec!r} is not a SubgroupSpec")
-    inv = involution_exists(A)
+    inv = _involution(A)
     order_ok = _invariant_order(A, inv)
     q = spec.level
     if q is None:

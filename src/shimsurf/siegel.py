@@ -71,7 +71,6 @@ from typing import Protocol, Sequence
 from .exact import InvariantError, factorize
 from .polymod import _mul, pdivmod, poly, poly_factor_mod_p
 
-__all__ = ["TotallyRealField", "valuation", "zeta_minus1"]
 
 Element = Sequence[int]
 

@@ -70,8 +70,7 @@ A verdict whose text names no query value is a module constant, built
 once: FULL FREE, BOREL FREE, FULL and BOREL TORSION for each candidate
 order m, rule D's FREE and the closing UNKNOWN.  Two reports with the same
 such verdict hold the same object, which compares and prints as a fresh
-one would.  The decision reads the record fields it needs, ``verdict``
-rather than the ``is_free`` property, as the report does (see ``shimura``).
+one would.
 """
 
 from __future__ import annotations
@@ -238,10 +237,6 @@ class TorsionVerdict(NamedTuple):
     verdict: Verdict
     order: int | None
     reason: str
-
-    @property
-    def is_free(self) -> bool:
-        return self.verdict is _FREE
 
 
 _SPLIT_REASON = "its cyclotomic extension embeds and the level prime splits in it"

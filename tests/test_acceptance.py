@@ -37,7 +37,6 @@ from shimsurf.shimura import (
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
-    euler_number_quadratic,
     quadratic_algebra,
     quartic_algebra,
     subgroup_index,
@@ -130,7 +129,7 @@ def test_criterion_3_admissible_chain_quadratic(capsys):
     failures = []
     field = quad_field(33)
     algebra = quadratic_algebra(field, [2])
-    if euler_number_quadratic(algebra, 1) != 2:
+    if admissibility_report(algebra, SubgroupSpec(SubgroupKind.FULL, None)).euler != 2:
         failures.append("e(full group) != 2")
     (q11,) = primes_above(field, 11)
     if q11.norm != 11 or subgroup_index(SubgroupKind.BOREL, q11.norm) != 12:
@@ -303,9 +302,9 @@ def test_criterion_8c_volume_formula_degree_two(capsys):
         algebra = quadratic_algebra(field, [p])
         zeta2 = math.pi**4 * float(bernoulli2(field.disc)) / (6 * field.disc**1.5)
         for index in (1, 6, 12):
-            exact = euler_number_quadratic(algebra, index)
+            exact = index * admissibility_report(algebra, SubgroupSpec(SubgroupKind.FULL, None)).euler
             estimate = euler_number_general(
-                field.disc, 2, zeta2, algebra.ram_norms, index, zeta2_error=1e-13
+                field.disc, 2, zeta2, [v.norm for v in algebra.ram[::2]], index, zeta2_error=1e-13
             )
             if estimate.recognized != exact:
                 failures.append(f"(d={d}, index={index}): {estimate.recognized} != {exact}")

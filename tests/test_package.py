@@ -1,7 +1,9 @@
 """The package namespace: every export resolves on first access to the
-object its home module defines, and nothing else resolves; no module of
-the package computes in floating point; and no function body reads an
-enum member off its class where a module alias is the member."""
+object its home module defines, and nothing else resolves; the package's
+``_EXPORTS`` is its one list of public names, and no private function is
+left without a caller; no module of the package computes in floating
+point; and no function body reads an enum member off its class where a
+module alias is the member."""
 
 import ast
 import importlib
@@ -37,6 +39,74 @@ def test_star_import_binds_every_export():
     exec("from shimsurf import *", namespace)
     assert set(shimsurf.__all__) <= set(namespace)
     assert all(namespace[name] is getattr(shimsurf, name) for name in shimsurf.__all__)
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    """Each module of the package, parsed, by its name."""
+    package = Path(shimsurf.__file__).parent
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(package.glob("*.py"))
+    }
+
+
+def _assigns_all(tree: ast.Module) -> bool:
+    """Whether a module assigns ``__all__`` at its top level."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            return True
+    return False
+
+
+def test_only_the_package_lists_public_names():
+    # shimsurf._EXPORTS is the one list; a module's own __all__ would be a
+    # second one, free to disagree with it.
+    assert [name for name, tree in _package_trees().items() if _assigns_all(tree)] == ["__init__"]
+
+
+def _orphans(trees: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` for each module-level private function that nothing
+    in the given modules names outside its own definition."""
+    # each name, with the top-level statements that mention it
+    seen: dict[str, set[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                seen.setdefault(name, set()).add((module, i))
+    return [
+        f"{module}.{stmt.name}"
+        for module, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_")
+        and not stmt.name.endswith("__")
+        and not seen.get(stmt.name, set()) - {(module, i)}
+    ]
+
+
+def test_every_private_function_has_a_caller():
+    # A kernel whose public twin is gone must not stay behind unused.
+    assert _orphans(_package_trees()) == []
+
+
+def test_the_orphan_guard_sees_each_kind_of_reference():
+    trees = {
+        "a": ast.parse("def _used(): pass\ndef _self_only(): return _self_only()\ndef _imported(): pass\n"
+                       "def _attribute(): pass\ndef __getattr__(name): pass\nx = _used\n"),
+        "b": ast.parse("from .a import _imported\nimport a\na._attribute()\n"),
+    }
+    assert _orphans(trees) == ["a._self_only"]
+    sources = ("__all__ = []", "__all__: list = []", "x = 1")
+    assert [_assigns_all(ast.parse(src)) for src in sources] == [True, True, False]
 
 
 def test_home_modules_resolve_from_the_package():
@@ -84,12 +154,7 @@ def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:
 def test_the_package_holds_no_float():
     # Every reported number is exact; a float may appear only in the
     # tests' own reference (float_reference.py).
-    package = Path(shimsurf.__file__).parent
-    hits = {
-        path.name: found
-        for path in sorted(package.glob("*.py"))
-        if (found := _float_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
-    }
+    hits = {module: found for module, tree in _package_trees().items() if (found := _float_uses(tree))}
     assert hits == {}
 
 
@@ -121,12 +186,7 @@ def _member_reads(tree: ast.AST) -> list[tuple[int, str]]:
 
 
 def test_function_bodies_read_enum_members_through_aliases():
-    package = Path(shimsurf.__file__).parent
-    hits = {
-        path.name: found
-        for path in sorted(package.glob("*.py"))
-        if (found := _member_reads(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))))
-    }
+    hits = {module: found for module, tree in _package_trees().items() if (found := _member_reads(tree))}
     assert hits == {}
     from shimsurf import quadfield, torsion
 

@@ -1,5 +1,5 @@
-"""Quaternion algebras with involutions of second kind: existence checks,
-subgroup indices, Euler numbers, and admissibility reports."""
+"""Quaternion algebras with involutions of second kind: subgroup indices,
+and the admissibility report's checks, Euler numbers and verdicts."""
 
 import importlib.util
 import itertools
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimsurf.exact import factorize, primes_up_to
+from shimsurf.exact import factorize
 from shimsurf.quadfield import (
     QuadField,
     QuadPrime,
@@ -32,10 +32,6 @@ from shimsurf.shimura import (
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
-    euler_number_quadratic,
-    invariant_order_exists,
-    involution_exists,
-    level_invariance_ok,
     quadratic_algebra,
     quartic_algebra,
     subgroup_index,
@@ -47,6 +43,10 @@ from float_reference import euler_number_general
 PRIME_POWERS_1000 = sorted(
     s for s in range(2, 1001) if len(factorize(s)) == 1
 )
+
+
+def _report(algebra, kind=SubgroupKind.FULL, level=None):
+    return admissibility_report(algebra, SubgroupSpec(kind, level))
 
 
 def test_subgroup_index_frozen_values():
@@ -83,17 +83,17 @@ def test_subgroup_index_rejects_non_prime_powers():
 def test_involution_exists_quadratic():
     field = quad_field(33)
     algebra = quadratic_algebra(field, [2])
-    assert involution_exists(algebra).ok
+    assert _report(algebra).involution_ok.ok
     # Construct defective ramification sets directly, each of an even
     # number of places as every algebra over a real quadratic base has:
     # half of each of the split pairs over 2 and 17, and the fixed places
     # over the inert 5 and 7.  The least prime that is no pair is named.
     halves = QuaternionAlgebra(field, (primes_above(field, 17)[1], primes_above(field, 2)[0]))
-    check = involution_exists(halves)
+    check = _report(halves).involution_ok
     assert not check.ok
     assert check.reason.startswith("the ramification over 2 is not conjugation-closed")
     (q5,), (q7,) = primes_above(field, 5), primes_above(field, 7)
-    check = involution_exists(QuaternionAlgebra(field, (q7, q5)))
+    check = _report(QuaternionAlgebra(field, (q7, q5))).involution_ok
     assert not check.ok
     assert check.reason.startswith("the place over 5 is fixed by conjugation")
 
@@ -108,7 +108,7 @@ def test_quadratic_algebra_rejects_nonsplit_primes():
 def test_invariant_order_quadratic_always_exists():
     for d, p in ((33, 2), (17, 2), (13, 3), (7, 3)):
         algebra = quadratic_algebra(quad_field(d), [p])
-        assert invariant_order_exists(algebra).ok
+        assert _report(algebra).invariant_order_ok.ok
 
 
 def test_invariant_order_exceptional_case_over_quartic():
@@ -118,39 +118,47 @@ def test_invariant_order_exceptional_case_over_quartic():
     # combination without an invariant maximal order.
     K = quartic_new((1, -2, -11, 12, -3), 39)
     assert K.disc == K.subfield.disc**2 == 156**2
-    algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
-    assert involution_exists(algebra).ok
-    check = invariant_order_exists(algebra)
+    report = _report(quartic_algebra(K, infinite_conjugate_asserted=True))
+    assert report.involution_ok.ok
+    check = report.invariant_order_ok
     assert not check.ok
     assert "2 mod 4" in check.reason
 
 
 def test_invariant_order_generic_quartic_exists():
     K = quartic_new((1, -1, -3, 1, 1), 5)
-    algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
-    assert involution_exists(algebra).ok
-    assert invariant_order_exists(algebra).ok
+    report = _report(quartic_algebra(K, infinite_conjugate_asserted=True))
+    assert report.involution_ok.ok
+    assert report.invariant_order_ok.ok
 
 
 def test_involution_quartic_requires_assertion():
     K = quartic_new((1, -1, -3, 1, 1), 5)
-    assert not involution_exists(quartic_algebra(K)).ok
-    assert involution_exists(quartic_algebra(K, infinite_conjugate_asserted=True)).ok
+    assert not _report(quartic_algebra(K)).involution_ok.ok
+    assert _report(quartic_algebra(K, infinite_conjugate_asserted=True)).involution_ok.ok
 
 
 def test_level_invariance():
     field = quad_field(33)
     algebra = quadratic_algebra(field, [2])
     (q11,) = primes_above(field, 11)  # ramified: conjugation-stable
-    assert level_invariance_ok(algebra, q11).ok
+    assert _report(algebra, SubgroupKind.BOREL, q11).level_invariance_ok.ok
     (q7,) = primes_above(field, 7)  # inert: conjugation-stable
-    assert level_invariance_ok(algebra, q7).ok
+    assert _report(algebra, SubgroupKind.BOREL, q7).level_invariance_ok.ok
     q17, _ = primes_above(field, 17)  # split: swapped with its conjugate
-    assert not level_invariance_ok(algebra, q17).ok
+    assert _report(algebra, SubgroupKind.BOREL, q17).level_invariance_ok == (
+        False,
+        "the level prime over 17 splits off from its conjugate, so the congruence subgroup "
+        "is not preserved by the involution",
+    )
+    # The spec refuses a level that is no Place, and so does the report's
+    # level rule, given a spec built without its check.
     with pytest.raises(ValueError, match="level prime 11 is not a Place"):
-        level_invariance_ok(algebra, 11)
+        _report(algebra, SubgroupKind.BOREL, 11)
+    with pytest.raises(ValueError, match="level prime 11 is not a Place"):
+        admissibility_report(algebra, SubgroupSpec._trusted(SubgroupKind.BOREL, 11))
     with pytest.raises(ValueError, match="meets the ramification"):
-        level_invariance_ok(algebra, primes_above(field, 2)[0])
+        _report(algebra, SubgroupKind.BOREL, primes_above(field, 2)[0])
 
 
 def test_fixed_check_texts_are_pinned():
@@ -158,7 +166,7 @@ def test_fixed_check_texts_are_pinned():
     # check at an inert and at a ramified place, word for word.
     field = quad_field(33)
     for primes, pairs in (([2], 1), ([2, 17], 2)):
-        assert involution_exists(quadratic_algebra(field, primes)).reason == (
+        assert _report(quadratic_algebra(field, primes)).involution_ok.reason == (
             f"the finite ramification consists of {pairs} conjugate pair(s) of distinct places over "
             "rational primes split in the base field; the infinite-place condition is automatic "
             "over a real quadratic base"
@@ -166,7 +174,7 @@ def test_fixed_check_texts_are_pinned():
     algebra = quadratic_algebra(field, [2])
     for p, splitting in ((7, "inert"), (11, "ramified")):
         (q,) = primes_above(field, p)
-        assert level_invariance_ok(algebra, q).reason == (
+        assert _report(algebra, SubgroupKind.BOREL, q).level_invariance_ok.reason == (
             f"the level prime is {splitting} over the fixed field, hence equal to its conjugate"
         )
 
@@ -179,8 +187,8 @@ def test_quartic_level_invariance_is_decided_per_place():
     K = quartic_new((1, -1, -3, 1, 1), 5)
     algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
     swapped, _, fixed = primes_above_quartic(K, 11)
-    assert not level_invariance_ok(algebra, swapped).ok
-    assert level_invariance_ok(algebra, fixed).ok
+    assert not _report(algebra, SubgroupKind.BOREL, swapped).level_invariance_ok.ok
+    assert _report(algebra, SubgroupKind.BOREL, fixed).level_invariance_ok.ok
     unipotent = admissibility_report(algebra, SubgroupSpec(SubgroupKind.UNIPOTENT, fixed))
     principal = admissibility_report(algebra, SubgroupSpec(SubgroupKind.PRINCIPAL, fixed))
     assert (unipotent.obstructions, unipotent.admissible_type) == ((), 488)
@@ -195,18 +203,18 @@ def test_euler_numbers_quadratic_frozen():
         (13, 3): Fraction(4, 3),
     }
     for (d, p), expected in cases.items():
-        algebra = quadratic_algebra(quad_field(d), [p])
-        assert euler_number_quadratic(algebra, 1) == expected, (d, p)
-        # linear in the index
-        for index in (2, 5, 12):
-            assert euler_number_quadratic(algebra, index) == index * expected
-    # An index that is not a positive integer names no subgroup.
-    for index in (0, 2.5, Fraction(5, 2), True):
-        with pytest.raises(ValueError, match="index must be a positive integer"):
-            euler_number_quadratic(algebra, index)
-    # A quartic base has no Bernoulli value B_2 to read.
-    with pytest.raises(TypeError, match="need a quadratic base"):
-        euler_number_quadratic(quartic_algebra(quartic_new((1, -1, -3, 1, 1), 5)), 1)
+        field = quad_field(d)
+        algebra = quadratic_algebra(field, [p])
+        report = _report(algebra)
+        assert (report.index, report.euler) == (1, expected), (d, p)
+        # linear in the index: every kind at levels over 2, 5 and 11
+        indices = set()
+        for q in (primes_above(field, ell)[0] for ell in (2, 5, 11) if ell != p):
+            for kind in (SubgroupKind.BOREL, SubgroupKind.UNIPOTENT, SubgroupKind.PRINCIPAL):
+                report = _report(algebra, kind, q)
+                assert report.euler == report.index * expected, (d, p, kind, q)
+                indices.add(report.index)
+        assert len(indices) >= 4 and min(indices) > 1, (d, p)
 
 
 def test_euler_number_has_one_factor_per_place():
@@ -215,11 +223,11 @@ def test_euler_number_has_one_factor_per_place():
     # each of the split 7 and 17 has norm 7 or 17.
     field = quad_field(2)
     (q3,), (q5,) = primes_above(field, 3), primes_above(field, 5)
-    assert euler_number_quadratic(QuaternionAlgebra(field, (q3, q5)), 1) == 2 * 8 * 24 / Fraction(12) == 32
+    assert _report(QuaternionAlgebra(field, (q3, q5))).euler == 2 * 8 * 24 / Fraction(12) == 32
     halves = QuaternionAlgebra(field, (primes_above(field, 7)[0], primes_above(field, 17)[0]))
-    assert euler_number_quadratic(halves, 1) == 2 * 6 * 16 / Fraction(12) == 16
+    assert _report(halves).euler == 2 * 6 * 16 / Fraction(12) == 16
     # A conjugate pair over a split p gives (p - 1)^2.
-    assert euler_number_quadratic(quadratic_algebra(field, [7, 17]), 1) == Fraction(2 * 36 * 256, 12)
+    assert _report(quadratic_algebra(field, [7, 17])).euler == Fraction(2 * 36 * 256, 12)
 
 
 def test_general_formula_consistent_with_quadratic_at_degree_two():
@@ -231,10 +239,9 @@ def test_general_formula_consistent_with_quadratic_at_degree_two():
         algebra = quadratic_algebra(field, [p])
         zeta2 = math.pi**4 * float(bernoulli2(field.disc)) / (6 * field.disc**1.5)
         for index in (1, 6):
-            exact = euler_number_quadratic(algebra, index)
-            estimate = euler_number_general(
-                field.disc, 2, zeta2, algebra.ram_norms, index, zeta2_error=1e-13
-            )
+            exact = index * _report(algebra).euler
+            norms = [v.norm for v in algebra.ram[::2]]  # one per conjugate pair
+            estimate = euler_number_general(field.disc, 2, zeta2, norms, index, zeta2_error=1e-13)
             assert estimate.recognized == exact, (d, p, index)
 
 
@@ -330,8 +337,8 @@ def test_admissibility_report_refuses_non_records():
 
 @pytest.mark.parametrize("kind", [SubgroupKind.BOREL, SubgroupKind.UNIPOTENT, SubgroupKind.PRINCIPAL])
 def test_admissibility_refusal_messages(kind):
-    # The report admits the level once, through its torsion verdict, with
-    # the messages that level_invariance_ok gives.
+    # The report admits the level once, by the level rule, with these
+    # messages.
     field = quad_field(33)
     algebra = quadratic_algebra(field, [2])
     expected = {
@@ -344,8 +351,6 @@ def test_admissibility_refusal_messages(kind):
         ),
     }
     for q, message in expected.items():
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            level_invariance_ok(algebra, q)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             admissibility_report(algebra, SubgroupSpec(kind, q))
 

@@ -201,7 +201,7 @@ def test_borel_free_at_11_over_radicand_33():
     field, ram = _field_and_ram(33, 2)
     (q11,) = primes_above(field, 11)
     verdict = borel_torsion_verdict(field, ram, q11)
-    assert verdict.verdict is Verdict.FREE and verdict.is_free
+    assert verdict.verdict is Verdict.FREE
     assert verdict.order is None
 
 

@@ -1,8 +1,9 @@
 """The constructors that build records without their check, because they
 derive the fields themselves, agree with the checked public paths, and
-the Euler number built from one integer numerator agrees with the
-Fraction formula.  The report, which admits its level once and then
-reads unchecked kernels, agrees with the checked public functions.  That
+the report's Euler number, built from one integer numerator, agrees with
+the Fraction formula.  The report, which admits its level once and then
+reads unchecked kernels, agrees with the checked public torsion
+verdicts.  That
 the public constructors and ``cyclotomic_splitting`` still refuse bad
 input is tested with their modules and in test_records."""
 
@@ -33,10 +34,6 @@ from shimsurf.shimura import (
     SubgroupKind,
     SubgroupSpec,
     admissibility_report,
-    euler_number_quadratic,
-    invariant_order_exists,
-    involution_exists,
-    level_invariance_ok,
     quadratic_algebra,
     quartic_algebra,
     subgroup_index,
@@ -85,14 +82,23 @@ def test_primes_above_quartic_equals_the_checked_constructor():
             assert all(type(q) is QuarticPrime for q in above)
 
 
-def test_euler_number_equals_the_fraction_formula_on_the_sweep():
+def _sweep_reports(count):
+    """(algebra, spec, report) for the first count valid seed-1 sweep
+    queries."""
     valid = (q for q in INPUTS.sweep_queries(1) if q.valid)
-    for query in itertools.islice(valid, 3000):
+    for query in itertools.islice(valid, count):
         A = quadratic_algebra(field_from_disc(query.disc), query.ram)
-        kind = SubgroupKind(query.kind)
-        index = 1 if query.level is None else subgroup_index(kind, primes_above(A.base, query.level)[0].norm)
-        expected = Fraction(index) * A.base.bernoulli2() / 12 * math.prod((p - 1) ** 2 for p in query.ram)
-        assert euler_number_quadratic(A, index) == expected, query
+        level = None if query.level is None else primes_above(A.base, query.level)[0]
+        spec = SubgroupSpec(SubgroupKind(query.kind), level)
+        yield A, spec, admissibility_report(A, spec)
+
+
+def test_euler_number_equals_the_fraction_formula_on_the_sweep():
+    for A, spec, report in _sweep_reports(3000):
+        index = 1 if spec.level is None else subgroup_index(spec.kind, spec.level.norm)
+        pairs = math.prod((p - 1) ** 2 for p in A.ram_rational_primes)
+        expected = Fraction(index) * A.base.bernoulli2() / 12 * pairs
+        assert (report.index, report.euler) == (index, expected), spec
 
 
 def test_quadratic_algebra_equals_the_checked_constructor():
@@ -106,17 +112,6 @@ def test_quadratic_algebra_equals_the_checked_constructor():
             assert type(A) is QuaternionAlgebra
 
 
-def _sweep_reports(count):
-    """(algebra, spec, report) for the first count valid seed-1 sweep
-    queries."""
-    valid = (q for q in INPUTS.sweep_queries(1) if q.valid)
-    for query in itertools.islice(valid, count):
-        A = quadratic_algebra(field_from_disc(query.disc), query.ram)
-        level = None if query.level is None else primes_above(A.base, query.level)[0]
-        spec = SubgroupSpec(SubgroupKind(query.kind), level)
-        yield A, spec, admissibility_report(A, spec)
-
-
 def test_report_equals_the_checked_functions_on_the_sweep():
     public = {
         SubgroupKind.BOREL: torsion.borel_torsion_verdict,
@@ -125,14 +120,14 @@ def test_report_equals_the_checked_functions_on_the_sweep():
     }
     admissible = 0
     for A, spec, report in _sweep_reports(2000):
-        assert report.involution_ok == involution_exists(A), spec
-        assert report.invariant_order_ok == invariant_order_exists(A), spec
-        assert report.euler == euler_number_quadratic(A, report.index), spec
+        # quadratic_algebra ramifies at conjugate pairs over a quadratic base
+        assert report.involution_ok.ok and report.invariant_order_ok.ok, spec
         if spec.level is None:
             assert report.level_invariance_ok == Check(True, "the full unit group needs no level prime")
             assert report.torsion == torsion.full_torsion_verdict(A.base, A.ram)
         else:
-            assert report.level_invariance_ok == level_invariance_ok(A, spec.level), spec
+            # a quadratic level is conjugation-stable exactly when its prime does not split
+            assert report.level_invariance_ok.ok == (spec.level.splitting is not Splitting.SPLIT), spec
             assert report.torsion == public[spec.kind](A.base, A.ram, spec.level), spec
         if report.admissible_type is None:
             assert report.surface is None, spec
