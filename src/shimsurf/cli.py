@@ -81,7 +81,7 @@ def _parse_subgroup(text: str, level_of: Callable[[int], Place]) -> SubgroupSpec
         return SubgroupSpec(kind, None)
     if not level_text:
         raise ValueError(f"subgroup kind {kind.value!r} needs a level prime, e.g. {kind.value}:11")
-    p = int(level_text) if level_text.lstrip("-").isdecimal() else None
+    p = int(level_text) if level_text.removeprefix("-").isdecimal() else None
     if p is None or not is_prime(p):
         raise ValueError(f"the level must be a rational prime, got {level_text!r}")
     return SubgroupSpec(kind, level_of(p))

@@ -41,11 +41,20 @@ answer.  It reads ``check.ok``, not ``bool(check)``, whose ``__bool__``
 stays for callers; ``A.base.degree``, not the algebra's ``degree``
 property; a quadratic place's own ``norm``, not ``Place.norm`` through
 ``residue_degree``; and it picks the inert or ramified level check by
-``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``.  On
-this path a check or verdict whose text names no query value is built
-once: the constants above, the involution check once per number of
-conjugate pairs (keyed by that int, never by a record), and torsion's
-fixed verdicts.  Nothing is cached per algebra, since a sweep touches
+``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``.  It
+reads B_2 and the Euler number as ints, by one ``as_integer_ratio()``
+each, not by the ``numerator`` and ``denominator`` properties of a
+``Fraction``; and it builds an admissible report's ``SurfaceInvariants``
+directly, with the record's own check, since the obstruction test has
+just proven e a positive multiple of 4.
+
+On this path a check, verdict or obstruction whose text names no query
+value is built once: the constants above and torsion's fixed verdicts.
+One whose text names only an int is built once per int, in a bounded
+cache keyed by that int and never by a record: the involution check per
+number of conjugate pairs, the split-off level check per level prime p,
+the torsion obstruction per order m, and torsion's rule A, B and C
+verdicts per p.  Nothing is cached per algebra, since a sweep touches
 thousands of them.
 """
 
@@ -305,9 +314,16 @@ def _level_invariance(q: Place) -> Check:
         return Check(
             True, "no prime of the fixed field below it splits in the base field, hence equal to its conjugate"
         )
+    return _split_off(q.p)
+
+
+@lru_cache(maxsize=1 << 8)
+def _split_off(p: int) -> Check:
+    """The failed level check at a level prime over p that splits off from
+    its conjugate, built once per p, keyed by the int."""
     return Check(
         False,
-        f"the level prime over {q.p} splits off from its conjugate, so the "
+        f"the level prime over {p} splits off from its conjugate, so the "
         "congruence subgroup is not preserved by the involution",
     )
 
@@ -315,12 +331,14 @@ def _level_invariance(q: Place) -> Check:
 def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     """Exact Euler number of the surface for a subgroup of the given index
     over a quadratic base, index * B_2/12 * prod (N(v) - 1), one factor
-    per finite ramified place v: one integer numerator, then one Fraction."""
-    b2 = A.base.bernoulli2()
-    numerator = index * b2.numerator
+    per finite ramified place v: one integer numerator, then one Fraction.
+    B_2 is read as ints by one ``as_integer_ratio()``, not by its
+    ``numerator`` and ``denominator`` properties."""
+    numerator, denominator = A.base.bernoulli2().as_integer_ratio()
+    numerator *= index
     for v in A.ram:
         numerator *= v.norm - 1
-    return Fraction(numerator, 12 * b2.denominator)
+    return Fraction(numerator, 12 * denominator)
 
 
 class _SubgroupSpecFields(NamedTuple):
@@ -371,6 +389,11 @@ class AdmissibilityReport(NamedTuple):
     surface: SurfaceInvariants | None
 
 
+# The report's ``_make``, which takes its values as one tuple and so skips
+# the keyword-capable ``__new__``.
+_make_report = AdmissibilityReport._make
+
+
 def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> AdmissibilityReport:
     """Run the full pipeline for one algebra and subgroup.  The Euler
     number is exact over both bases, and linear in the index: the full
@@ -409,26 +432,32 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     if not level_ok.ok:
         obstructions.append("level not invariant under conjugation")
     if torsion.verdict is _TORSION:
-        obstructions.append(f"torsion of order {torsion.order}")
+        obstructions.append(_torsion_of_order(torsion.order))
     elif torsion.verdict is _UNKNOWN:
         obstructions.append("torsion undecided")
-    if euler.denominator != 1 or euler.numerator <= 0 or euler.numerator % 4:
+    e, denominator = euler.as_integer_ratio()
+    if denominator != 1 or e <= 0 or e % 4:
         obstructions.append(f"Euler number {euler} is not a positive integer divisible by 4")
-    admissible_type: int | None = None
-    surface: SurfaceInvariants | None = None
-    if not obstructions:
-        admissible_type = euler.numerator
-        surface = _surface_invariants()(admissible_type)
-    return AdmissibilityReport(
-        A, spec, inv, order_ok, level_ok, index, euler, torsion, tuple(obstructions), admissible_type, surface
-    )
+    if obstructions:
+        return _make_report((A, spec, inv, order_ok, level_ok, index, euler, torsion, tuple(obstructions), None, None))
+    # e is a positive multiple of 4, so the record is built directly, and
+    # its own check still runs.
+    chi = e // 4
+    surface = _surface_record()(e, 2 * e, chi, chi - 1)
+    return _make_report((A, spec, inv, order_ok, level_ok, index, euler, torsion, (), e, surface))
+
+
+@lru_cache(maxsize=1 << 8)
+def _torsion_of_order(m: int) -> str:
+    """The torsion obstruction for order m, built once per m."""
+    return f"torsion of order {m}"
 
 
 @lru_cache(maxsize=1)
-def _surface_invariants():
-    """``geometry.shimura_surface_invariants``, imported by the first
-    admissible report: only an admissible report has a surface, so a
-    NOT ADMISSIBLE one never loads geometry."""
-    from .geometry import shimura_surface_invariants
+def _surface_record() -> type[SurfaceInvariants]:
+    """``geometry.SurfaceInvariants``, imported by the first admissible
+    report: only an admissible report has a surface, so a NOT ADMISSIBLE
+    one never loads geometry."""
+    from .geometry import SurfaceInvariants
 
-    return shimura_surface_invariants
+    return SurfaceInvariants

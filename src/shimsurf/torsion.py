@@ -68,9 +68,14 @@ is the member itself, so ``is`` tests and every output are unchanged.
 
 A verdict whose text names no query value is a module constant, built
 once: FULL FREE, BOREL FREE, FULL and BOREL TORSION for each candidate
-order m, rule D's FREE and the closing UNKNOWN.  Two reports with the same
-such verdict hold the same object, which compares and prints as a fresh
-one would.
+order m, rule D's FREE and the closing UNKNOWN.  One whose text names only
+the level's rational prime p is built once per p, in a bounded cache keyed
+by the int and never by a record: rule A's and rule B's FREE, and rule C's
+TORSION (one for the principal subgroup, one for the unipotent one that
+inherits it).  Two reports with the same such verdict hold the same
+object, which compares and prints as a fresh one would.  The decision
+reads a place that does not divide n by the norm rule in line, and
+settles rule A at once for a p above the largest candidate order.
 """
 
 from __future__ import annotations
@@ -217,9 +222,13 @@ def _admit(field: Field, ram: Sequence[Place], q: Place) -> None:
 def _embeds(ram: Sequence[Place], n: int) -> bool:
     """Whether base(zeta_n) embeds in the algebra: no finite ramified
     prime splits in it (ramified real places never split in a CM
-    extension)."""
+    extension).  A place not dividing n is read by the norm rule in line,
+    without the call to ``_splitting``."""
     for r in ram:
-        if _splitting(r, n) is _SPLIT:
+        if n % r.p:
+            if r.norm % n == 1:
+                return False
+        elif _splitting(r, n) is _SPLIT:
             return False
     return True
 
@@ -257,6 +266,32 @@ _INSIDE_BOREL_FREE = TorsionVerdict(
 _LEVEL_UNKNOWN = TorsionVerdict(_UNKNOWN, None, "no implemented criterion settles this level")
 
 
+# The principal and unipotent verdicts whose text names only the level's
+# rational prime p, built once per p (see the module docstring).
+@lru_cache(maxsize=1 << 8)
+def _unavailable_free(p: int) -> TorsionVerdict:
+    """Rule A's FREE: no candidate order is divisible by p."""
+    return TorsionVerdict(
+        _FREE, None, f"prime-order torsion at level q would have order {p}, which is not available over this base field"
+    )
+
+
+@lru_cache(maxsize=1 << 8)
+def _absent_free(p: int) -> TorsionVerdict:
+    """Rule B's FREE: no embedding candidate order is divisible by p."""
+    return TorsionVerdict(_FREE, None, f"order-{p} torsion is already absent from the full unit group")
+
+
+@lru_cache(maxsize=1 << 4)
+def _principal_torsion(p: int, inherited: bool) -> TorsionVerdict:
+    """Rule C's TORSION of order p, for the principal subgroup, or for the
+    unipotent one that inherits it."""
+    reason = f"order {p}: {_SPLIT_REASON}, which realizes the torsion inside the principal subgroup"
+    if inherited:
+        reason = "inherited from the principal congruence subgroup it contains: " + reason
+    return TorsionVerdict(_TORSION, p, reason)
+
+
 def _borel_scan(embedding: Iterable[TorsionOrder], q: Place) -> TorsionVerdict:
     """The Borel verdict at q from the candidates whose extension embeds,
     in increasing order of m: TORSION at the first one q splits in."""
@@ -276,29 +311,26 @@ def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | 
     """The verdict for the subgroup of this kind at the admitted level q
     (None for the full group), by the module docstring's rules, testing
     candidates for embedding lazily: FULL and the Borel scan stop early."""
-    candidates = possible_torsion_orders(field)
+    candidates = _orders_for(field.subfield_radicands)
     if kind is _FULL:
         for c in candidates:
             if _embeds(ram, c.n):
                 return _FULL_TORSION[c.m]
         return _FULL_FREE
-    embedding = (c for c in candidates if _embeds(ram, c.n))
     if kind is _BOREL:
-        return _borel_scan(embedding, q)
-    # The principal rules, which decide the unipotent subgroup as well.
+        return _borel_scan((c for c in candidates if _embeds(ram, c.n)), q)
+    # The principal rules, which decide the unipotent subgroup as well.  The
+    # candidates come in increasing order of m, so a prime p above the last
+    # m divides none of them.
     p = q.p
-    if all(c.m % p for c in candidates):
-        reason = f"prime-order torsion at level q would have order {p}, which is not available over this base field"
-        return TorsionVerdict(_FREE, None, reason)
-    embedding = list(embedding)
+    if p > candidates[-1].m or all(c.m % p for c in candidates):
+        return _unavailable_free(p)
+    embedding = [c for c in candidates if _embeds(ram, c.n)]
     if all(c.m % p for c in embedding):
-        return TorsionVerdict(_FREE, None, f"order-{p} torsion is already absent from the full unit group")
+        return _absent_free(p)
     try:
         if any(c.m == p and _splitting(q, c.n) is _SPLIT for c in embedding):
-            reason = f"order {p}: {_SPLIT_REASON}, which realizes the torsion inside the principal subgroup"
-            if kind is _UNIPOTENT:
-                reason = "inherited from the principal congruence subgroup it contains: " + reason
-            return TorsionVerdict(_TORSION, p, reason)
+            return _principal_torsion(p, kind is _UNIPOTENT)
     except Undecidable:
         pass
     if _borel_scan(embedding, q).verdict is _FREE:

@@ -313,9 +313,13 @@ def test_surface_rejects_malformed_subgroup_spec(capsys):
         ("full:3", "the full unit group takes no level prime"),
         ("borel", "needs a level prime"),
         ("borel:²", "the level must be a rational prime"),
+        ("borel:--5", "the level must be a rational prime, got '--5'"),
+        ("borel:-5", "the level must be a rational prime, got '-5'"),
     ):
         code, out, err = invoke(capsys, "surface", "--d", "33", "--ram", "2", "--subgroup", spec)
         assert code == 2 and out == "" and message in err, spec
+    code, out, err = invoke(capsys, "quartic", "--poly", "1,-1,-3,1,1", "--subfield", "5", "--subgroup", "borel:--7")
+    assert code == 2 and out == "" and "the level must be a rational prime, got '--7'" in err
 
 
 def test_surface_rejects_unknown_subgroup(capsys):

@@ -121,6 +121,21 @@ def test_fixed_curve_numbers():
         fixed_curve_numbers(1)
 
 
+def test_curve_numbers_agree_with_the_quotient_by_the_double_cover():
+    # X -> Z = X/s is a double cover branched along the fixed curve C, with
+    # K_X = pi^* K_Z + C, so 2 K_Z^2 = (K_X - C)^2 = 2e - 2 K.C + C^2, and
+    # e = 2 c_2(Z) - e(C) gives 2 c_2(Z) = e + 2 - 2g.  The curve numbers
+    # and the quotient table are written separately and must meet here.
+    rows = 0
+    for e in range(4, 401, 4):
+        for g, quotient in quotient_table(e):
+            curve = fixed_curve_numbers(g)
+            assert 2 * quotient.Ksq == 2 * e - 2 * curve.KC + curve.Csq, (e, g)
+            assert 2 * quotient.c2 == e + 2 - 2 * g, (e, g)
+            rows += 1
+    assert rows > 1000
+
+
 def test_curve_genus_golden():
     result = shimura_curve_genus((2, 5), 12)
     assert result.chi == Fraction(-8)

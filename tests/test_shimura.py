@@ -1,19 +1,18 @@
 """Quaternion algebras with involutions of second kind: subgroup indices,
 and the admissibility report's checks, Euler numbers and verdicts."""
 
-import importlib.util
 import itertools
 import math
 import re
 from collections import Counter
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shimsurf import geometry
 from shimsurf.exact import factorize
 from shimsurf.quadfield import (
     QuadField,
@@ -39,6 +38,7 @@ from shimsurf.shimura import (
 from shimsurf.torsion import Verdict
 
 from float_reference import euler_number_general
+from sweep_digest import benchmark_inputs, sweep_digest
 
 PRIME_POWERS_1000 = sorted(
     s for s in range(2, 1001) if len(factorize(s)) == 1
@@ -416,18 +416,8 @@ def test_index_divides_group_order(s, kind):
     assert order % subgroup_index(kind, s) == 0
 
 
-def _benchmark_inputs():
-    """The benchmark's seeded input generators, ``perfbench/inputs.py``,
-    which depend on nothing in the package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # The Python-level calls that the report path leaves out, each with the
-# class attribute that holds it and a call that makes it.
+# class or module attribute that holds it and a call that makes it.
 _HOPS = {
     "Check.__bool__": (Check, "__bool__", lambda: bool(Check(True, ""))),
     "QuaternionAlgebra.degree": (
@@ -437,12 +427,17 @@ _HOPS = {
         QuadPrime, "residue_degree", lambda: primes_above(quad_field(33), 7)[0].residue_degree
     ),
     "Splitting.__hash__": (Splitting, "__hash__", lambda: hash(Splitting.INERT)),
+    "Fraction.numerator": (Fraction, "numerator", lambda: Fraction(1, 2).numerator),
+    "Fraction.denominator": (Fraction, "denominator", lambda: Fraction(1, 2).denominator),
+    "shimura_surface_invariants": (
+        geometry, "shimura_surface_invariants", lambda: geometry.shimura_surface_invariants(4)
+    ),
 }
 
 
 def test_the_report_takes_no_python_level_hop(monkeypatch):
     # The first 1,000 valid seed-1 sweep queries, built outside the count.
-    valid = (q for q in _benchmark_inputs().sweep_queries(1) if q.valid)
+    valid = (q for q in benchmark_inputs().sweep_queries(1) if q.valid)
     cases = []
     for query in itertools.islice(valid, 1000):
         A = quadratic_algebra(field_from_disc(query.disc), query.ram)
@@ -471,3 +466,26 @@ def test_the_report_takes_no_python_level_hop(monkeypatch):
             assert seen.setdefault(report.torsion, report.torsion) is report.torsion, report.spec
     assert {v.verdict for v in seen} == {Verdict.FREE, Verdict.TORSION}
     assert len(seen) < sum(r.spec.kind in (SubgroupKind.FULL, SubgroupKind.BOREL) for r in reports)
+
+    # One whose text names only the level's rational prime p, or only the
+    # torsion order m, is one object per int: rule A's FREE verdict, the
+    # split-off level check and the torsion obstruction.
+    first, uses = {}, Counter()
+    for report in reports:
+        named = []
+        if report.torsion.reason.startswith("prime-order torsion at level q would have order"):
+            named.append(("rule A", report.spec.level.p, report.torsion))
+        if not report.level_invariance_ok.ok:
+            named.append(("split off", report.spec.level.p, report.level_invariance_ok))
+        named += [("torsion", report.torsion.order, t) for t in report.obstructions if t.startswith("torsion of")]
+        for what, key, obj in named:
+            assert first.setdefault((what, key), obj) is obj, (what, key)
+            uses[what] += 1
+    for what in ("rule A", "split off", "torsion"):
+        assert len([k for k in first if k[0] == what]) < uses[what], what
+
+
+def test_the_first_sweep_outputs_are_pinned():
+    # SHA-256 over every output of the first 20,000 seed-1 surface-sweep
+    # queries (see sweep_digest.py); it moves only with an output.
+    assert sweep_digest() == "5d8b1dbe50622d7e9dbda9a43aca0fbd13f4d79497f053750a1c972c72cf6248"
