@@ -30,10 +30,14 @@ The layers, bottom up:
 Records are immutable, hashable ``NamedTuple``s that compare by value as
 tuples, so ``QuadField(5, 5) == (5, 5)``.  Public construction of a
 checked one, ``_make`` and ``_replace`` included, always runs its
-``_check``.  Only constructors that derive the fields themselves build
-through ``_trusted``, without it: ``quadfield._field`` and
-``quartic_new`` their fields, ``primes_above`` and
-``primes_above_quartic`` their places, ``quadratic_algebra`` its algebra.
+``_check``: a positional call that gives every field builds the tuple
+directly, and a keyword call or one that leaves a default out goes
+through the NamedTuple's own ``__new__``, both ending in the check.
+Only constructors that derive the fields themselves build through
+``_trusted(fields)``, which takes every field as one tuple, without it:
+``quadfield._field`` and ``quartic_new`` their fields, ``primes_above``
+and ``primes_above_quartic`` their places, ``quadratic_algebra`` its
+algebra.
 Every boundary that takes an integer refuses a ``bool`` (``exact.is_int``).
 A violated internal invariant raises :class:`InvariantError`, a subclass
 of AssertionError that also fires under ``python -O``.
@@ -43,7 +47,9 @@ submodule keeps an ``__all__`` of its own.  ``import shimsurf`` loads no
 submodule.  Each exported name is imported from its home module on first
 access and then bound here, so a caller loads only the layers it uses:
 ``from shimsurf import quad_field`` loads ``exact`` and ``quadfield``,
-and nothing of ``quartic`` or ``siegel``.
+and nothing of ``quartic`` or ``siegel``.  Since this module defines
+``__getattr__``, CPython does not specialize loads of ``shimsurf.<name>``,
+so a hot loop should bind its names once with ``from shimsurf import ...``.
 """
 
 from importlib import import_module as _import_module

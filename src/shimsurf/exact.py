@@ -26,17 +26,25 @@ class InvariantError(AssertionError):
 class CheckedRecord:
     """Base of the ``NamedTuple`` records that check their values: its
     ``__new__`` builds the tuple and calls the record's ``_check()``, which
-    raises on a bad value.  Its ``_make``, which ``_replace`` calls, builds
-    through the class, so that public construction always checks.  List it
-    before the record's NamedTuple of fields, whose own ``_make`` does
-    skip it.  Only a module's own constructors that derive the fields
-    themselves, like ``primes_above``, build their records through
-    ``_trusted``, without the check."""
+    raises on a bad value.  A positional call that gives every field
+    builds the tuple directly, by ``tuple.__new__``; a keyword call, or
+    one that leaves a default out, goes through the NamedTuple's own
+    ``__new__``, which fills the defaults and refuses a wrong argument
+    list with TypeError.  Both routes end in the same ``_check()``.  Its
+    ``_make``, which ``_replace`` calls, builds through the class, so that
+    public construction always checks.  List it before the record's
+    NamedTuple of fields, whose own ``_make`` does skip it.  Only a
+    module's own constructors that derive the fields themselves, like
+    ``primes_above``, build their records through ``_trusted(fields)``,
+    which takes every field as one tuple and skips the check."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+        if kwargs or len(args) != len(cls._fields):
+            self = super().__new__(cls, *args, **kwargs)
+        else:
+            self = tuple.__new__(cls, args)
         self._check()
         return self
 
@@ -44,9 +52,7 @@ class CheckedRecord:
     def _make(cls, iterable):
         return cls(*iterable)
 
-    @classmethod
-    def _trusted(cls, *fields):
-        return tuple.__new__(cls, fields)
+    _trusted = classmethod(tuple.__new__)
 
 
 def is_int(x: object) -> bool:

@@ -89,7 +89,7 @@ def shimura_surface_invariants(e: int) -> SurfaceInvariants:
             "(the holomorphic Euler characteristic e/4 must be a positive integer)"
         )
     chi = e // 4
-    return SurfaceInvariants(e, 2 * e, chi, chi - 1)
+    return SurfaceInvariants(e, 2 * e, chi, chi - 1, 0)
 
 
 def quotient_invariants(e: int, g: int) -> QuotientInvariants:

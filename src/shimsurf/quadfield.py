@@ -192,7 +192,7 @@ def _field(disc: int) -> QuadField | None:
     fundamental discriminant; built unchecked, as the check reads it."""
     if not is_fundamental_discriminant(disc):
         return None
-    return QuadField._trusted(disc if disc % 4 == 1 else disc // 4, disc)
+    return QuadField._trusted((disc if disc % 4 == 1 else disc // 4, disc))
 
 
 # The splitting of p in a quadratic extension by the Kronecker symbol of
@@ -277,8 +277,8 @@ def primes_above(field: QuadField, p: int) -> list[QuadPrime]:
     splitting again."""
     kind = splitting_type(field, p)
     if kind is _SPLIT:
-        return [QuadPrime._trusted(field, p, kind, 0), QuadPrime._trusted(field, p, kind, 1)]
-    return [QuadPrime._trusted(field, p, kind, 0)]
+        return [QuadPrime._trusted((field, p, kind, 0)), QuadPrime._trusted((field, p, kind, 1))]
+    return [QuadPrime._trusted((field, p, kind, 0))]
 
 
 # Conjugate pairs kept by ``_split_pair``: a sweep over the discriminants

@@ -230,7 +230,7 @@ def quartic_new(coeffs: Sequence[int], subfield_d: int) -> QuarticField:
                 f"the equation order Z[x]/(f) is not maximal at {p} (Dedekind's criterion), "
                 f"so the field discriminant is not disc(f) = {disc}"
             )
-    return QuarticField._trusted(coeffs, disc, subfield, tuple(sorted(certified)))
+    return QuarticField._trusted((coeffs, disc, subfield, tuple(sorted(certified))))
 
 
 class _QuarticPrimeFields(NamedTuple):
@@ -317,7 +317,7 @@ def primes_above_quartic(K: QuarticField, p: int) -> list[QuarticPrime]:
     built without the constructor's check, which would factor again."""
     _require_quartic(K)
     places = [
-        QuarticPrime._trusted(K, p, g.degree, e, g.coeffs)
+        QuarticPrime._trusted((K, p, g.degree, e, g.coeffs))
         for g, e in poly_factor_mod_p(poly(p, K.polynomial))  # rejects a non-prime p
     ]
     return sorted(places, key=lambda q: (q.residue_degree, q.ramification_index, q.generator))

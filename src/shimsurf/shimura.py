@@ -15,8 +15,8 @@ at exactly two infinite places.
 Euler numbers are exact rationals for both degrees,
 index * 2^(3-n) * zeta_k(-1) * prod (N(v) - 1), one factor per finite
 ramified place v, with zeta_k(-1) from Siegel's formula.  A quadratic
-base is read through its ``bernoulli2()``, B_2 = 24 zeta_k(-1) from
-Cohen's closed sum (``quadfield.bernoulli2``), so the Euler number is
+base is read through ``quadfield.bernoulli2`` of its discriminant,
+B_2 = 24 zeta_k(-1) from Cohen's closed sum, so the Euler number is
 index * B_2/12 * prod (N(v) - 1), where a conjugate pair of places over a
 split p gives (p - 1)^2; a quartic base is read through its ``zeta_minus1()``,
 which hands its defining polynomial to the lattice kernel
@@ -40,13 +40,18 @@ The report path takes no Python-level hop that adds nothing to the
 answer.  It reads ``check.ok``, not ``bool(check)``, whose ``__bool__``
 stays for callers; ``A.base.degree``, not the algebra's ``degree``
 property; a quadratic place's own ``norm``, not ``Place.norm`` through
-``residue_degree``; and it picks the inert or ramified level check by
-``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``.  It
-reads B_2 and the Euler number as ints, by one ``as_integer_ratio()``
-each, not by the ``numerator`` and ``denominator`` properties of a
-``Fraction``; and it builds an admissible report's ``SurfaceInvariants``
-directly, with the record's own check, since the obstruction test has
-just proven e a positive multiple of 4.
+``residue_degree``; it picks the inert or ramified level check by
+``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``; and
+it tests a place's field for identity with the base before comparing
+the two as tuples.  It reads B_2 by ``bernoulli2(A.base.disc)``, not
+through the field's method, and B_2 and the Euler number as ints, by one
+``as_integer_ratio()`` each, not by the ``numerator`` and
+``denominator`` properties of a ``Fraction``.  It builds an admissible
+report's ``SurfaceInvariants`` directly, giving all five fields so that
+the record takes the constructor's direct route, with its own check,
+since the obstruction test has just proven e a positive multiple of 4;
+and it builds the plain ``AdmissibilityReport`` by ``tuple.__new__``,
+not through the NamedTuple's ``_make``.
 
 On this path a check, verdict or obstruction whose text names no query
 value is built once: the constants above and torsion's fixed verdicts.
@@ -66,7 +71,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .exact import CheckedRecord, factorize, is_int, require_int
-from .quadfield import _INERT, _RAMIFIED, _SPLIT, Field, Place, QuadField, QuadPrime, _split_pair
+from .quadfield import _INERT, _RAMIFIED, _SPLIT, Field, Place, QuadField, QuadPrime, _split_pair, bernoulli2
 from .torsion import (
     _BOREL,
     _FULL,
@@ -107,15 +112,14 @@ def subgroup_index(kind: SubgroupKind, s: int) -> int:
 
 def _index(kind: SubgroupKind, s: int) -> int:
     """``subgroup_index`` for the norm s of a place, a prime power."""
-    t = math.gcd(s - 1, 2)
     if kind is _FULL:
         return 1
     if kind is _BOREL:
         return s + 1
     if kind is _UNIPOTENT:
-        return (s * s - 1) // t
+        return (s * s - 1) // math.gcd(s - 1, 2)
     if kind is _PRINCIPAL:
-        return s * (s * s - 1) // t
+        return s * (s * s - 1) // math.gcd(s - 1, 2)
     raise ValueError(f"unknown subgroup kind {kind!r}")  # pragma: no cover
 
 
@@ -194,7 +198,7 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
         ram.extend(pair)
     if not ram:
         raise ValueError(_UNRAMIFIED_QUADRATIC)
-    return QuaternionAlgebra._trusted(field, tuple(ram), False)
+    return QuaternionAlgebra._trusted((field, tuple(ram), False))
 
 
 def quartic_algebra(field: QuarticField, infinite_conjugate_asserted: bool = False) -> QuaternionAlgebra:
@@ -332,9 +336,10 @@ def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     """Exact Euler number of the surface for a subgroup of the given index
     over a quadratic base, index * B_2/12 * prod (N(v) - 1), one factor
     per finite ramified place v: one integer numerator, then one Fraction.
-    B_2 is read as ints by one ``as_integer_ratio()``, not by its
-    ``numerator`` and ``denominator`` properties."""
-    numerator, denominator = A.base.bernoulli2().as_integer_ratio()
+    B_2 is read from ``bernoulli2`` of the base's discriminant, not through
+    the field's method, and as ints by one ``as_integer_ratio()``, not by
+    its ``numerator`` and ``denominator`` properties."""
+    numerator, denominator = bernoulli2(A.base.disc).as_integer_ratio()
     numerator *= index
     for v in A.ram:
         numerator *= v.norm - 1
@@ -389,11 +394,6 @@ class AdmissibilityReport(NamedTuple):
     surface: SurfaceInvariants | None
 
 
-# The report's ``_make``, which takes its values as one tuple and so skips
-# the keyword-capable ``__new__``.
-_make_report = AdmissibilityReport._make
-
-
 def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> AdmissibilityReport:
     """Run the full pipeline for one algebra and subgroup.  The Euler
     number is exact over both bases, and linear in the index: the full
@@ -439,12 +439,15 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     if denominator != 1 or e <= 0 or e % 4:
         obstructions.append(f"Euler number {euler} is not a positive integer divisible by 4")
     if obstructions:
-        return _make_report((A, spec, inv, order_ok, level_ok, index, euler, torsion, tuple(obstructions), None, None))
-    # e is a positive multiple of 4, so the record is built directly, and
-    # its own check still runs.
-    chi = e // 4
-    surface = _surface_record()(e, 2 * e, chi, chi - 1)
-    return _make_report((A, spec, inv, order_ok, level_ok, index, euler, torsion, (), e, surface))
+        e = surface = None
+    else:
+        # e is a positive multiple of 4, so the record is built directly,
+        # with every field given, and its own check still runs.
+        chi = e // 4
+        surface = _surface_record()(e, 2 * e, chi, chi - 1, 0)
+    return tuple.__new__(
+        AdmissibilityReport, (A, spec, inv, order_ok, level_ok, index, euler, torsion, tuple(obstructions), e, surface)
+    )
 
 
 @lru_cache(maxsize=1 << 8)

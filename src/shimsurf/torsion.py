@@ -74,8 +74,9 @@ by the int and never by a record: rule A's and rule B's FREE, and rule C's
 TORSION (one for the principal subgroup, one for the unipotent one that
 inherits it).  Two reports with the same such verdict hold the same
 object, which compares and prints as a fresh one would.  The decision
-reads a place that does not divide n by the norm rule in line, and
-settles rule A at once for a p above the largest candidate order.
+reads a quadratic base's candidates by its radicand, an int, a place
+that does not divide n by the norm rule in line, and settles rule A at
+once for a p above the largest candidate order.
 """
 
 from __future__ import annotations
@@ -134,16 +135,24 @@ _ALWAYS_ORDERS = (TorsionOrder(2, 4), TorsionOrder(3, 3))
 _SUBFIELD_ORDER = {2: TorsionOrder(4, 8), 5: TorsionOrder(5, 5), 3: TorsionOrder(6, 12)}
 
 
+# The candidates of a real quadratic base, by its radicand d: only the
+# radicands 2, 5 and 3 add an order.
+_QUADRATIC_ORDERS = {d: (*_ALWAYS_ORDERS, c) for d, c in _SUBFIELD_ORDER.items()}
+
+
 def possible_torsion_orders(field: Field) -> tuple[TorsionOrder, ...]:
     """Candidate torsion orders for the given totally real base field,
-    in increasing order of m."""
+    in increasing order of m.  A quadratic base is read by its radicand,
+    an int, without building and hashing a tuple of radicands."""
+    if field.degree == 2:
+        return _QUADRATIC_ORDERS.get(field.d, _ALWAYS_ORDERS)
     return _orders_for(field.subfield_radicands)
 
 
 @lru_cache(maxsize=1 << 12)
 def _orders_for(radicands: tuple[int, ...]) -> tuple[TorsionOrder, ...]:
-    """The candidates of a base field with these real quadratic subfield
-    radicands, kept per radicand tuple and never per field record: a
+    """The candidates of a quartic base field with these real quadratic
+    subfield radicands, kept per radicand tuple and never per field record: a
     record compares and hashes as its tuple of values, so a cache keyed on
     records could answer one record type with another's entry."""
     return _ALWAYS_ORDERS + tuple(c for d, c in _SUBFIELD_ORDER.items() if d in radicands)
@@ -179,7 +188,8 @@ def _splitting(q: Place, n: int) -> Splitting:
 def _require_place(x: object, field: Field, role: str) -> None:
     if not isinstance(x, Place):
         raise ValueError(f"{role} {x!r} is not a Place")
-    if x.field != field:
+    # The interned field is usually the very object; test that first.
+    if x.field is not field and x.field != field:
         raise ValueError(f"{role} {x} does not live over the base field")
 
 
@@ -311,7 +321,7 @@ def _verdict(kind: SubgroupKind, field: Field, ram: Sequence[Place], q: Place | 
     """The verdict for the subgroup of this kind at the admitted level q
     (None for the full group), by the module docstring's rules, testing
     candidates for embedding lazily: FULL and the Borel scan stop early."""
-    candidates = _orders_for(field.subfield_radicands)
+    candidates = possible_torsion_orders(field)
     if kind is _FULL:
         for c in candidates:
             if _embeds(ram, c.n):

@@ -2,8 +2,9 @@
 object its home module defines, and nothing else resolves; the package's
 ``_EXPORTS`` is its one list of public names, and no private function is
 left without a caller; no module of the package computes in floating
-point; and no function body reads an enum member off its class where a
-module alias is the member."""
+point; no function body reads an enum member off its class where a
+module alias is the member; and every cache is keyed by ints, never by a
+record."""
 
 import ast
 import importlib
@@ -211,3 +212,53 @@ def test_the_alias_guard_sees_each_kind_of_read():
     assert _member_reads(ast.parse(source)) == [
         (3, "Verdict.FREE"), (7, "SubgroupKind.BOREL"), (8, "Splitting.INERT"), (11, "Splitting.RAMIFIED"),
     ]
+
+
+# The parameter types a cache of the package may be keyed on.  A record
+# compares and hashes as its tuple of values, so a cache keyed on records
+# would answer ``TorsionOrder(5, 5)`` with the entry of ``quad_field(5)``,
+# the record (5, 5); an int, a bool or a tuple of ints names one value.
+_CACHE_KEY_TYPES = frozenset({"int", "bool", "tuple[int, ...]"})
+
+
+def _is_lru_cache(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "lru_cache") or (
+        isinstance(target, ast.Attribute) and target.attr == "lru_cache"
+    )
+
+
+def _cache_keys(tree: ast.AST) -> tuple[list[str], list[str]]:
+    """The names of the ``lru_cache`` functions in a parsed module, and
+    ``function(parameter: annotation)`` for each of their parameters whose
+    annotation is missing or not one of ``_CACHE_KEY_TYPES``."""
+    cached, bad = [], []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_lru_cache, fn.decorator_list)):
+            cached.append(fn.name)
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            for arg in params:
+                annotation = None if arg.annotation is None else ast.unparse(arg.annotation)
+                if annotation not in _CACHE_KEY_TYPES:
+                    bad.append(f"{fn.name}({arg.arg}: {annotation})")
+    return cached, bad
+
+
+def test_caches_are_keyed_by_ints_never_by_records():
+    found = {module: _cache_keys(tree) for module, tree in _package_trees().items()}
+    assert {module: bad for module, (_, bad) in found.items() if bad} == {}
+    assert {"is_prime", "bernoulli2", "_orders_for", "_split_off"} <= {f for cached, _ in found.values() for f in cached}
+
+
+def test_the_cache_key_guard_sees_each_kind_of_parameter():
+    source = (
+        "import functools\n"
+        "@lru_cache(maxsize=8)\ndef a(n: int, flag: bool, ds: tuple[int, ...]) -> int: pass\n"
+        "@functools.lru_cache\ndef b(field: QuadField) -> int: pass\n"
+        "@lru_cache(maxsize=None)\ndef c(x, *rest: int, **kw: Place) -> int: pass\n"
+        "def d(field: QuadField) -> int: pass\n"
+    )
+    assert _cache_keys(ast.parse(source)) == (
+        ["a", "b", "c"], ["b(field: QuadField)", "c(x: None)", "c(kw: Place)"]
+    )

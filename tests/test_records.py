@@ -3,10 +3,13 @@ tuples, and the ten that check themselves refuse a bad value through
 every public construction path: the constructor, ``_make`` and
 ``_replace``, and so the rebuilt records of ``QuadPrime.conjugate`` and of
 the search's status and reason updates.  All ten check through one
-hook, ``CheckedRecord.__new__``, which calls the record's ``_check``.  A
-bad record can be built only around the check, by ``tuple.__new__``,
-which ``CheckedRecord._trusted`` calls for the constructors that derive
-the fields themselves."""
+hook, ``CheckedRecord.__new__``, which calls the record's ``_check``
+on both of its routes: a positional call that gives every field builds
+the tuple directly, and a keyword call or one that leaves a default out
+goes through the NamedTuple's own ``__new__``.  A bad record can be
+built only around the check, by ``tuple.__new__``, which
+``CheckedRecord._trusted(fields)`` is, taking every field as one tuple,
+for the constructors that derive the fields themselves."""
 
 import pkgutil
 from fractions import Fraction
@@ -92,6 +95,7 @@ def test_every_public_record_is_immutable():
 # (record, positional arguments of a bad value, exception, message)
 _BAD_VALUES = [
     pytest.param(SurfaceInvariants, (5, 1, 9, 0), InvariantError, "inconsistent surface invariants", id="surface"),
+    pytest.param(SurfaceInvariants, (24, 48, 6, 5, 1), InvariantError, "inconsistent surface invariants", id="surface-q"),
     pytest.param(QuotientInvariants, (1, 1, 1), InvariantError, "Noether identity violated", id="quotient"),
     pytest.param(CurveData, (2, 0, 4), InvariantError, "inconsistent fixed-curve numbers", id="curve"),
     pytest.param(
@@ -163,19 +167,27 @@ _BAD_VALUES = [
 ]
 
 
+def _package_classes() -> set[type]:
+    """Every class defined in a module of the package."""
+    modules = [import_module(f"shimsurf.{m.name}") for m in pkgutil.iter_modules(shimsurf.__path__)]
+    return {c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__}
+
+
+def _checked_records() -> set[type]:
+    return {c for c in _package_classes() if issubclass(c, CheckedRecord) and hasattr(c, "_fields")}
+
+
 def test_records_check_through_one_hook():
     # A __new__ compiled from the package's own source is one written
     # here; the NamedTuple and Enum machinery supply the others.
     package = Path(shimsurf.__file__).parent
-    modules = [import_module(f"shimsurf.{m.name}") for m in pkgutil.iter_modules(shimsurf.__path__)]
-    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type) and c.__module__ == m.__name__}
     own_new = {
         c.__qualname__
-        for c in classes
+        for c in _package_classes()
         if "__new__" in vars(c) and Path(c.__new__.__code__.co_filename).parent == package
     }
     assert own_new == {"CheckedRecord"}
-    checked = {c for c in classes if issubclass(c, CheckedRecord) and hasattr(c, "_fields")}
+    checked = _checked_records()
     assert {c.__name__ for c in checked} == {
         "QuadField", "QuarticField", "QuadPrime", "QuarticPrime", "QuaternionAlgebra", "SubgroupSpec",
         "CandidateRow", "SurfaceInvariants", "QuotientInvariants", "CurveData",
@@ -188,17 +200,73 @@ def _unchecked(cls, *args):
     return tuple.__new__(cls, (*args, *(cls._field_defaults[f] for f in cls._fields[len(args) :])))
 
 
+def _routes(cls, args):
+    """Each public way to build the record of these positional arguments,
+    by name: every field given positionally (the direct route), every
+    field by keyword, the trailing fields that hold their defaults left
+    out (when there are any), ``_make`` and ``_replace``."""
+    defaults = cls._field_defaults
+    fields = (*args, *(defaults[f] for f in cls._fields[len(args) :]))
+    short = len(fields)  # the first field of every record has no default
+    while cls._fields[short - 1] in defaults and fields[short - 1] == defaults[cls._fields[short - 1]]:
+        short -= 1
+    routes = {
+        "every field": lambda: cls(*fields),
+        "keywords": lambda: cls(**dict(zip(cls._fields, fields))),
+        "_make": lambda: cls._make(_unchecked(cls, *fields)),
+        "_replace": lambda: _unchecked(cls, *fields)._replace(),
+    }
+    if short < len(fields):
+        routes["defaults left out"] = lambda: cls(*fields[:short])
+    return routes
+
+
 @pytest.mark.parametrize("cls, args, exc, match", _BAD_VALUES)
 def test_validated_records_refuse_bad_values(cls, args, exc, match):
-    bad = _unchecked(cls, *args)
-    with pytest.raises(exc, match=match):
-        cls(*args)
-    with pytest.raises(exc, match=match):
-        cls(**dict(zip(cls._fields, args)))
-    with pytest.raises(exc, match=match):
-        cls._make(bad)
-    with pytest.raises(exc, match=match):
-        bad._replace()
+    for route, build in _routes(cls, args).items():
+        with pytest.raises(exc, match=match):
+            build()
+            pytest.fail(f"built through {route}")
+
+
+def test_every_checked_record_is_refused_on_every_route():
+    # Each checked record has a bad value above, and each one with a
+    # default has a bad value that can leave it out.
+    routes = {}
+    for param in _BAD_VALUES:
+        cls, args = param.values[:2]
+        routes.setdefault(cls, set()).update(_routes(cls, args))
+    every = {"every field", "keywords", "_make", "_replace"}
+    assert routes == {c: every | ({"defaults left out"} if c._field_defaults else set()) for c in _checked_records()}
+
+
+def test_the_direct_route_keeps_the_argument_checks():
+    # A positional call with every field skips only the NamedTuple's
+    # __new__; a wrong argument list still reaches it and raises TypeError.
+    field = quad_field(33)
+    (q11,) = primes_above(field, 11)
+    with pytest.raises(TypeError):
+        SubgroupSpec(SubgroupKind.BOREL, q11, None)
+    with pytest.raises(TypeError):
+        SurfaceInvariants(24, 48, 6, 5, 0, 0)
+    with pytest.raises(TypeError):
+        SurfaceInvariants(24, 48, 6, 5, 0, e=24)
+    with pytest.raises(TypeError):
+        QuadField()
+    assert SubgroupSpec(SubgroupKind.BOREL, q11) == SubgroupSpec(kind=SubgroupKind.BOREL, level=q11)
+    assert SurfaceInvariants(24, 48, 6, 5, 0) == SurfaceInvariants(24, 48, 6, 5) == (24, 48, 6, 5, 0)
+    assert type(SurfaceInvariants(24, 48, 6, 5, 0)) is SurfaceInvariants
+
+
+def test_trusted_builds_without_the_check():
+    # _trusted is tuple.__new__ on the record's class: one tuple of every
+    # field, and no check.
+    spec = SubgroupSpec._trusted((SubgroupKind.BOREL, 11))
+    assert type(spec) is SubgroupSpec and spec.level == 11
+    surface = SurfaceInvariants._trusted((24, 48, 6, 5, 1))
+    assert type(surface) is SurfaceInvariants and surface.q == 1
+    with pytest.raises(InvariantError, match="inconsistent surface invariants"):
+        surface._replace()
 
 
 def test_replace_refuses_a_bad_value():

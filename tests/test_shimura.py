@@ -26,6 +26,7 @@ from shimsurf.quadfield import (
 )
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.shimura import (
+    AdmissibilityReport,
     Check,
     QuaternionAlgebra,
     SubgroupKind,
@@ -156,7 +157,7 @@ def test_level_invariance():
     with pytest.raises(ValueError, match="level prime 11 is not a Place"):
         _report(algebra, SubgroupKind.BOREL, 11)
     with pytest.raises(ValueError, match="level prime 11 is not a Place"):
-        admissibility_report(algebra, SubgroupSpec._trusted(SubgroupKind.BOREL, 11))
+        admissibility_report(algebra, SubgroupSpec._trusted((SubgroupKind.BOREL, 11)))
     with pytest.raises(ValueError, match="meets the ramification"):
         _report(algebra, SubgroupKind.BOREL, primes_above(field, 2)[0])
 
@@ -432,6 +433,15 @@ _HOPS = {
     "shimura_surface_invariants": (
         geometry, "shimura_surface_invariants", lambda: geometry.shimura_surface_invariants(4)
     ),
+    # The report gives SurfaceInvariants every field, so the record takes
+    # the constructor's direct route and never the NamedTuple's __new__.
+    "SurfaceInvariants NamedTuple __new__": (
+        geometry._SurfaceInvariantsFields, "__new__", lambda: geometry.SurfaceInvariants(4, 8, 1, 0)
+    ),
+    "QuadField.bernoulli2": (QuadField, "bernoulli2", lambda: quad_field(33).bernoulli2()),
+    "QuadField.subfield_radicands": (QuadField, "subfield_radicands", lambda: quad_field(33).subfield_radicands),
+    "AdmissibilityReport._make": (AdmissibilityReport, "_make", lambda: AdmissibilityReport._make(range(11))),
+    "AdmissibilityReport.__new__": (AdmissibilityReport, "__new__", lambda: AdmissibilityReport(*range(11))),
 }
 
 
