@@ -280,7 +280,7 @@ def _cmd_quartic(args: argparse.Namespace) -> int:
     if len(coeffs) != 5:
         raise ValueError("--poly takes five comma-separated coefficients c4,c3,c2,c1,c0")
     K = quartic_new(tuple(coeffs), args.subfield)
-    algebra = quartic_algebra(K, infinite_conjugate_asserted=args.infinite_conjugate_assert)
+    algebra = quartic_algebra(K)
     spec = _parse_subgroup(args.subgroup, lambda p: choose_level_prime(K, p))
     report = admissibility_report(algebra, spec)
     lines = [
@@ -367,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--infinite-conjugate-assert",
         action="store_true",
-        help="assert that the two ramified infinite places are swapped by conjugation",
+        help="ignored: the algebra is ramified at the two real places over one real place of the "
+        "subfield, which the subfield automorphism swaps, so its involution is proven; accepted so "
+        "that older command lines still parse",
     )
     p.set_defaults(func=_cmd_quartic)
     return parser

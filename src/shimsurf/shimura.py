@@ -8,9 +8,9 @@ these facts.
 An algebra is recorded by its base field and the set of finite ramified
 places, kept conjugate-closed over the nontrivial automorphism of the
 base over its fixed field (the rationals for a quadratic base, the
-declared quadratic subfield for a quartic one).  The number of ramified
-infinite places is implied by the degree: a surface algebra is unramified
-at exactly two infinite places.
+declared quadratic subfield for a quartic one).  A surface algebra is
+unramified at exactly two infinite places; over a quartic base it ramifies
+at the two real places over one real place of the subfield.
 
 Euler numbers are exact rationals for both degrees,
 index * 2^(3-n) * zeta_k(-1) * prod (N(v) - 1), one factor per finite
@@ -33,16 +33,16 @@ derives are distinct conjugate pairs over that field by construction.
 spec, admits the level against the algebra's ramification, and then
 reads level invariance, the torsion decision and the Euler number from
 unchecked kernels.  A check that depends on no algebra is a module
-constant: the invariant order over a quadratic base, the full group's
-level, and a level at an inert or ramified quadratic place.
+constant: the involution over a quartic base, the invariant order over
+a quadratic base, the full group's level, and a level at an inert or
+ramified quadratic place.
 
 The report path takes no Python-level hop that adds nothing to the
 answer.  It reads ``check.ok``, not ``bool(check)``, whose ``__bool__``
-stays for callers; ``A.base.degree``, not the algebra's ``degree``
-property; a quadratic place's own ``norm``, not ``Place.norm`` through
-``residue_degree``; it picks the inert or ramified level check by
-``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``; and
-it tests a place's field for identity with the base before comparing
+stays for callers; a quadratic place's own ``norm``, not ``Place.norm``
+through ``residue_degree``; it picks the inert or ramified level check
+by ``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``;
+and it tests a place's field for identity with the base before comparing
 the two as tuples.  It reads B_2 by ``bernoulli2(A.base.disc)``, not
 through the field's method, and B_2 and the Euler number as ints, by one
 ``as_integer_ratio()`` each, not by the ``numerator`` and
@@ -133,10 +133,6 @@ _UNRAMIFIED_QUADRATIC = (
 class _QuaternionAlgebraFields(NamedTuple):
     base: Field
     ram: tuple[Place, ...]
-    # Only meaningful over a quartic base, where the conjugacy of the two
-    # unramified infinite places under the subfield automorphism cannot be
-    # checked without archimedean embeddings and is taken on assertion.
-    infinite_conjugate_asserted: bool = False
 
 
 class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
@@ -158,10 +154,6 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
                 "places, so by Hilbert reciprocity it ramifies at an even number of "
                 f"finite places, not {len(self.ram)}"
             )
-
-    @property
-    def degree(self) -> int:
-        return self.base.degree
 
     @property
     def ram_rational_primes(self) -> tuple[int, ...]:
@@ -198,59 +190,64 @@ def quadratic_algebra(field: QuadField, rational_primes: Iterable[int]) -> Quate
         ram.extend(pair)
     if not ram:
         raise ValueError(_UNRAMIFIED_QUADRATIC)
-    return QuaternionAlgebra._trusted((field, tuple(ram), False))
+    return QuaternionAlgebra._trusted((field, tuple(ram)))
 
 
-def quartic_algebra(field: QuarticField, infinite_conjugate_asserted: bool = False) -> QuaternionAlgebra:
-    """The algebra over a quartic field ramified exactly at the two
-    infinite places left out of the surface construction; the user asserts
-    those two places to be conjugate under the subfield automorphism."""
-    return QuaternionAlgebra(field, (), infinite_conjugate_asserted=infinite_conjugate_asserted)
+def quartic_algebra(field: QuarticField) -> QuaternionAlgebra:
+    """The algebra over the quartic field with no finite ramification,
+    ramified at the two real places over one real place of the subfield:
+    the real roots of one quadratic factor of the defining polynomial over
+    the subfield (certified by ``quartic_new``), which the subfield
+    automorphism swaps.  The choice of real place changes no fact of the
+    report: the Euler number, the torsion decision (a CM field splits no
+    real place) and the level checks read no infinite place."""
+    return QuaternionAlgebra(field, ())
 
 
 def _involution(A: QuaternionAlgebra) -> Check:
-    """Whether the algebra admits an involution of second kind over the
-    fixed field of the base: the finite ramified places must form
-    conjugate pairs of distinct places, and the two unramified infinite
-    places must be swapped (automatic over a quadratic base)."""
-    if A.base.degree == 2:
-        # The places over a split p are its two tags, so each p is fixed,
-        # half a pair or a pair; the least p that is no pair is reported.
-        fixed: list[int] = []
-        halves: set[int] = set()
-        for r in A.ram:
-            if r.splitting is not _SPLIT:
-                fixed.append(r.p)
-            elif r.p in halves:
-                halves.remove(r.p)
-            else:
-                halves.add(r.p)
-        if fixed or halves:
-            p = min(fixed + list(halves))
-            if p in halves:
-                return Check(
-                    False,
-                    f"the ramification over {p} is not conjugation-closed: only one "
-                    "of the two conjugate places is ramified",
-                )
+    """Whether the algebra has an involution of second kind over the fixed
+    field k of the base K.  By Albert-Riehm-Scharlau it has one iff its
+    corestriction to k splits (Knus, Merkurjev, Rost, Tignol, The Book of
+    Involutions, 1998, Thm. 3.1): at a place of k with two places of K
+    over it, the algebra ramifies at both or at neither; at a place with
+    one, it is split there.  The finite places are read below; a quartic
+    base admits none.  The infinite places pass automatically over k = Q,
+    and over a quartic base by the choice in ``quartic_algebra``."""
+    # The places over a split p are its two tags, so each p is fixed,
+    # half a pair or a pair; the least p that is no pair is reported.
+    fixed: list[int] = []
+    halves: set[int] = set()
+    for r in A.ram:
+        if r.splitting is not _SPLIT:
+            fixed.append(r.p)
+        elif r.p in halves:
+            halves.remove(r.p)
+        else:
+            halves.add(r.p)
+    if fixed or halves:
+        p = min(fixed + list(halves))
+        if p in halves:
             return Check(
                 False,
-                f"the place over {p} is fixed by conjugation ({p} does not split "
-                "in the base field), so it cannot be exchanged with a partner",
+                f"the ramification over {p} is not conjugation-closed: only one "
+                "of the two conjugate places is ramified",
             )
-        return _paired(len(A.ram) // 2)
-    # quartic base, empty finite ramification by construction
-    if A.infinite_conjugate_asserted:
         return Check(
-            True,
-            "no finite ramification; the two unramified infinite places are "
-            "asserted to be conjugate under the subfield automorphism (user assertion)",
+            False,
+            f"the place over {p} is fixed by conjugation ({p} does not split "
+            "in the base field), so it cannot be exchanged with a partner",
         )
-    return Check(
-        False,
-        "over a quartic base the two unramified infinite places must be conjugate "
-        "under the subfield automorphism; this was not asserted",
-    )
+    if A.base.degree == 2:
+        return _paired(len(A.ram) // 2)
+    return _CONJUGATE_REAL_PAIR
+
+
+_CONJUGATE_REAL_PAIR = Check(
+    True,
+    "no finite ramification, and the ramified infinite places are the two real places over "
+    "one real place of the fixed field, which conjugation swaps, so the corestriction to the "
+    "fixed field splits (Albert-Riehm-Scharlau)",
+)
 
 
 @lru_cache(maxsize=1 << 6)
@@ -281,8 +278,8 @@ def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
     congruent to 2 mod 4.  Only a quartic base can be unramified over its
     fixed field (a real quadratic one has d_base >= 5 over d_Q = 1), which
     the conductor-discriminant relation d_base = d_fixed^2 detects; a
-    quartic algebra ramifies exactly at its two excluded infinite places,
-    so there the count is 2."""
+    quartic algebra ramifies exactly at two real places, so there the
+    count is 2."""
     if not inv.ok:
         return Check(False, "no involution of second kind: " + inv.reason)
     if A.base.degree == 2 or A.base.disc != A.base.subfield.disc**2:

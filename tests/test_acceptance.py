@@ -201,7 +201,7 @@ def test_criterion_5_admissible_chain_quartic(capsys):
         failures.append(
             f"zeta_K(2) = {zeta2} (error bound {zeta2_error}) does not enclose the exact {exact_zeta2}"
         )
-    algebra = quartic_algebra(K, infinite_conjugate_asserted=True)
+    algebra = quartic_algebra(K)
     report = admissibility_report(algebra, SubgroupSpec(SubgroupKind.UNIPOTENT, level))
     if report.euler != 28:
         failures.append(f"e = {report.euler} != 28")

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from shimsurf.cli import run
 from shimsurf.exact import primes_up_to
 
+from sweep_digest import benchmark_inputs
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -526,17 +528,27 @@ def test_quartic_full_group_not_admissible(capsys):
     assert "torsion of order 2" in out.splitlines()[-1]
 
 
-def test_quartic_without_assertion_fails_involution(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "quartic", "--poly", "1,-1,-3,1,1", "--subfield", "5",
-        "--subgroup", "unipotent:29", "--zeta-bound", "1000",
-    )
+def test_quartic_without_assertion_is_admissible(capsys):
+    # The involution is proven, so the flag that once asserted it is not
+    # needed and changes nothing.
+    argv = ("quartic", "--poly", "1,-1,-3,1,1", "--subfield", "5", "--subgroup", "unipotent:29")
+    code, out, _ = invoke(capsys, *argv)
     assert code == 0
-    assert "involution of second kind = no" in out
-    assert out.splitlines()[-1] == (
-        "NOT ADMISSIBLE (no involution of second kind; no conjugation-invariant maximal order)"
-    )
+    assert out.splitlines()[-1] == "ADMISSIBLE of type 28; p_g(X) = 6"
+    assert invoke(capsys, *argv, "--infinite-conjugate-assert") == (0, out, "")
+
+
+@pytest.mark.parametrize("subgroup", ["full", "borel:11"])
+@pytest.mark.parametrize(
+    "disc, poly, subfield", [pytest.param(*field, id=str(field[0])) for field in benchmark_inputs().QUARTIC_FIELDS]
+)
+def test_quartic_assertion_flag_is_ignored(capsys, disc, poly, subfield, subgroup):
+    # Over each benchmark quartic field, stdout is the same byte for byte
+    # with and without the old assertion flag.
+    argv = ("quartic", "--poly", poly, "--subfield", str(subfield), "--subgroup", subgroup)
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and f"field discriminant = {disc}\n" in out
+    assert invoke(capsys, *argv, "--infinite-conjugate-assert") == (0, out, "")
 
 
 @pytest.mark.parametrize(

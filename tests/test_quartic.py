@@ -167,7 +167,7 @@ def test_quartic_prime_checks_its_shape():
     # 7 has shape (2, 1)(2, 1) in the golden field; a place of residue
     # degree 3 over it would give a Borel index of 7^3 + 1 = 344.
     K = quartic_new(GOLDEN, 5)
-    algebra = quartic_algebra(K, True)
+    algebra = quartic_algebra(K)
     with pytest.raises(ValueError, match=r"f=3, e=1; the shapes \(f, e\) over 7 are \[\(2, 1\), \(2, 1\)\]"):
         admissibility_report(algebra, SubgroupSpec(SubgroupKind.BOREL, QuarticPrime(K, 7, 3, 1, (1, 0, 0, 1))))
     assert QuarticPrime(K, 7, 2, 1, (2, 5, 1)) == primes_above_quartic(K, 7)[0]

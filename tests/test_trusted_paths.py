@@ -171,7 +171,7 @@ def test_quartic_report_equals_the_public_verdicts():
     reports = 0
     for _, coeffs, sub in INPUTS.QUARTIC_FIELDS:
         K = quartic_new([int(c) for c in coeffs.split(",")], sub)
-        A = quartic_algebra(K, True)
+        A = quartic_algebra(K)
         report = admissibility_report(A, SubgroupSpec(SubgroupKind.FULL, None))
         assert report.torsion == torsion.full_torsion_verdict(K, ()), coeffs
         for q in (q for p in primes_up_to(59) for q in primes_above_quartic(K, p)):
