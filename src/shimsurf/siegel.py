@@ -50,15 +50,16 @@ of K over p.  The primes over p are (p, g(alpha)) for the irreducible
 factors g of f mod p, of residue degree deg g and ramification index the
 multiplicity of g (Kummer-Dedekind; Cohen, A Course in Computational
 Algebraic Number Theory, Thm 4.8.13; ``quartic.QuarticPrime`` is that
-ideal as a place), so the field hands over only its polynomial.  Those
-shapes, the content of beta and the norm settle the exponents, except
-where two or more primes over p could share them in more than one way.
-There a valuation is read off by multiplying with the lift tau of f/g,
-for which tau/p has valuation -1 at (p, g(alpha)) and is integral at
-every other prime (Cohen, Alg. 4.8.17).  The kernel keeps (deg g, e, tau)
-per p, and ``mul_mod`` and ``valuation`` take a defining polynomial of
-any degree; ``mul_mod`` multiplies through ``polymod``'s integer product
-and keeps only the reduction by the monic f.  No float is used anywhere.
+ideal as a place), so the field hands over only its polynomial.  One rule
+gives the exponents: where p divides the norm once, one prime of degree 1
+divides (beta), once; otherwise the exponent at each prime over p but the
+last is read off by multiplying with the lift tau of f/g, for which tau/p
+has valuation -1 at (p, g(alpha)) and is integral at every other prime
+(Cohen, Alg. 4.8.17), and the last one follows from the norm.  The
+kernel keeps (deg g, e, tau) per p, and ``mul_mod`` and ``valuation`` take
+a defining polynomial of any degree; ``mul_mod`` multiplies through
+``polymod``'s integer product and keeps only the reduction by the monic f.
+No float is used anywhere.
 """
 
 from __future__ import annotations
@@ -314,44 +315,36 @@ class _SiegelSum:
     def _sigma1(self, beta: list[int], norm: int, content: int) -> int:
         """sigma_1 of the ideal (beta), of the given norm and content.
 
-        The exponent of (beta) at a prime over p of ramification index e
-        is a e + v, with p^a the p-part of the content and v the valuation
-        of beta1 = beta / p^a, which is not in pO; the residue degrees
-        times the v add up to the norm exponent less n a.  The value is
-        remembered for (norm, content) unless a valuation had to be
-        computed."""
+        Where p^k divides the norm exactly, k = 1 means one prime of
+        degree 1 divides (beta), once.  For k >= 2 the exponent at a prime
+        over p of ramification index e is a e + v, with p^a the p-part of
+        the content and v the valuation of beta1 = beta / p^a: read at
+        every prime over p but the last, and at the last one from the
+        norm, since the residue degrees times the v add up to k - n a.
+        The value is remembered for (norm, content) when no valuation was
+        read, that is, when each such p has one prime over it."""
         n, f = self.n, self.f
         total, known = 1, True
         for p, k in factorize(norm):
-            if k == 1:  # one prime of norm p divides (beta), once
+            if k == 1:
                 total *= p + 1
                 continue
             if p not in self.primes:
                 fp = poly(p, f)
                 self.primes[p] = [(g.degree, e, pdivmod(fp, g)[0].coeffs) for g, e in poly_factor_mod_p(fp)]
             primes = self.primes[p]
-            shape = [(fd, e) for fd, e, _ in primes]
             a = 0
             while content % p ** (a + 1) == 0:
                 a += 1
             k -= n * a
-            (f1, e1), *others = shape
-            if not others:
-                v = [k // f1]
-            elif not k:
-                v = [0] * len(shape)
-            elif others == [(f1, 1)] and e1 == 1:
-                # pO = P1 P2 does not divide beta1, so only one of the two,
-                # of equal norm, divides it: which one leaves sigma_1 as it is.
-                v = [k // f1, 0]
-            else:
-                known = False
-                beta1 = [c // p**a for c in beta]
-                v = [valuation(f, p, tau, beta1) for _, _, tau in primes[:-1]]
-                v.append((k - sum(fd * x for (fd, _), x in zip(shape, v))) // shape[-1][0])
-            if min(v) < 0 or sum(fd * x for (fd, _), x in zip(shape, v)) != k:
+            beta1 = [c // p**a for c in beta]
+            v = [valuation(f, p, tau, beta1) for _, _, tau in primes[:-1]]
+            known = known and not v
+            last, r = divmod(k - sum(fd * x for (fd, _, _), x in zip(primes, v)), primes[-1][0])
+            if last < 0 or r:
                 raise InvariantError(f"the valuations of {beta} over {p} do not add up to its norm")
-            for (fd, e), x in zip(shape, v):
+            v.append(last)
+            for (fd, e, _), x in zip(primes, v):
                 q = p**fd
                 total *= (q ** (a * e + x + 1) - 1) // (q - 1)
         if known:

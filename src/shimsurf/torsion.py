@@ -146,15 +146,7 @@ def possible_torsion_orders(field: Field) -> tuple[TorsionOrder, ...]:
     an int, without building and hashing a tuple of radicands."""
     if field.degree == 2:
         return _QUADRATIC_ORDERS.get(field.d, _ALWAYS_ORDERS)
-    return _orders_for(field.subfield_radicands)
-
-
-@lru_cache(maxsize=1 << 12)
-def _orders_for(radicands: tuple[int, ...]) -> tuple[TorsionOrder, ...]:
-    """The candidates of a quartic base field with these real quadratic
-    subfield radicands, kept per radicand tuple and never per field record: a
-    record compares and hashes as its tuple of values, so a cache keyed on
-    records could answer one record type with another's entry."""
+    radicands = field.subfield_radicands
     return _ALWAYS_ORDERS + tuple(c for d, c in _SUBFIELD_ORDER.items() if d in radicands)
 
 

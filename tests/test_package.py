@@ -248,7 +248,7 @@ def _cache_keys(tree: ast.AST) -> tuple[list[str], list[str]]:
 def test_caches_are_keyed_by_ints_never_by_records():
     found = {module: _cache_keys(tree) for module, tree in _package_trees().items()}
     assert {module: bad for module, (_, bad) in found.items() if bad} == {}
-    assert {"is_prime", "bernoulli2", "_orders_for", "_split_off"} <= {f for cached, _ in found.values() for f in cached}
+    assert {"is_prime", "bernoulli2", "_split_pair", "_split_off"} <= {f for cached, _ in found.values() for f in cached}
 
 
 def test_the_cache_key_guard_sees_each_kind_of_parameter():

@@ -24,7 +24,6 @@ from shimsurf.quadfield import (
 )
 from shimsurf.quartic import quartic_new
 from shimsurf.siegel import _siegel_sums
-from shimsurf.torsion import _orders_for
 
 # The exact B_2 values of the fifteen fields entering the bounded search,
 # keyed by fundamental discriminant.
@@ -137,7 +136,7 @@ def test_non_int_arguments_are_refused(make, value, int_seen_first):
 def test_per_field_caches_are_bounded():
     # A long-lived library sweep over ever new fields must not grow them
     # without limit.
-    for cache in (_field, bernoulli2, _orders_for, _siegel_sums):
+    for cache in (_field, bernoulli2, _siegel_sums):
         assert cache.cache_info().maxsize is not None, cache
 
 

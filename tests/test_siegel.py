@@ -3,8 +3,8 @@ benchmark fields, the float Euler product as an independent oracle, the
 weight-8 identity s(2) = 129 s(1) over a box of defining polynomials, the
 degree-4 point test and the descent against generic reference code,
 with the pinned number of points each sum visits, the determinant
-against the Leibniz sum, the Kummer-Dedekind valuations, the shape
-shortcuts of sigma_1 against the valuations at every prime, the
+against the Leibniz sum, the Kummer-Dedekind valuations, sigma_1's one
+rule and its memo against the valuations at every prime, the
 degree-2 kernel as the reference for Cohen's closed sum in
 ``quadfield``, and the identity check surviving ``python -O``."""
 
@@ -253,9 +253,11 @@ class _RecordingSum(_SiegelSum):
 
 
 def test_sigma1_shortcuts_match_every_valuation():
-    # The shape shortcuts of _sigma1 and its (norm, content) memo against
-    # the valuations at every prime, on each point of s(1) and s(2) of the
-    # six benchmark fields and the 42 polynomials of the box.
+    # _sigma1's one rule (the k = 1 identity, else the valuation at every
+    # prime over p but the last and the norm at the last) and what its
+    # (norm, content) memo stores, against the valuations at every prime,
+    # on each point of s(1) and s(2) of the six benchmark fields and the
+    # 42 polynomials of the box.
     fields = [quartic_new(coeffs, sub) for _, coeffs, sub, _ in BENCHMARK_FIELDS]
     for K in [*fields, *_accepted_quartics(4)]:
         kernel = _RecordingSum(K)
