@@ -195,8 +195,10 @@ class DiffReport(NamedTuple):
         return (len(self.matched), len(self.missing), len(self.extras))
 
 
-def compare_to_reference(rows: list[CandidateRow]) -> DiffReport:
-    """Diff the Candidate rows against the embedded reference table."""
+def compare_to_reference(rows: list[CandidateRow], e_values: tuple[int, ...] = DEFAULT_TYPES) -> DiffReport:
+    """Diff the Candidate rows against the embedded reference table; a
+    reference row is missing only when its type is among ``e_values``,
+    the types the rows were enumerated for."""
     reference = set(REFERENCE_ROWS)
     candidates = [r for r in rows if r.status is RowStatus.CANDIDATE]
     found = {r.key for r in candidates}
@@ -210,7 +212,7 @@ def compare_to_reference(rows: list[CandidateRow]) -> DiffReport:
         for r in candidates
         if r.key not in reference
     )
-    missing = tuple(t for t in REFERENCE_ROWS if t not in found)
+    missing = tuple(t for t in REFERENCE_ROWS if t[0] in e_values and t not in found)
     return DiffReport(matched=matched, missing=missing, extras=extras)
 
 
@@ -222,6 +224,6 @@ def run_pipeline(
     reference, as the diff report's own row objects) together with the
     diff report."""
     pruned = prune_by_torsion(enumerate_candidates(e_values))
-    report = compare_to_reference(pruned)
+    report = compare_to_reference(pruned, e_values)
     annotated = {r.key: r for r in report.matched + report.extras}
     return [annotated.get(r.key, r) for r in pruned], report

@@ -26,16 +26,22 @@ number; the float volume formula the tests check it against lives in
 
 Each fact is proven once, at the public boundary.  A field, a place and
 a subgroup spec check themselves when built, so an algebra admits its
-base by type.  ``quadratic_algebra`` checks its primes and builds the
-algebra through ``QuaternionAlgebra._trusted``, since the places it
-derives are distinct conjugate pairs over that field by construction.
+base by type.  ``QuaternionAlgebra`` admits only ramification with an
+involution of second kind (Albert-Riehm-Scharlau): over a quadratic
+base, a non-empty union of conjugate pairs over split primes.
+``quadratic_algebra`` checks its primes and builds the algebra through
+``QuaternionAlgebra._trusted``, since the places it derives are distinct
+conjugate pairs over that field by construction.
 ``admissibility_report`` checks that it got an algebra and a subgroup
 spec, admits the level against the algebra's ramification, and then
 reads level invariance, the torsion decision and the Euler number from
-unchecked kernels.  A check that depends on no algebra is a module
-constant: the involution over a quartic base, the invariant order over
-a quadratic base, the full group's level, and a level at an inert or
-ramified quadratic place.
+unchecked kernels.  The involution and the invariant order need no
+kernel: every algebra has the involution, and the invariant order fails
+only over a quartic base unramified over its subfield.  A check whose
+text names no query value is a module constant: the involution over a
+quartic base, both invariant-order checks, the full group's level, a
+level at an inert or ramified quadratic place and a level at a quartic
+place equal to its conjugate.
 
 The report path takes no Python-level hop that adds nothing to the
 answer.  It reads ``check.ok``, not ``bool(check)``, whose ``__bool__``
@@ -71,7 +77,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .exact import CheckedRecord, factorize, is_int, require_int
-from .quadfield import _INERT, _RAMIFIED, _SPLIT, Field, Place, QuadField, QuadPrime, _split_pair, bernoulli2
+from .quadfield import _INERT, _RAMIFIED, Field, Place, QuadField, QuadPrime, _split_pair, bernoulli2
 from .torsion import (
     _BOREL,
     _FULL,
@@ -136,23 +142,46 @@ class _QuaternionAlgebraFields(NamedTuple):
 
 
 class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
-    """A quaternion algebra over a totally real field, determined by its
-    finite ramification; unramified at exactly two infinite places."""
+    """A quaternion algebra over a totally real field K, determined by its
+    finite ramification; unramified at exactly two infinite places.
+
+    Every algebra built has an involution of second kind over the fixed
+    field k of K (the rationals for a quadratic base, the declared subfield
+    for a quartic one).  By Albert-Riehm-Scharlau it has one iff its
+    corestriction to k splits (Knus, Merkurjev, Rost, Tignol, The Book of
+    Involutions, 1998, Thm. 3.1): at a place of k with two places of K
+    over it, the algebra ramifies at both or at neither; at a place with
+    one, it is split there.  Over a quadratic base the check refuses
+    (ValueError) a ramified place that conjugation fixes and one whose
+    conjugate is not ramified, naming the least such p; the infinite
+    places pass automatically over k = Q.  The finite ramification is then
+    a non-empty union of conjugate pairs, hence even, as Hilbert
+    reciprocity requires of an algebra split at both real places, so no
+    parity test is needed.  A quartic base admits no finite ramification,
+    and its infinite places pass by the choice in ``quartic_algebra``."""
 
     __slots__ = ()
 
     def _check(self) -> None:
         _require_ramification(self.base, self.ram)
-        degree = self.base.degree
-        if len(set(self.ram)) != len(self.ram):
+        ram = set(self.ram)
+        if len(ram) != len(self.ram):
             raise ValueError("duplicate ramified place")
-        if degree == 2 and not self.ram:
+        if self.base.degree != 2:
+            return
+        if not ram:
             raise ValueError(_UNRAMIFIED_QUADRATIC)
-        if degree == 2 and len(self.ram) % 2:
+        unpaired = [r for r in self.ram if r.is_conjugation_stable() or r.conjugate() not in ram]
+        if unpaired:
+            r = min(unpaired, key=lambda r: r.p)
+            if r.is_conjugation_stable():
+                raise ValueError(
+                    f"the place over {r.p} is fixed by conjugation ({r.p} does not split "
+                    "in the base field), so it cannot be exchanged with a partner"
+                )
             raise ValueError(
-                "a surface algebra over a real quadratic field is split at both real "
-                "places, so by Hilbert reciprocity it ramifies at an even number of "
-                f"finite places, not {len(self.ram)}"
+                f"the ramification over {r.p} is not conjugation-closed: only one "
+                "of the two conjugate places is ramified"
             )
 
     @property
@@ -204,44 +233,6 @@ def quartic_algebra(field: QuarticField) -> QuaternionAlgebra:
     return QuaternionAlgebra(field, ())
 
 
-def _involution(A: QuaternionAlgebra) -> Check:
-    """Whether the algebra has an involution of second kind over the fixed
-    field k of the base K.  By Albert-Riehm-Scharlau it has one iff its
-    corestriction to k splits (Knus, Merkurjev, Rost, Tignol, The Book of
-    Involutions, 1998, Thm. 3.1): at a place of k with two places of K
-    over it, the algebra ramifies at both or at neither; at a place with
-    one, it is split there.  The finite places are read below; a quartic
-    base admits none.  The infinite places pass automatically over k = Q,
-    and over a quartic base by the choice in ``quartic_algebra``."""
-    # The places over a split p are its two tags, so each p is fixed,
-    # half a pair or a pair; the least p that is no pair is reported.
-    fixed: list[int] = []
-    halves: set[int] = set()
-    for r in A.ram:
-        if r.splitting is not _SPLIT:
-            fixed.append(r.p)
-        elif r.p in halves:
-            halves.remove(r.p)
-        else:
-            halves.add(r.p)
-    if fixed or halves:
-        p = min(fixed + list(halves))
-        if p in halves:
-            return Check(
-                False,
-                f"the ramification over {p} is not conjugation-closed: only one "
-                "of the two conjugate places is ramified",
-            )
-        return Check(
-            False,
-            f"the place over {p} is fixed by conjugation ({p} does not split "
-            "in the base field), so it cannot be exchanged with a partner",
-        )
-    if A.base.degree == 2:
-        return _paired(len(A.ram) // 2)
-    return _CONJUGATE_REAL_PAIR
-
-
 _CONJUGATE_REAL_PAIR = Check(
     True,
     "no finite ramification, and the ramified infinite places are the two real places over "
@@ -263,40 +254,35 @@ def _paired(pairs: int) -> Check:
     )
 
 
+# The invariant-order checks.  The only obstruction to a maximal order
+# stable under the involution arises when the base is unramified over the
+# fixed field and the number of ramified places of the algebra, finite
+# plus ramified infinite ones, is 2 mod 4.  Only a quartic base can be
+# unramified over its fixed field (a real quadratic one has d_base >= 5
+# over d_Q = 1), which the conductor-discriminant relation
+# d_base = d_fixed^2 detects; a quartic algebra ramifies exactly at two
+# real places, so there the count is 2.
 _RAMIFIED_OVER_FIXED = Check(
     True,
     "the base field is ramified over the fixed field of the involution, "
     "so an invariant maximal order always exists",
 )
-
-
-def _invariant_order(A: QuaternionAlgebra, inv: Check) -> Check:
-    """Whether some maximal order is stable under the involution, given
-    the algebra's involution check.  The only obstruction arises when the
-    base is unramified over the fixed field and the number of ramified
-    places of the algebra — finite ones plus ramified infinite ones — is
-    congruent to 2 mod 4.  Only a quartic base can be unramified over its
-    fixed field (a real quadratic one has d_base >= 5 over d_Q = 1), which
-    the conductor-discriminant relation d_base = d_fixed^2 detects; a
-    quartic algebra ramifies exactly at two real places, so there the
-    count is 2."""
-    if not inv.ok:
-        return Check(False, "no involution of second kind: " + inv.reason)
-    if A.base.degree == 2 or A.base.disc != A.base.subfield.disc**2:
-        return _RAMIFIED_OVER_FIXED
-    return Check(
-        False,
-        "the base field is unramified over the fixed field and the algebra "
-        "has 2 ramified places (finite plus ramified infinite ones), "
-        "which is 2 mod 4: the exceptional case without an invariant maximal order",
-    )
-
+_UNRAMIFIED_OVER_FIXED = Check(
+    False,
+    "the base field is unramified over the fixed field and the algebra "
+    "has 2 ramified places (finite plus ramified infinite ones), "
+    "which is 2 mod 4: the exceptional case without an invariant maximal order",
+)
 
 _FULL_LEVEL = Check(True, "the full unit group needs no level prime")
 # The level check at an inert and at a ramified quadratic place.
 _INERT_LEVEL, _RAMIFIED_LEVEL = (
     Check(True, f"the level prime is {s.value} over the fixed field, hence equal to its conjugate")
     for s in (_INERT, _RAMIFIED)
+)
+# The level check at a quartic place equal to its conjugate.
+_STABLE_QUARTIC_LEVEL = Check(
+    True, "no prime of the fixed field below it splits in the base field, hence equal to its conjugate"
 )
 
 
@@ -312,9 +298,7 @@ def _level_invariance(q: Place) -> Check:
         if splitting is _RAMIFIED:
             return _RAMIFIED_LEVEL
     elif q.is_conjugation_stable():
-        return Check(
-            True, "no prime of the fixed field below it splits in the base field, hence equal to its conjugate"
-        )
+        return _STABLE_QUARTIC_LEVEL
     return _split_off(q.p)
 
 
@@ -399,13 +383,13 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
     The level is admitted once, by the level rule, before anything reads
     it (ValueError when it is no place over the base field or lies over a
     rational prime under the ramification); the algebra's ramification
-    was admitted when it was built."""
+    was admitted when it was built, and with it the involution, so the
+    involution and invariant-order checks are constants of the base's
+    degree (and, over a quartic base, of d_K = d_k^2)."""
     if not isinstance(A, QuaternionAlgebra):
         raise ValueError(f"{A!r} is not a QuaternionAlgebra")
     if not isinstance(spec, SubgroupSpec):
         raise ValueError(f"{spec!r} is not a SubgroupSpec")
-    inv = _involution(A)
-    order_ok = _invariant_order(A, inv)
     q = spec.level
     if q is None:
         index = 1
@@ -416,14 +400,17 @@ def admissibility_report(A: QuaternionAlgebra, spec: SubgroupSpec) -> Admissibil
         index = _index(spec.kind, q.norm)
     torsion = _verdict(spec.kind, A.base, A.ram, q)
 
-    if A.base.degree == 2:
+    base = A.base
+    if base.degree == 2:
+        inv = _paired(len(A.ram) // 2)
+        order_ok = _RAMIFIED_OVER_FIXED
         euler = _euler_quadratic(A, index)
     else:  # index * 2^(3-4) * zeta_K(-1); a quartic algebra has no finite ramification
-        euler = index * A.base.zeta_minus1() / 2
+        inv = _CONJUGATE_REAL_PAIR
+        order_ok = _UNRAMIFIED_OVER_FIXED if base.disc == base.subfield.disc**2 else _RAMIFIED_OVER_FIXED
+        euler = index * base.zeta_minus1() / 2
 
     obstructions = []
-    if not inv.ok:
-        obstructions.append("no involution of second kind")
     if not order_ok.ok:
         obstructions.append("no conjugation-invariant maximal order")
     if not level_ok.ok:

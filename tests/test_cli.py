@@ -470,6 +470,8 @@ def test_search_type_filter_and_parity(capsys):
     for row in body:
         assert f"D={row[0]} " in text_out
         assert f"index={row[6]} " in text_out
+    # only the reference rows of type 24 are diffed
+    assert text_out.splitlines()[-1] == "reference classification: 4 matched, 0 missing, 0 beyond"
 
 
 def test_search_rejects_bad_types(capsys):

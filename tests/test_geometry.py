@@ -19,16 +19,17 @@ from shimsurf.geometry import (
     shimura_surface_invariants,
 )
 
-# Quotient invariants (g, K^2, c_2, p_g) for every admissible fixed-curve
-# genus at each surface type e in the classification range.
+# Quotient invariants (g, K^2, c_2, p_g, q, general type) for every
+# admissible fixed-curve genus at each surface type e in the
+# classification range, the types whose table ``shimsurf surface`` prints.
 QUOTIENT_TABLE = {
-    12: [(2, 7, 5, 0)],
-    16: [(3, 6, 6, 0)],
-    20: [(2, 15, 9, 1), (4, 5, 7, 0)],
-    24: [(3, 14, 10, 1), (5, 4, 8, 0)],
-    28: [(2, 23, 13, 2), (4, 13, 11, 1), (6, 3, 9, 0)],
-    32: [(3, 22, 14, 2), (5, 12, 12, 1), (7, 2, 10, 0)],
-    36: [(2, 31, 17, 3), (4, 21, 15, 2), (6, 11, 13, 1), (8, 1, 11, 0)],
+    12: [(2, 7, 5, 0, 0, True)],
+    16: [(3, 6, 6, 0, 0, True)],
+    20: [(2, 15, 9, 1, 0, True), (4, 5, 7, 0, 0, True)],
+    24: [(3, 14, 10, 1, 0, True), (5, 4, 8, 0, 0, True)],
+    28: [(2, 23, 13, 2, 0, True), (4, 13, 11, 1, 0, True), (6, 3, 9, 0, 0, True)],
+    32: [(3, 22, 14, 2, 0, True), (5, 12, 12, 1, 0, True), (7, 2, 10, 0, 0, True)],
+    36: [(2, 31, 17, 3, 0, True), (4, 21, 15, 2, 0, True), (6, 11, 13, 1, 0, True), (8, 1, 11, 0, 0, True)],
 }
 
 
@@ -53,7 +54,7 @@ def test_surface_invariants():
 
 def test_quotient_table_frozen():
     for e, rows in QUOTIENT_TABLE.items():
-        got = [(g, inv.Ksq, inv.c2, inv.pg) for g, inv in quotient_table(e)]
+        got = [(g, inv.Ksq, inv.c2, inv.pg, inv.q, inv.general_type) for g, inv in quotient_table(e)]
         assert got == rows, e
         for _, inv in quotient_table(e):
             assert inv.q == 0
@@ -89,7 +90,7 @@ def test_boundary_rows_have_pg_zero_and_bounded_ksq():
     # The last row of each type (g maximal) has p_g = q = 0, where general
     # type forces 1 <= K^2 <= 9.
     for e, rows in QUOTIENT_TABLE.items():
-        g, ksq, c2, pg = rows[-1]
+        g, ksq, c2, pg, _, _ = rows[-1]
         assert pg == 0
         assert 1 <= ksq <= 9
 

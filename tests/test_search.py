@@ -123,6 +123,20 @@ def test_enumeration_validates_types():
     assert compare_to_reference([]).counts == (0, 14, 0)
 
 
+def test_restricted_types_diff_only_their_own_reference_rows():
+    # A reference row of a type that was not searched is not missing: each
+    # type alone matches its own reference rows, and the per-type diffs
+    # add up to the full search's.
+    totals = [0, 0, 0]
+    for e in DEFAULT_TYPES:
+        _, report = run_pipeline((e,))
+        expected = sum(1 for row in REFERENCE_ROWS if row[0] == e)
+        assert report.counts[:2] == (expected, 0), e
+        totals = [t + n for t, n in zip(totals, report.counts)]
+    assert tuple(totals) == run_pipeline()[1].counts == (14, 0, 6)
+    assert run_pipeline((12, 24))[1].counts == (5, 0, 1)
+
+
 def test_row_constructor_enforces_identity():
     with pytest.raises(InvariantError):
         CandidateRow(D=17, B2=Fraction(8), e=12, ram_primes=(2,), index=17)

@@ -23,6 +23,7 @@ from shimsurf.quadfield import (
     field_from_disc,
     primes_above,
     quad_field,
+    splitting_type,
 )
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
 from shimsurf.shimura import (
@@ -85,18 +86,51 @@ def test_involution_exists_quadratic():
     field = quad_field(33)
     algebra = quadratic_algebra(field, [2])
     assert _report(algebra).involution_ok.ok
-    # Construct defective ramification sets directly, each of an even
-    # number of places as every algebra over a real quadratic base has:
-    # half of each of the split pairs over 2 and 17, and the fixed places
-    # over the inert 5 and 7.  The least prime that is no pair is named.
-    halves = QuaternionAlgebra(field, (primes_above(field, 17)[1], primes_above(field, 2)[0]))
-    check = _report(halves).involution_ok
-    assert not check.ok
-    assert check.reason.startswith("the ramification over 2 is not conjugation-closed")
+    # An algebra without an involution of second kind is refused when
+    # built.  The defective sets, each of an even number of places: half
+    # of each of the split pairs over 2 and 17, and the fixed places over
+    # the inert 5 and 7.  The least prime that is no pair is named.
+    q2, _ = primes_above(field, 2)
+    _, q17 = primes_above(field, 17)
     (q5,), (q7,) = primes_above(field, 5), primes_above(field, 7)
-    check = _report(QuaternionAlgebra(field, (q7, q5))).involution_ok
-    assert not check.ok
-    assert check.reason.startswith("the place over 5 is fixed by conjugation")
+    half = "the ramification over {} is not conjugation-closed: only one of the two conjugate places is ramified"
+    fixed = "the place over {} is fixed by conjugation ({} does not split in the base field), so it cannot be exchanged with a partner"
+    for ram, message in (
+        ((q17, q2), half.format(2)),
+        ((q7, q5), fixed.format(5, 5)),
+        ((q17, q5), fixed.format(5, 5)),
+        ((q7, q2), half.format(2)),
+    ):
+        with pytest.raises(ValueError) as refused:
+            QuaternionAlgebra(field, ram)
+        assert str(refused.value) == message, ram
+
+
+def _is_union_of_split_pairs(field, ram):
+    """Whether ram is a non-empty union of the conjugate pairs over split
+    primes, counted per rational prime."""
+    count = Counter(r.p for r in ram)
+    return bool(ram) and all(n == 2 and splitting_type(field, p) is Splitting.SPLIT for p, n in count.items())
+
+
+def test_the_constructor_accepts_exactly_the_unions_of_conjugate_pairs():
+    # Every set of at most four places over the primes below 20, in
+    # Q(sqrt 33) (2 and 17 split) and Q(sqrt 2) (7 and 17 split).
+    accepted = 0
+    for d in (33, 2):
+        field = quad_field(d)
+        places = [q for p in (2, 3, 5, 7, 11, 13, 17, 19) for q in primes_above(field, p)]
+        assert len(places) == 10
+        for size in range(5):
+            for ram in itertools.combinations(places, size):
+                if _is_union_of_split_pairs(field, ram):
+                    primes = sorted({r.p for r in ram})
+                    assert QuaternionAlgebra(field, ram) == quadratic_algebra(field, primes), ram
+                    accepted += 1
+                else:
+                    with pytest.raises(ValueError):
+                        QuaternionAlgebra(field, ram)
+    assert accepted == 6  # {2}, {17}, {2, 17} and {7}, {17}, {7, 17}
 
 
 def test_quadratic_algebra_rejects_nonsplit_primes():
@@ -230,15 +264,13 @@ def test_euler_numbers_quadratic_frozen():
 
 
 def test_euler_number_has_one_factor_per_place():
-    # index * B_2/12 * prod (N(v) - 1) with B_2 = 2 over Q(sqrt 2): the
-    # inert places over 3 and 5 have norms 9 and 25, and one place over
-    # each of the split 7 and 17 has norm 7 or 17.
+    # index * B_2/12 * prod (N(v) - 1) with B_2 = 2 over Q(sqrt 2): a
+    # conjugate pair over a split p gives (p - 1)^2, by the checked
+    # constructor as by quadratic_algebra.
     field = quad_field(2)
-    (q3,), (q5,) = primes_above(field, 3), primes_above(field, 5)
-    assert _report(QuaternionAlgebra(field, (q3, q5))).euler == 2 * 8 * 24 / Fraction(12) == 32
-    halves = QuaternionAlgebra(field, (primes_above(field, 7)[0], primes_above(field, 17)[0]))
-    assert _report(halves).euler == 2 * 6 * 16 / Fraction(12) == 16
-    # A conjugate pair over a split p gives (p - 1)^2.
+    pair7, pair17 = primes_above(field, 7), primes_above(field, 17)
+    assert _report(QuaternionAlgebra(field, tuple(pair7))).euler == 2 * 36 / Fraction(12) == 6
+    assert _report(QuaternionAlgebra(field, (*pair7, *pair17))).euler == Fraction(2 * 36 * 256, 12)
     assert _report(quadratic_algebra(field, [7, 17])).euler == Fraction(2 * 36 * 256, 12)
 
 
@@ -273,12 +305,14 @@ def test_algebra_constructor_validation():
         quadratic_algebra(field, [])  # refused before the unchecked construction
     with pytest.raises(ValueError, match="ramified place 2 is not a Place"):
         QuaternionAlgebra(field, (2,))
-    # Split at both real places, so an even number of finite places ramify
-    # (Hilbert reciprocity); checked after the refusals above.
+    # The ramification must be a union of conjugate pairs (so it is even,
+    # as Hilbert reciprocity requires); checked after the refusals above.
     (q7,) = primes_above(field, 7)
     for ram in ((q7,), (q2, q2bar, q7)):
-        with pytest.raises(ValueError, match=f"even number of finite places, not {len(ram)}"):
+        with pytest.raises(ValueError, match=r"^the place over 7 is fixed by conjugation"):
             QuaternionAlgebra(field, ram)
+    with pytest.raises(ValueError, match=r"^the ramification over 2 is not conjugation-closed"):
+        QuaternionAlgebra(field, (q2bar,))
     with pytest.raises(ValueError, match="duplicate ramified place"):
         QuaternionAlgebra(field, (q2, q2, q7))
     with pytest.raises(ValueError, match="ramified place 2 is not a Place"):
