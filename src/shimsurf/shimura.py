@@ -28,7 +28,8 @@ Each fact is proven once, at the public boundary.  A field, a place and
 a subgroup spec check themselves when built, so an algebra admits its
 base by type.  ``QuaternionAlgebra`` admits only ramification with an
 involution of second kind (Albert-Riehm-Scharlau): over a quadratic
-base, a non-empty union of conjugate pairs over split primes.
+base, a non-empty union of conjugate pairs over split primes, by
+torsion's ramification rule, which the public torsion functions share.
 ``quadratic_algebra`` checks its primes and builds the algebra through
 ``QuaternionAlgebra._trusted``, since the places it derives are distinct
 conjugate pairs over that field by construction.
@@ -87,6 +88,7 @@ from .torsion import (
     _UNKNOWN,
     SubgroupKind,
     TorsionVerdict,
+    _UNRAMIFIED_QUADRATIC,
     _require_level,
     _require_ramification,
     _verdict,
@@ -129,13 +131,6 @@ def _index(kind: SubgroupKind, s: int) -> int:
     raise ValueError(f"unknown subgroup kind {kind!r}")  # pragma: no cover
 
 
-_UNRAMIFIED_QUADRATIC = (
-    "a surface algebra over a quadratic field must ramify somewhere "
-    "finite, otherwise it is a matrix algebra and the quotient is "
-    "non-compact"
-)
-
-
 class _QuaternionAlgebraFields(NamedTuple):
     base: Field
     ram: tuple[Place, ...]
@@ -151,9 +146,10 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     corestriction to k splits (Knus, Merkurjev, Rost, Tignol, The Book of
     Involutions, 1998, Thm. 3.1): at a place of k with two places of K
     over it, the algebra ramifies at both or at neither; at a place with
-    one, it is split there.  Over a quadratic base the check refuses
-    (ValueError) a ramified place that conjugation fixes and one whose
-    conjugate is not ramified, naming the least such p; the infinite
+    one, it is split there.  The check is torsion's ramification rule,
+    which the public torsion functions share.  Over a quadratic base it
+    refuses (ValueError) a ramified place that conjugation fixes and one
+    whose conjugate is not ramified, naming the least such p; the infinite
     places pass automatically over k = Q.  The finite ramification is then
     a non-empty union of conjugate pairs, hence even, as Hilbert
     reciprocity requires of an algebra split at both real places, so no
@@ -164,25 +160,6 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
 
     def _check(self) -> None:
         _require_ramification(self.base, self.ram)
-        ram = set(self.ram)
-        if len(ram) != len(self.ram):
-            raise ValueError("duplicate ramified place")
-        if self.base.degree != 2:
-            return
-        if not ram:
-            raise ValueError(_UNRAMIFIED_QUADRATIC)
-        unpaired = [r for r in self.ram if r.is_conjugation_stable() or r.conjugate() not in ram]
-        if unpaired:
-            r = min(unpaired, key=lambda r: r.p)
-            if r.is_conjugation_stable():
-                raise ValueError(
-                    f"the place over {r.p} is fixed by conjugation ({r.p} does not split "
-                    "in the base field), so it cannot be exchanged with a partner"
-                )
-            raise ValueError(
-                f"the ramification over {r.p} is not conjugation-closed: only one "
-                "of the two conjugate places is ramified"
-            )
 
     @property
     def ram_rational_primes(self) -> tuple[int, ...]:

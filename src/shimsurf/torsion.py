@@ -34,10 +34,11 @@ dividing a candidate n, raises Undecidable, and the subgroup verdict
 then degrades to UNKNOWN instead of guessing.
 
 One function, ``_verdict``, decides every subgroup kind on places that
-two rules admit: the ramification rule, applied when a
-``QuaternionAlgebra`` is built, and the level rule, applied to a level.
-The public verdicts apply both (ValueError), then decide.  Every n the
-decision asks about is a candidate, so it skips ``cyclotomic_splitting``'s check.
+two rules admit: the ramification rule, the package's only one, which
+``QuaternionAlgebra`` applies when built, and the level rule, applied to
+a level.  The public functions apply each once (ValueError), then decide,
+so they answer only for algebras that exist.  Every n the decision asks
+about is a candidate, so it skips ``cyclotomic_splitting``'s checks.
 
 For a level prime q (a prime where the algebra is unramified) the
 congruence subgroups at q satisfy: principal inside unipotent inside
@@ -85,7 +86,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .exact import kronecker
+from .exact import kronecker, require_int
 from .quadfield import _INERT, _RAMIFIED, _SPLIT, _SPLITTING, Field, Place, Splitting, fundamental_discriminant
 
 
@@ -155,9 +156,13 @@ def cyclotomic_splitting(q: Place, n: int) -> Splitting:
     for every candidate n of the base (see the module docstring for the
     two rules).
 
-    Raises Undecidable when n is not a candidate of the base, and at a q
-    dividing n over a quartic base.
+    Raises ValueError for a q that is no ``Place`` or an n that is no
+    ``int``; Undecidable for an n that is no candidate of the base, and at
+    a q dividing n over a quartic base.
     """
+    if not isinstance(q, Place):
+        raise ValueError(f"prime {q!r} is not a Place")
+    require_int(n, "the root-of-unity order n")
     if all(c.n != n for c in possible_torsion_orders(q.field)):
         raise Undecidable(f"no criterion for zeta_{n} over {q.field}")
     return _splitting(q, n)
@@ -185,17 +190,42 @@ def _require_place(x: object, field: Field, role: str) -> None:
         raise ValueError(f"{role} {x} does not live over the base field")
 
 
+_UNRAMIFIED_QUADRATIC = (
+    "a surface algebra over a quadratic field must ramify somewhere "
+    "finite, otherwise it is a matrix algebra and the quotient is "
+    "non-compact"
+)
+
+
 def _require_ramification(field: Field, ram: Sequence[Place]) -> None:
-    """The ramification rule: the base is a ``Field``, every ramified place
-    is a ``Place`` over it, and a quartic base has none, which no algebra
-    there admits.  The type comes first: a place's field equals the plain
-    tuple of its values, so a tuple base would pass the place test."""
+    """The ramification rule, the package's only one: the finite
+    ramification of an algebra that exists (see ``QuaternionAlgebra``).
+    The base is a ``Field`` (first: a place's field equals the plain tuple
+    of its values, so a tuple base would pass the place test), every
+    ramified place a distinct ``Place`` over it, none over a quartic base,
+    and over a quadratic one a non-empty union of conjugate pairs."""
     if not isinstance(field, Field):
         raise ValueError(f"base {field!r} is not a Field")
     for r in ram:
         _require_place(r, field, "ramified place")
     if field.degree == 4 and ram:
         raise ValueError("quartic base algebras are supported only with empty finite ramification")
+    places = set(ram)
+    if len(places) != len(ram):
+        raise ValueError("duplicate ramified place")
+    if not places and field.degree == 2:
+        raise ValueError(_UNRAMIFIED_QUADRATIC)
+    for r in sorted(ram, key=lambda r: r.p):  # the least offending p is named
+        if r.is_conjugation_stable():
+            raise ValueError(
+                f"the place over {r.p} is fixed by conjugation ({r.p} does not split "
+                "in the base field), so it cannot be exchanged with a partner"
+            )
+        if r.conjugate() not in places:
+            raise ValueError(
+                f"the ramification over {r.p} is not conjugation-closed: only one "
+                "of the two conjugate places is ramified"
+            )
 
 
 def _require_level(field: Field, ram: Sequence[Place], q: Place) -> None:
@@ -209,16 +239,6 @@ def _require_level(field: Field, ram: Sequence[Place], q: Place) -> None:
                 f"the level prime lies over {p}, which meets the ramification of "
                 "the algebra; congruence subgroups need an unramified level"
             )
-
-
-def _admit(field: Field, ram: Sequence[Place], q: Place) -> None:
-    """Both rules, for the public level verdicts, which refuse a level that
-    is no ``Place`` over the base field before a quartic base's ramification."""
-    for r in ram:
-        _require_place(r, field, "ramified place")
-    _require_place(q, field, "level prime")
-    _require_ramification(field, ram)
-    _require_level(field, ram, q)
 
 
 def _embeds(ram: Sequence[Place], n: int) -> bool:
@@ -238,8 +258,7 @@ def _embeds(ram: Sequence[Place], n: int) -> bool:
 def gamma1_torsion_orders(field: Field, ram: Sequence[Place]) -> frozenset[int]:
     """Orders of torsion certified in the full projectivized unit group:
     the candidates whose cyclotomic extension embeds in the algebra.
-    Raises ValueError on a quartic base with finite ramification, which
-    no algebra admits, and on places over another field."""
+    Raises ValueError on ramification that no algebra has."""
     _require_ramification(field, ram)
     return frozenset(c.m for c in possible_torsion_orders(field) if _embeds(ram, c.n))
 
@@ -350,19 +369,22 @@ def borel_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> Torsi
     """Torsion verdict for the upper-triangular (Borel) subgroup at level
     q, by the module docstring's scan; FREE is no proof at a q over p
     where an order-p candidate embeds."""
-    _admit(field, ram, q)
+    _require_ramification(field, ram)
+    _require_level(field, ram, q)
     return _verdict(_BOREL, field, ram, q)
 
 
 def unipotent_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the unipotent-level subgroup at q (matrices
     reducing to upper-triangular with equal diagonal entries mod q)."""
-    _admit(field, ram, q)
+    _require_ramification(field, ram)
+    _require_level(field, ram, q)
     return _verdict(_UNIPOTENT, field, ram, q)
 
 
 def principal_torsion_verdict(field: Field, ram: Sequence[Place], q: Place) -> TorsionVerdict:
     """Torsion verdict for the principal congruence subgroup at level q,
     by rules A to D of the module docstring."""
-    _admit(field, ram, q)
+    _require_ramification(field, ram)
+    _require_level(field, ram, q)
     return _verdict(_PRINCIPAL, field, ram, q)

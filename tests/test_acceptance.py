@@ -44,6 +44,7 @@ from shimsurf.shimura import (
 from shimsurf.torsion import Verdict, borel_torsion_verdict, cyclotomic_splitting
 
 from float_reference import euler_number_general, zeta2_euler_product
+from test_geometry import QUOTIENT_TABLE
 
 BERNOULLI_TABLE = {
     137: Fraction(192), 113: Fraction(144), 109: Fraction(108), 105: Fraction(144),
@@ -65,16 +66,6 @@ INTERMEDIATE_ROWS = [
     (8, 12, (7,), 2), (8, 24, (7,), 4), (8, 36, (7,), 6),
     (5, 20, (11,), 3),
 ]
-
-QUOTIENT_TABLE = {
-    12: [(2, 7, 5, 0)],
-    16: [(3, 6, 6, 0)],
-    20: [(2, 15, 9, 1), (4, 5, 7, 0)],
-    24: [(3, 14, 10, 1), (5, 4, 8, 0)],
-    28: [(2, 23, 13, 2), (4, 13, 11, 1), (6, 3, 9, 0)],
-    32: [(3, 22, 14, 2), (5, 12, 12, 1), (7, 2, 10, 0)],
-    36: [(2, 31, 17, 3), (4, 21, 15, 2), (6, 11, 13, 1), (8, 1, 11, 0)],
-}
 
 
 def _emit(capsys, number, name, failures):
@@ -217,9 +208,10 @@ def test_criterion_5_admissible_chain_quartic(capsys):
 
 def test_criterion_6_geometry_tables(capsys):
     failures = []
-    for e, expected in QUOTIENT_TABLE.items():
+    for e, rows in QUOTIENT_TABLE.items():
+        # (g, K^2, c_2, p_g): the first four columns of the geometry table
         got = [(g, inv.Ksq, inv.c2, inv.pg) for g, inv in quotient_table(e)]
-        if got != expected:
+        if got != [row[:4] for row in rows]:
             failures.append(f"quotient_table({e}) = {got}")
         for _, inv in quotient_table(e):
             if inv.Ksq + inv.c2 != 12 * (1 + inv.pg):

@@ -3,8 +3,8 @@ object its home module defines, and nothing else resolves; the package's
 ``_EXPORTS`` is its one list of public names, and no private function is
 left without a caller; no module of the package computes in floating
 point; no function body reads an enum member off its class where a
-module alias is the member; and every cache is keyed by ints, never by a
-record."""
+module alias is the member; every cache is keyed by ints, never by a
+record; and one module holds the ramification rule's refusals."""
 
 import ast
 import importlib
@@ -262,3 +262,56 @@ def test_the_cache_key_guard_sees_each_kind_of_parameter():
     assert _cache_keys(ast.parse(source)) == (
         ["a", "b", "c"], ["b(field: QuadField)", "c(x: None)", "c(kw: Place)"]
     )
+
+
+# The refusal texts of the ramification rule, ``torsion._require_ramification``,
+# the package's only one, besides its ``_UNRAMIFIED_QUADRATIC``: a second
+# module that raises one of them holds a second copy of the rule, free to
+# disagree with it.
+_RAMIFICATION_REFUSALS = (
+    "fixed by conjugation",
+    "not conjugation-closed",
+    "duplicate ramified place",
+    "empty finite ramification",
+)
+
+
+def _string_literals(tree: ast.AST) -> list[str]:
+    """The string constants of a parsed module, the literal parts of
+    f-strings included (implicitly concatenated literals are one constant)
+    and docstrings left out, since a docstring may name a refusal."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def test_one_module_holds_the_ramification_rule():
+    from shimsurf import torsion
+
+    texts = (*_RAMIFICATION_REFUSALS, torsion._UNRAMIFIED_QUADRATIC)
+    literals = {module: _string_literals(tree) for module, tree in _package_trees().items()}
+    holders = {text: [module for module, found in literals.items() if any(text in s for s in found)] for text in texts}
+    assert holders == {text: ["torsion"] for text in texts}
+
+
+def test_the_refusal_guard_sees_each_kind_of_string():
+    source = (
+        '"""Module docstring: duplicate ramified place."""\n'
+        "def f(p):\n"
+        '    """fixed by conjugation"""\n'
+        '    raise ValueError(f"over {p}: not conjugation-" "closed")\n'
+        'X = ("empty finite " "ramification", 2)\n'
+    )
+    assert sorted(_string_literals(ast.parse(source))) == [
+        ": not conjugation-closed", "empty finite ramification", "over ",
+    ]

@@ -23,7 +23,7 @@ from shimsurf.quadfield import (
     splitting_type,
 )
 from shimsurf.quartic import choose_level_prime, primes_above_quartic, quartic_new
-from shimsurf.shimura import quadratic_algebra
+from shimsurf.shimura import QuaternionAlgebra, quadratic_algebra
 from shimsurf.torsion import (
     Undecidable,
     Verdict,
@@ -179,6 +179,17 @@ def test_cyclotomic_splitting_raises_where_no_rule_applies():
     with pytest.raises(Undecidable):
         cyclotomic_splitting(choose_level_prime(K, 5), 5)  # q | n on a quartic base
     assert cyclotomic_splitting(choose_level_prime(K, 11), 5) is Splitting.SPLIT
+
+
+def test_cyclotomic_splitting_refuses_bad_input():
+    # A rational prime is no place, and an order n that is a float or a
+    # bool is no int, though 4.0 == 4 and True == 1.
+    (q11,) = primes_above(quad_field(33), 11)
+    with pytest.raises(ValueError, match="prime 7 is not a Place"):
+        cyclotomic_splitting(7, 4)
+    for n in (4.0, True):
+        with pytest.raises(ValueError, match=rf"order n must be an int, got {n!r}"):
+            cyclotomic_splitting(q11, n)
 
 
 def test_verdicts_do_not_depend_on_the_declared_subfield():
@@ -386,10 +397,61 @@ def test_quartic_base_with_finite_ramification_is_refused():
         with pytest.raises(ValueError, match="empty finite ramification"):
             call()
     assert sorted(gamma1_torsion_orders(K, ())) == [2, 3, 5]
-    # A level that is no Place is refused before the ramification is.
+    # The ramification is checked first, as the algebra checks it; over the
+    # admitted empty ramification, a level that is no Place is refused.
     for verdict in (borel_torsion_verdict, unipotent_torsion_verdict, principal_torsion_verdict):
         with pytest.raises(ValueError, match="level prime 7 is not a Place"):
-            verdict(K, ram, 7)
+            verdict(K, (), 7)
+
+
+# Ramification that no algebra has, and the algebra's refusal of it.
+_NO_ALGEBRA = {
+    "inert-7": "the place over 7 is fixed by conjugation (7 does not split in the base field), "
+               "so it cannot be exchanged with a partner",
+    "half-pair-2": "the ramification over 2 is not conjugation-closed: only one of the two "
+                   "conjugate places is ramified",
+    "pair-2-twice": "duplicate ramified place",
+    "empty-quadratic": "a surface algebra over a quadratic field must ramify somewhere finite, "
+                       "otherwise it is a matrix algebra and the quotient is non-compact",
+    "quartic-finite": "quartic base algebras are supported only with empty finite ramification",
+}
+
+
+def _no_algebra_has(case):
+    """(field, ram, level) for one kind of ramification that no algebra
+    has, with a level that the level rule admits."""
+    K33 = quad_field(33)
+    q2, q2bar = primes_above(K33, 2)
+    if case == "quartic-finite":
+        K = quartic_new((1, -1, -3, 1, 1), 5)
+        return K, primes_above_quartic(K, 11)[:1], choose_level_prime(K, 29)
+    ram = {
+        "inert-7": primes_above(K33, 7),
+        "half-pair-2": [q2],
+        "pair-2-twice": [q2, q2bar, q2, q2bar],
+        "empty-quadratic": (),
+    }[case]
+    return K33, ram, primes_above(K33, 17)[0]
+
+
+@pytest.mark.parametrize("case", list(_NO_ALGEBRA))
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda field, ram, q: QuaternionAlgebra(field, tuple(ram)), id="QuaternionAlgebra"),
+        pytest.param(lambda field, ram, q: gamma1_torsion_orders(field, ram), id="gamma1_torsion_orders"),
+        pytest.param(lambda field, ram, q: full_torsion_verdict(field, ram), id="full_torsion_verdict"),
+        pytest.param(borel_torsion_verdict, id="borel_torsion_verdict"),
+        pytest.param(unipotent_torsion_verdict, id="unipotent_torsion_verdict"),
+        pytest.param(principal_torsion_verdict, id="principal_torsion_verdict"),
+    ],
+)
+def test_every_entry_point_refuses_ramification_no_algebra_has(entry, case):
+    # One ramification rule: the public torsion functions answer only for
+    # algebras that exist, and refuse the rest as the algebra does.
+    with pytest.raises(ValueError) as refused:
+        entry(*_no_algebra_has(case))
+    assert str(refused.value) == _NO_ALGEBRA[case]
 
 
 def test_every_public_verdict_refuses_a_base_that_is_no_field():
