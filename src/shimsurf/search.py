@@ -91,6 +91,8 @@ class CandidateRow(CheckedRecord, _CandidateRowFields):
     __slots__ = ()
 
     def _check(self) -> None:
+        if not isinstance(self.ram_primes, tuple):  # the row's key is hashed
+            raise ValueError(f"ram_primes must be a tuple, got {type(self.ram_primes).__name__}")
         product = 1
         for p in self.ram_primes:
             product *= (p - 1) ** 2

@@ -46,11 +46,12 @@ place equal to its conjugate.
 
 The report path takes no Python-level hop that adds nothing to the
 answer.  It reads ``check.ok``, not ``bool(check)``, whose ``__bool__``
-stays for callers; a quadratic place's own ``norm``, not ``Place.norm``
-through ``residue_degree``; it picks the inert or ramified level check
-by ``is``, since hashing a ``Splitting`` member runs ``Enum.__hash__``;
-and it tests a place's field for identity with the base before comparing
-the two as tuples.  It reads B_2 by ``bernoulli2(A.base.disc)``, not
+stays for callers; a level's own ``norm``, not ``Place.norm`` through
+``residue_degree``, and a ramified place's rational prime ``p``, which
+is its norm, the place being split; it picks the inert or ramified
+level check by ``is``, since hashing a ``Splitting`` member runs
+``Enum.__hash__``; and it tests a place's field for identity with the
+base before comparing the two as tuples.  It reads B_2 by ``bernoulli2(A.base.disc)``, not
 through the field's method, and B_2 and the Euler number as ints, by one
 ``as_integer_ratio()`` each, not by the ``numerator`` and
 ``denominator`` properties of a ``Fraction``.  It builds an admissible
@@ -154,12 +155,23 @@ class QuaternionAlgebra(CheckedRecord, _QuaternionAlgebraFields):
     a non-empty union of conjugate pairs, hence even, as Hilbert
     reciprocity requires of an algebra split at both real places, so no
     parity test is needed.  A quartic base admits no finite ramification,
-    and its infinite places pass by the choice in ``quartic_algebra``."""
+    and its infinite places pass by the choice in ``quartic_algebra``.
+
+    So that a record stays hashable and one algebra is one record, ``ram``
+    must be a tuple, refused (ValueError) before the rule runs, and its
+    places must then be in the (p, tag) order that ``quadratic_algebra``
+    builds."""
 
     __slots__ = ()
 
     def _check(self) -> None:
-        _require_ramification(self.base, self.ram)
+        ram = self.ram
+        if not isinstance(ram, tuple):
+            raise ValueError(f"the ramified places must be a tuple, got {type(ram).__name__}")
+        _require_ramification(self.base, ram)
+        for a, b in zip(ram, ram[1:]):
+            if (a.p, a.tag) > (b.p, b.tag):
+                raise ValueError(f"the ramified places must be in (p, tag) order: {a} comes before {b}")
 
     @property
     def ram_rational_primes(self) -> tuple[int, ...]:
@@ -294,13 +306,16 @@ def _euler_quadratic(A: QuaternionAlgebra, index: int) -> Fraction:
     """Exact Euler number of the surface for a subgroup of the given index
     over a quadratic base, index * B_2/12 * prod (N(v) - 1), one factor
     per finite ramified place v: one integer numerator, then one Fraction.
-    B_2 is read from ``bernoulli2`` of the base's discriminant, not through
-    the field's method, and as ints by one ``as_integer_ratio()``, not by
-    its ``numerator`` and ``denominator`` properties."""
+    Every ramified place lies over a prime p split in the base (the
+    ramification rule), so N(v) = p and its factor is ``v.p - 1``, read
+    from the tuple field with no ``norm`` property.  B_2 is read from
+    ``bernoulli2`` of the base's discriminant, not through the field's
+    method, and as ints by one ``as_integer_ratio()``, not by its
+    ``numerator`` and ``denominator`` properties."""
     numerator, denominator = bernoulli2(A.base.disc).as_integer_ratio()
     numerator *= index
     for v in A.ram:
-        numerator *= v.norm - 1
+        numerator *= v.p - 1
     return Fraction(numerator, 12 * denominator)
 
 

@@ -27,11 +27,17 @@ question: how does a place q over p behave in that quadratic extension?
   base it ramifies in the extension; otherwise the extension behaves at q
   as p does in Q(sqrt(d m)).
 
-Every ramified place is decided: over a quadratic base both rules cover
-it, and a quartic base has no finite ramification (the ramification rule
-refuses one).  Only a level prime over 2, 3 or 5 on a quartic base,
-dividing a candidate n, raises Undecidable, and the subgroup verdict
-then degrades to UNKNOWN instead of guessing.
+A ramified place needs neither rule: it is read by its rational prime p
+alone.  The ramification rule admits, over a quadratic base, only places
+over primes that split in the base, so base_q = Q_p; a quartic base has
+no finite ramification.  q splits in base(zeta_n)/base exactly when
+zeta_n lies in base_q = Q_p, whose roots of unity have order dividing
+p - 1 for odd p and 2 for p = 2 (Neukirch, Algebraic Number Theory,
+II.5.7).  So for every candidate n (3, 4, 5, 8 or 12, all at least 3),
+p dividing n included, q splits exactly when p = 1 (mod n).  Only a
+level prime over 2, 3 or 5 on a quartic base, dividing a candidate n,
+raises Undecidable, and the subgroup verdict then degrades to UNKNOWN
+instead of guessing.
 
 One function, ``_verdict``, decides every subgroup kind on places that
 two rules admit: the ramification rule, the package's only one, which
@@ -75,9 +81,9 @@ by the int and never by a record: rule A's and rule B's FREE, and rule C's
 TORSION (one for the principal subgroup, one for the unipotent one that
 inherits it).  Two reports with the same such verdict hold the same
 object, which compares and prints as a fresh one would.  The decision
-reads a quadratic base's candidates by its radicand, an int, a place
-that does not divide n by the norm rule in line, and settles rule A at
-once for a p above the largest candidate order.
+reads a quadratic base's candidates by its radicand, an int, a ramified
+place by its rational prime p, a tuple field, and settles rule A at once
+for a p above the largest candidate order.
 """
 
 from __future__ import annotations
@@ -244,13 +250,14 @@ def _require_level(field: Field, ram: Sequence[Place], q: Place) -> None:
 def _embeds(ram: Sequence[Place], n: int) -> bool:
     """Whether base(zeta_n) embeds in the algebra: no finite ramified
     prime splits in it (ramified real places never split in a CM
-    extension).  A place not dividing n is read by the norm rule in line,
-    without the call to ``_splitting``."""
+    extension).  The places are admitted by the ramification rule, so
+    each lies over a prime p split in a quadratic base and has completion
+    Q_p: it splits exactly when zeta_n lies in Q_p, that is, for a
+    candidate n >= 3, p dividing n included, when p = 1 (mod n) (see the
+    module docstring).  So each place is read by its ``p`` alone, with no
+    norm and no call to ``_splitting``."""
     for r in ram:
-        if n % r.p:
-            if r.norm % n == 1:
-                return False
-        elif _splitting(r, n) is _SPLIT:
+        if r.p % n == 1:
             return False
     return True
 

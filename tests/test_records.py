@@ -31,7 +31,7 @@ from shimsurf.geometry import (
     shimura_surface_invariants,
 )
 from shimsurf.polymod import poly
-from shimsurf.quadfield import QuadField, QuadPrime, Splitting, primes_above, quad_field
+from shimsurf.quadfield import QuadField, QuadPrime, Splitting, bernoulli2, primes_above, quad_field
 from shimsurf.quartic import QuarticField, QuarticPrime, choose_level_prime, quartic_new
 from shimsurf.search import (
     CandidateRow,
@@ -140,6 +140,25 @@ _BAD_VALUES = [
     ),
     pytest.param(CandidateRow, (17, Fraction(8), 12, (2,), 17), InvariantError, "exact Euler number", id="row"),
     pytest.param(QuaternionAlgebra, (quad_field(33), ()), ValueError, "must ramify somewhere finite", id="algebra"),
+    # A sequence field is a tuple, so the record hashes, and an algebra's
+    # places are in the (p, tag) order quadratic_algebra builds, so one
+    # algebra is one record.
+    pytest.param(
+        QuaternionAlgebra, (quad_field(33), primes_above(quad_field(33), 2)), ValueError,
+        "the ramified places must be a tuple, got list", id="algebra-list",
+    ),
+    pytest.param(
+        QuaternionAlgebra, (quad_field(33), (q for q in primes_above(quad_field(33), 2))), ValueError,
+        "the ramified places must be a tuple, got generator", id="algebra-generator",
+    ),
+    pytest.param(
+        QuaternionAlgebra, (quad_field(33), tuple(primes_above(quad_field(33), 2))[::-1]), ValueError,
+        r"the ramified places must be in \(p, tag\) order", id="algebra-order",
+    ),
+    pytest.param(
+        CandidateRow, (17, bernoulli2(17), 12, [2], 18), ValueError, "ram_primes must be a tuple, got list",
+        id="row-list",
+    ),
     pytest.param(
         QuadField, (6, 6), ValueError, r"QuadField\(d=6, disc=6\) is not a real quadratic field", id="field",
     ),
@@ -165,6 +184,23 @@ _BAD_VALUES = [
     ),
     pytest.param(SubgroupSpec, (SubgroupKind.BOREL, 11), ValueError, "level prime 11 is not a Place", id="subgroup-level"),
 ]
+
+
+def test_one_algebra_is_one_hashable_record():
+    # The checked constructor, given the tuple in (p, tag) order, builds
+    # the record quadratic_algebra builds; the order check runs after the
+    # ramification rule, whose refusal of a half pair still comes first.
+    field = quad_field(33)
+    q2, q2bar = primes_above(field, 2)
+    q17, q17bar = primes_above(field, 17)
+    A = QuaternionAlgebra(field, (q2, q2bar, q17, q17bar))
+    assert A == quadratic_algebra(field, [17, 2]) and hash(A) == hash(quadratic_algebra(field, [2, 17]))
+    with pytest.raises(ValueError, match=r"\(p, tag\) order"):
+        QuaternionAlgebra(field, (q17, q17bar, q2, q2bar))
+    with pytest.raises(ValueError, match="not conjugation-closed"):
+        QuaternionAlgebra(field, (q17, q2))
+    row = CandidateRow(17, bernoulli2(17), 12, (2,), 18)
+    assert compare_to_reference([row], (12,)).matched[0].key == (12, 17, (2,), 18)
 
 
 def _package_classes() -> set[type]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shimsurf import geometry
+from shimsurf import geometry, torsion
 from shimsurf.exact import factorize
 from shimsurf.quadfield import (
     QuadField,
@@ -487,14 +487,19 @@ _HOPS = {
 }
 
 
-def test_the_report_takes_no_python_level_hop(monkeypatch):
-    # The first 1,000 valid seed-1 sweep queries, built outside the count.
+def _hop_cases():
+    """The first 1,000 valid seed-1 sweep queries, as (algebra, spec)."""
     valid = (q for q in benchmark_inputs().sweep_queries(1) if q.valid)
     cases = []
     for query in itertools.islice(valid, 1000):
         A = quadratic_algebra(field_from_disc(query.disc), query.ram)
         level = None if query.level is None else primes_above(A.base, query.level)[0]
         cases.append((A, SubgroupSpec(SubgroupKind(query.kind), level)))
+    return cases
+
+
+def test_the_report_takes_no_python_level_hop(monkeypatch):
+    cases = _hop_cases()  # built outside the count
     counts = Counter()
     for name, (cls, attr, _) in _HOPS.items():
         held = getattr(cls, attr)
@@ -535,6 +540,33 @@ def test_the_report_takes_no_python_level_hop(monkeypatch):
             uses[what] += 1
     for what in ("rule A", "split off", "torsion"):
         assert len([k for k in first if k[0] == what]) < uses[what], what
+
+
+def test_the_report_reads_a_ramified_place_by_its_prime(monkeypatch):
+    # Every ramified place lies over a split prime p, so the embedding test
+    # and the Euler number read its p: no norm read and no splitting call
+    # on a place of the report's algebra.ram.  A level place may read both.
+    cases = _hop_cases()
+    ram = ()
+    counts = Counter()
+    norm, splitting = QuadPrime.norm.fget, torsion._splitting
+
+    def counted_norm(q):
+        counts["norm", q in ram] += 1
+        return norm(q)
+
+    def counted_splitting(q, n):
+        counts["_splitting", q in ram] += 1
+        return splitting(q, n)
+
+    monkeypatch.setattr(QuadPrime, "norm", property(counted_norm))
+    monkeypatch.setattr(torsion, "_splitting", counted_splitting)
+    for A, spec in cases:
+        ram = A.ram
+        admissibility_report(A, spec)
+    monkeypatch.undo()
+    assert (counts["norm", True], counts["_splitting", True]) == (0, 0)
+    assert counts["norm", False] > 0 and counts["_splitting", False] > 0  # the counters were live
 
 
 def test_the_first_sweep_outputs_are_pinned():

@@ -42,6 +42,27 @@ def _field_and_ram(d, ram_p):
     return field, primes_above(field, ram_p)
 
 
+def test_a_ramified_place_splits_exactly_when_p_is_1_mod_n():
+    # A ramified place lies over a split p, with completion Q_p, whose roots
+    # of unity have order dividing p - 1 (or 2 at p = 2): the p-rule of
+    # _embeds equals the place rule of cyclotomic_splitting at both places.
+    cases = 0
+    for disc in fundamental_discriminants(5, 400):
+        field = field_from_disc(disc)
+        candidates = possible_torsion_orders(field)
+        for p in primes_up_to(199):
+            if splitting_type(field, p) is not Splitting.SPLIT:
+                continue
+            ram = primes_above(field, p)
+            by_place = {
+                c.m for c in candidates if all(cyclotomic_splitting(v, c.n) is not Splitting.SPLIT for v in ram)
+            }
+            by_prime = {c.m for c in candidates if p % c.n != 1}
+            assert gamma1_torsion_orders(field, ram) == by_place == by_prime, (disc, p)
+            cases += 1
+    assert cases > 2000
+
+
 def test_possible_orders_generic_and_special_radicands():
     # Orders 2 and 3 are candidates over every real quadratic field; the
     # radicands 2, 3, 5 admit extra real-cyclotomic subfields.
